@@ -14,10 +14,7 @@ from .engine import (
     StepRecord,
     VirtualState,
     VirtualTrace,
-    dewey_less,
-    new_sibling_path,
     parent_path,
-    paths_after,
     run,
 )
 from .harness import (

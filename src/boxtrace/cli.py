@@ -7,8 +7,8 @@ Subcommands:
     check <prog.pl>       run the full faithfulness check on one program
     fuzz                  run generated-program checks for a seed range
 
-Exit status: 0 on success, 1 on a divergence/failure report, 2 on usage or
-parse errors.
+Exit status: 0 on success (a check that hits its step cap included), 1 on a
+divergence/failure report, 2 on usage or parse errors.
 """
 
 from __future__ import annotations
@@ -165,7 +165,7 @@ def cmd_check(cfg: CliConfig) -> int:
             applied = d.applied_rule.value if d.applied_rule else "-"
             classified = d.classified_rule.value if d.classified_rule else "-"
             print(f"  applied {applied}, classified {classified}")
-    return 0 if report.passed else 1
+    return 1 if report.verdict == "fail" else 0
 
 
 def cmd_fuzz(cfg: CliConfig) -> int:

@@ -30,6 +30,7 @@ from typing import Optional
 
 from .terms import (
     Clause,
+    Compound,
     Program,
     Subst,
     Term,
@@ -132,35 +133,32 @@ EXIT_RULES = (RuleId.EXIT1, RuleId.EXIT2)
 CALL_RULES = (RuleId.CALL1, RuleId.CALL2)
 
 
-def dewey_less(a: Path, b: Path) -> bool:
-    """Dewey order: a proper prefix precedes its extensions, and siblings
-    order by child index.  This is exactly tuple comparison."""
-    return a < b
-
-
 def parent_path(v: Path) -> Path:
     """Drop the last coordinate; the root is its own parent."""
     return v[:-1] if v else ROOT
 
 
-def new_sibling_path(v: Path) -> Path:
-    """Increment the last coordinate.  The root has no sibling."""
-    if not v:
-        raise EngineError("the root has no sibling")
-    return v[:-1] + (v[-1] + 1,)
-
-
-def paths_after(paths, v: Path) -> list[Path]:
-    """All members strictly greater than v in Dewey order (the part of the
-    tree a jump back to v discards)."""
-    return [y for y in paths if y > v]
-
-
 def _clause_index(program: Program):
-    """Head functor/arity -> [(clause, trial-renamed head)], source order."""
-    index: dict[tuple[str, int], list[tuple[Clause, Term]]] = {}
-    for clause, head in zip(program.clauses, trial_heads(program)):
-        index.setdefault(functor_key(clause.head), []).append((clause, head))
+    """Head functor/arity -> (every, by_first, var_first), each in source order.
+
+    Entries are (source position, clause, trial-renamed head); the position
+    orders a merge.  `every` holds all clauses of the predicate; `by_first`
+    maps the principal functor of the first head argument (`functor_key`, so
+    `a` and `a(...)` differ) to the clauses with that key; `var_first` holds
+    the clauses whose first head argument is a variable.  Arity-0 heads go
+    in `every` only.
+    """
+    index: dict[tuple[str, int], tuple[list, dict, list]] = {}
+    for position, (clause, head) in enumerate(zip(program.clauses, trial_heads(program))):
+        entry = (position, clause, head)
+        every, by_first, var_first = index.setdefault(functor_key(head), ([], {}, []))
+        every.append(entry)
+        if isinstance(head, Compound):
+            first = head.args[0]
+            if isinstance(first, Variable):
+                var_first.append(entry)
+            else:
+                by_first.setdefault(functor_key(first), []).append(entry)
     return index
 
 
@@ -275,10 +273,33 @@ class Engine:
         )
 
     def _matching_clauses(self, goal: Term) -> tuple[Clause, ...]:
-        """useful_clauses over an already-instantiated goal, sped up by the
-        head-functor index (a head with another functor can never unify)."""
+        """useful_clauses over an already-instantiated goal, in source order.
+
+        Candidates come from first-argument indexing (the abstract machine's
+        `switch_on_term`): a bound first argument selects the clauses whose
+        first head argument has its principal functor, merged with those
+        whose first head argument is a variable; an unbound first argument,
+        or a goal of arity 0, takes every clause of the predicate.  Only
+        clauses that cannot unify are skipped: each candidate is still
+        trial-unified, so the result is exactly useful_clauses'.
+        """
+        predicate = self._index.get(functor_key(goal))
+        if predicate is None:
+            return ()
+        candidates, by_first, var_first = predicate
+        # An instantiated goal has no bound variables: a Variable is unbound.
+        if isinstance(goal, Compound) and not isinstance(goal.args[0], Variable):
+            keyed = by_first.get(functor_key(goal.args[0]))
+            if keyed is None:
+                candidates = var_first
+            elif var_first:
+                # Merged per call: storing every merged bucket would cost
+                # keys x variable-first clauses of memory.
+                candidates = sorted(keyed + var_first)
+            else:
+                candidates = keyed
         kept = []
-        for clause, head in self._index.get(functor_key(goal), ()):
+        for _, clause, head in candidates:
             if unify(goal, head, {}) is not None:
                 kept.append(clause)
         return tuple(kept)

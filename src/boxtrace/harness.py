@@ -300,7 +300,11 @@ def check_faithfulness(
     reb = Rebuilder(RestrictedState.initial(program.goal))
     mirror = RestrictedState.initial(program.goal)
 
-    engine_steps: list[tuple[RuleId, StepDelta, TraceEvent]] = []
+    # Replay classifies an event once the next one arrives, so only the
+    # engine's last two steps are ever compared.
+    previous: Optional[tuple[RuleId, StepDelta]] = None
+    latest: Optional[tuple[RuleId, StepDelta]] = None
+    steps = 0
     divergence: Optional[Divergence] = None
     checked = 0
     completed = True
@@ -352,12 +356,12 @@ def check_faithfulness(
 
     try:
         for rule, event, delta in stream_events(eng, max_steps=max_steps):
-            engine_steps.append((rule, delta, event))
+            previous, latest = latest, (rule, delta)
+            steps += 1
             done = reb.push(event)
             if done is not None:
-                idx = len(engine_steps) - 2
-                applied, eng_delta, _ = engine_steps[idx]
-                divergence = compare_one(idx, applied, eng_delta, done)
+                applied, eng_delta = previous
+                divergence = compare_one(steps - 2, applied, eng_delta, done)
                 checked += 1
                 if divergence:
                     break
@@ -368,7 +372,7 @@ def check_faithfulness(
     except (TraceTruncatedError, CorruptTraceError) as err:
         divergence = Divergence(err.chrono, f"replay rejected the stream: {err}")
 
-    if divergence is None and engine_steps and completed:
+    if divergence is None and steps and completed:
         # The final event only classifies without lookahead on a completed
         # run; capped runs stop comparing one event early.
         try:
@@ -377,13 +381,12 @@ def check_faithfulness(
             done = None
             divergence = Divergence(err.chrono, f"replay rejected the stream: {err}")
         if done is not None:
-            idx = len(engine_steps) - 1
-            applied, eng_delta, _ = engine_steps[idx]
-            divergence = compare_one(idx, applied, eng_delta, done)
+            applied, eng_delta = latest
+            divergence = compare_one(steps - 1, applied, eng_delta, done)
             checked += 1
             if divergence is None and not mirror.matches(reb.state):
                 divergence = Divergence(
-                    len(engine_steps),
+                    steps,
                     "final restricted states diverged",
                     engine_state=mirror.copy(),
                     rebuilt_state=reb.state.copy(),

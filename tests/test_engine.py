@@ -1,21 +1,26 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import boxtrace.engine as engine_module
 from boxtrace import (
     ROOT,
+    Atom,
     Compound,
     Engine,
-    EngineError,
+    GenParams,
     RuleId,
     Variable,
     alpha_equal,
-    dewey_less,
-    new_sibling_path,
+    gen_program,
     parse_program,
+    parse_term_text,
     parent_path,
-    paths_after,
     render_term,
     run,
+    useful_clauses,
 )
+from boxtrace.terms import functor_key
 
 X = Variable("X")
 
@@ -28,11 +33,13 @@ def names(rules):
 
 
 def test_dewey_order_examples():
-    assert dewey_less((), (1,))  # root before everything
-    assert dewey_less((1, 1), (1, 2))  # siblings by index
-    assert not dewey_less((2,), (1, 1))  # (1,1) precedes (2,)
-    assert dewey_less((1,), (1, 2))  # prefix before extension
-    assert dewey_less((1, 1), (2,))
+    # Dewey order is plain tuple order, which the engine's creation-ordered
+    # tree mirror (`_tree_order`) relies on.
+    assert () < (1,)  # root before everything
+    assert (1, 1) < (1, 2)  # siblings by index
+    assert not (2,) < (1, 1)  # (1,1) precedes (2,)
+    assert (1,) < (1, 2)  # prefix before extension
+    assert (1, 1) < (2,)
 
 
 def test_parent_path():
@@ -41,17 +48,31 @@ def test_parent_path():
     assert parent_path(()) == ()  # the root is its own parent
 
 
-def test_new_sibling_path():
-    assert new_sibling_path((1,)) == (2,)
-    assert new_sibling_path((1, 1)) == (1, 2)
-    with pytest.raises(EngineError):
-        new_sibling_path(())
+def test_new_sibling_path(choice_program):
+    # Exit2 creates the next sibling: same parent, last coordinate plus one.
+    eng = Engine(choice_program)
+    eng.step()
+    eng.step()
+    exited = eng.current
+    rule, delta = eng.step()
+    assert rule is RuleId.EXIT2
+    assert delta.created == exited[:-1] + (exited[-1] + 1,) == (2,)
+    # The root has no sibling: its exit is always Exit1.
+    assert not eng.has_next_body_goal(ROOT)
 
 
-def test_paths_after():
+def test_paths_after(choice_program):
     tree = {(), (1,), (1, 1), (2,)}
-    assert sorted(paths_after(tree, (1,))) == [(1, 1), (2,)]
-    assert paths_after(tree, (2,)) == []  # greatest node: nothing after
+    assert sorted(y for y in tree if y > (1,)) == [(1, 1), (2,)]
+    assert [y for y in tree if y > (2,)] == []  # greatest node: nothing after
+    # A jump back to a choice point discards exactly the nodes after it.
+    eng = Engine(choice_program)
+    for _ in range(5):  # through the Fail2 at eq(a,b)
+        eng.step()
+    before = set(eng.tree)
+    rule, delta = eng.step()
+    assert rule is RuleId.REDO1 and delta.current == (1,)
+    assert list(delta.removed) == sorted(y for y in before if y > (1,))
 
 
 # -- the running example, step by step -----------------------------------------
@@ -251,3 +272,102 @@ def test_terminal_state_has_no_rule(choice_program):
         pass
     assert eng.select_rule() is None
     assert eng.done
+
+
+# -- first-argument clause indexing ----------------------------------------------
+
+# p/1 interleaves keyed and variable-first heads and mixes the atom `a` with
+# the compound `a(...)`; p/2 shares p/1's name; r has arity 0.
+MIXED_HEADS = """\
+p(a).
+p(X) :- q(X).
+p(a(Y)).
+p(f(a)).
+p(Z, b).
+p(a) :- q(a).
+p(f(X)) :- q(X).
+p(W).
+p(a(b)) :- r.
+q(b).
+q(a(c)).
+r.
+r :- q(b).
+:- p(V).
+"""
+
+
+def _filtered(program, goal):
+    return Engine(program)._matching_clauses(goal)
+
+
+@pytest.mark.parametrize(
+    "goal, expected",
+    [
+        ("p(V)", [0, 1, 2, 3, 5, 6, 7, 8]),  # unbound first argument
+        ("p(a)", [0, 1, 5, 7]),  # atom: never the compound a(...)
+        ("p(a(c))", [1, 2, 7]),  # compound: never the atom a
+        ("p(f(b))", [1, 6, 7]),
+        ("p(zz)", [1, 7]),  # a key no clause has: variable-first only
+        ("p(zz(a))", [1, 7]),
+        ("q(a)", []),  # a key no clause has, no variable-first clause
+        ("q(V)", [9, 10]),
+        ("p(a,b)", [4]),
+        ("r", [11, 12]),  # arity 0
+        ("s(a)", []),  # no such predicate
+    ],
+)
+def test_index_keeps_exactly_the_unifiable_clauses(goal, expected):
+    program = parse_program(MIXED_HEADS)
+    term = parse_term_text(goal)
+    kept = _filtered(program, term)
+    assert [program.clauses.index(c) for c in kept] == expected
+    assert kept == tuple(useful_clauses(term, program, {}))
+
+
+_VARIABLES = st.sampled_from([Variable("V"), Variable("W")])
+_ATOMS = st.sampled_from(["a", "b", "c", "zz"]).map(Atom)
+
+
+def _compounds(inner):
+    return st.sampled_from([("f", 1), ("g", 2), ("a", 1), ("zz", 2)]).flatmap(
+        lambda key: st.tuples(*[inner] * key[1]).map(lambda args: Compound(key[0], args))
+    )
+
+
+_TERMS = st.recursive(_VARIABLES | _ATOMS, _compounds, max_leaves=5)
+
+_PROGRAMS = st.one_of(
+    st.just(MIXED_HEADS).map(parse_program),
+    st.integers(min_value=0, max_value=10_000).map(lambda seed: gen_program(GenParams(seed=seed))),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_PROGRAMS, st.data())
+def test_index_matches_useful_clauses(program, data):
+    # First arguments cover unbound, atoms, compounds, and keys no head has.
+    name, arity = data.draw(st.sampled_from(sorted({functor_key(c.head) for c in program.clauses})))
+    if arity == 0:
+        goal = Atom(name)
+    else:
+        goal = Compound(name, tuple(data.draw(_TERMS) for _ in range(arity)))
+    assert _filtered(program, goal) == tuple(useful_clauses(goal, program, {}))
+
+
+def test_bound_first_argument_tries_only_its_bucket(monkeypatch):
+    facts = "".join(f"e(n{i},n{(i + k) % 20}).\n" for i in range(20) for k in (1, 2))
+    program = parse_program(facts + ":- e(n3,Y).")
+    eng = Engine(program)
+    tried = []
+    unify = engine_module.unify
+
+    def counting_unify(goal, head, s):
+        tried.append(head)
+        return unify(goal, head, s)
+
+    monkeypatch.setattr(engine_module, "unify", counting_unify)
+    assert len(eng._matching_clauses(program.goal)) == 2
+    assert len(tried) == 2  # the two e(n3,_) facts, not all forty
+    tried.clear()
+    assert len(eng._matching_clauses(parse_term_text("e(Y,n3)"))) == 2
+    assert len(tried) == 40  # unbound first argument: every clause is tried
