@@ -1,6 +1,6 @@
 """boxtrace: a tracing pure-Prolog interpreter built around the classic
-four-port box model, with trace extraction, trace replay, and a
-faithfulness checker tying the two together."""
+four-port box model, with an event stream, its replay, and a faithfulness
+checker tying the two together."""
 
 from .engine import (
     ROOT,
@@ -9,13 +9,8 @@ from .engine import (
     EngineError,
     Path,
     RuleId,
-    RunResult,
     StepDelta,
-    StepRecord,
-    VirtualState,
-    VirtualTrace,
     parent_path,
-    run,
 )
 from .harness import (
     FaithfulnessReport,
@@ -31,16 +26,9 @@ from .rebuild import (
     CorruptTraceError,
     Lookahead,
     Rebuilder,
-    RebuildResult,
     RestrictedState,
     TraceTruncatedError,
-    apply_event,
-    classify,
     initial_state_for,
-    lint_depths,
-    nd,
-    rebuild,
-    rebuild_stream,
 )
 from .terms import (
     Atom,
@@ -61,20 +49,16 @@ from .terms import (
     useful_clauses,
 )
 from .trace import (
-    ActualTrace,
     Port,
     TraceEvent,
     event_from_json,
     event_to_json,
     events_alpha_equal,
-    extract,
-    extract_trace,
     node_depth,
     parse_event,
     parse_trace_text,
     render_event,
     stream_events,
-    trace_program,
     write_trace_text,
 )
 

@@ -129,8 +129,6 @@ class RuleId(enum.Enum):
 
 
 REDO_RULES = (RuleId.REDO1, RuleId.REDO2)
-EXIT_RULES = (RuleId.EXIT1, RuleId.EXIT2)
-CALL_RULES = (RuleId.CALL1, RuleId.CALL2)
 
 
 def parent_path(v: Path) -> Path:
@@ -163,43 +161,6 @@ def _clause_index(program: Program):
 
 
 @dataclass(frozen=True)
-class VirtualState:
-    """Immutable snapshot of the visible engine state after one step."""
-
-    tree: frozenset[Path]
-    current: Path
-    last_number: int
-    numbers: dict[Path, int]
-    goals: dict[Path, Term]
-    clauses: dict[Path, tuple[Clause, ...]]
-    fresh: dict[Path, bool]
-    done: bool
-    failing: bool
-
-    def greatest_choice_point(self) -> Optional[Path]:
-        """Dewey-greatest node below (or at) `current` with untried clauses."""
-        u = self.current
-        best: Optional[Path] = None
-        for p, cl in self.clauses.items():
-            if cl and p[: len(u)] == u and (best is None or p > best):
-                best = p
-        return best
-
-
-@dataclass(frozen=True)
-class StepRecord:
-    chrono: int
-    rule: RuleId
-    state: VirtualState
-
-
-@dataclass(frozen=True)
-class VirtualTrace:
-    initial: VirtualState
-    steps: tuple[StepRecord, ...]
-
-
-@dataclass(frozen=True)
 class StepDelta:
     """What one step changed in the visible tree-shaped state.
 
@@ -214,14 +175,6 @@ class StepDelta:
     created_number: Optional[int] = None
     created_goal: Optional[Term] = None
     updated_goal: Optional[tuple[Path, Term]] = None
-
-
-@dataclass(frozen=True)
-class RunResult:
-    trace: VirtualTrace
-    answers: tuple[Term, ...]
-    completed: bool
-    stop_reason: str  # "terminal" | "step-limit" | "solution-limit"
 
 
 class Engine:
@@ -305,13 +258,6 @@ class Engine:
         return tuple(kept)
 
     # -- predicates over the current state ---------------------------------
-
-    def is_leaf(self, v: Path) -> bool:
-        return self.child_count[v] == 0
-
-    def next_clause_is_fact(self, v: Path) -> bool:
-        cl = self.clauses[v]
-        return bool(cl) and cl[0].is_fact
 
     def has_next_body_goal(self, v: Path) -> bool:
         """True iff v's goal is not the last one in its parent's running
@@ -576,50 +522,3 @@ class Engine:
         if rule is None:
             return None
         return rule, self.apply_rule(rule)
-
-    def snapshot(self) -> VirtualState:
-        return VirtualState(
-            tree=frozenset(self.tree),
-            current=self.current,
-            last_number=self.last_number,
-            numbers=dict(self.numbers),
-            goals=dict(self.goals),
-            clauses=dict(self.clauses),
-            fresh=dict(self.fresh),
-            done=self.done,
-            failing=self.failing,
-        )
-
-
-def run(
-    program: Program,
-    max_steps: int = 100_000,
-    max_solutions: Optional[int] = None,
-) -> RunResult:
-    """Run to completion (all solutions), keeping a snapshot per step.
-
-    Enumeration continues past each success as long as a choice point
-    remains.  Hitting a limit still returns a valid trace prefix.  For
-    runs too long to snapshot, drive an Engine directly.
-    """
-    eng = Engine(program)
-    initial = eng.snapshot()
-    records: list[StepRecord] = []
-    stop_reason = "step-limit"
-    while len(records) < max_steps:
-        stepped = eng.step()
-        if stepped is None:
-            stop_reason = "terminal"
-            break
-        rule, _ = stepped
-        records.append(StepRecord(eng.chrono, rule, eng.snapshot()))
-        if max_solutions is not None and len(eng.answers) >= max_solutions:
-            stop_reason = "solution-limit"
-            break
-    return RunResult(
-        trace=VirtualTrace(initial, tuple(records)),
-        answers=tuple(eng.answers),
-        completed=stop_reason == "terminal",
-        stop_reason=stop_reason,
-    )
-

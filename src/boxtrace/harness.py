@@ -1,12 +1,12 @@
 """Differential checking: engine -> events -> replay, against each other
 and against an independent resolution oracle.
 
-`check_faithfulness` runs the engine, extracts its event stream, replays
-the stream, and asserts per step that the replayed state equals the engine
-state restricted to {tree, current node, numbers, predications} and that
-the classified rule equals the applied one.  The per-step comparison works
-on step deltas (with periodic and final whole-state comparisons), so long
-capped runs stay affordable.  Answers are additionally compared against
+`check_faithfulness` runs the engine, replays its event stream (or any
+stream handed in) against it, and asserts per step that the replayed state
+equals the engine state restricted to {tree, current node, numbers,
+predications} and that the classified rule equals the applied one.  The
+per-step comparison works on step deltas (with periodic and final
+whole-state comparisons), so long capped runs stay affordable.  Answers are additionally compared against
 `reference_solve`, a plain recursive resolution search that shares nothing
 with the engine beyond terms and unification.
 
@@ -19,7 +19,7 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterable, Optional
 
 from .engine import (
     DeterminismError,
@@ -54,6 +54,12 @@ from .trace import TraceEvent, stream_events
 
 # -- independent resolution oracle -------------------------------------------
 
+# The oracle's recursion depth cap, and the fewest clause tries it may spend.
+# On a completed run the try budget grows with the run: both searches walk
+# the same tree, so the oracle needs at most one try per clause per box.
+ORACLE_MAX_DEPTH = 250
+ORACLE_MIN_TRIES = 200_000
+
 
 class _CapExceeded(Exception):
     pass
@@ -66,7 +72,9 @@ class RefResult:
 
 
 def reference_solve(
-    program: Program, max_depth: int = 250, max_steps: int = 200_000
+    program: Program,
+    max_depth: int = ORACLE_MAX_DEPTH,
+    max_steps: int = ORACLE_MIN_TRIES,
 ) -> RefResult:
     """Answers of a direct recursive search: leftmost goal, textual clause
     order, depth-first.  Deliberately not built on the engine; when a cap
@@ -202,6 +210,10 @@ def gen_program(gp: GenParams) -> Program:
 
 # -- the faithfulness check ----------------------------------------------------
 
+# Whole restricted states are compared at chrono 1, every this many steps and
+# at the end; the per-step delta comparison covers the steps in between.
+FULL_COMPARE_EVERY = 8192
+
 
 @dataclass
 class Divergence:
@@ -280,23 +292,35 @@ def _deltas_match(a: StepDelta, b: StepDelta) -> bool:
     return True
 
 
+def _length_mismatch(streamed: int, ran: int) -> Divergence:
+    return Divergence(
+        min(streamed, ran) + 1, f"the stream has {streamed} events, the run {ran} steps"
+    )
+
+
 def check_faithfulness(
     program: Program,
     max_steps: int = 10_000,
-    full_compare_every: int = 8192,
-    reference_caps: tuple[int, int] = (250, 200_000),
+    events: Optional[Iterable[TraceEvent]] = None,
 ) -> FaithfulnessReport:
-    """Run, extract, replay, and compare step by step; then cross-check the
-    answer multiset against the oracle when nothing hit a cap.
+    """Run the engine, replay an event stream and compare the two step by
+    step; then cross-check the answer multiset against the oracle.
+
+    The stream replayed is the run's own, unless `events` is given: then
+    that stream is replayed against the run instead (negative controls feed
+    mutated streams this way).  A stream shorter or longer than the run
+    fails, and so does one that replay rejects anywhere.
 
     Comparison per step: applied vs classified rule, then the step deltas
     on {tree, current, numbers, predications}; whole restricted states are
-    compared at the start, every `full_compare_every` steps, and at the
-    end, which together pin equality at every step.
+    compared at the start, every FULL_COMPARE_EVERY steps, and at the end,
+    which together pin equality at every step.
     """
     digest = program_digest(program)
     clear_path_cache()
     eng = Engine(program)
+    run = stream_events(eng, max_steps=max_steps)
+    feed = None if events is None else iter(events)
     reb = Rebuilder(RestrictedState.initial(program.goal))
     mirror = RestrictedState.initial(program.goal)
 
@@ -342,7 +366,7 @@ def check_faithfulness(
                 engine_state=mirror.copy(),
                 rebuilt_state=reb.state.copy(),
             )
-        if chrono == 1 or chrono % full_compare_every == 0:
+        if chrono == 1 or chrono % FULL_COMPARE_EVERY == 0:
             if not mirror.matches(reb.state):
                 return Divergence(
                     chrono,
@@ -355,9 +379,14 @@ def check_faithfulness(
         return None
 
     try:
-        for rule, event, delta in stream_events(eng, max_steps=max_steps):
+        for rule, event, delta in run:
             previous, latest = latest, (rule, delta)
             steps += 1
+            if feed is not None:
+                event = next(feed, None)
+                if event is None:
+                    divergence = _length_mismatch(steps - 1, steps + sum(1 for _ in run))
+                    break
             done = reb.push(event)
             if done is not None:
                 applied, eng_delta = previous
@@ -367,6 +396,17 @@ def check_faithfulness(
                     break
         else:
             completed = eng.select_rule() is None
+        if feed is not None:
+            # Replay what is left of the stream: one that replay rejects is
+            # reported as rejected, even where it differed from the run earlier.
+            rest = 0
+            for event in feed:
+                reb.push(event)
+                rest += 1
+            if divergence is None and rest:
+                divergence = _length_mismatch(steps + rest, steps)
+            if divergence is not None:
+                reb.finish()
     except (DeterminismError, EngineError) as err:
         return FaithfulnessReport(digest, checked, "fail", detail=str(err))
     except (TraceTruncatedError, CorruptTraceError) as err:
@@ -406,7 +446,8 @@ def check_faithfulness(
 
     detail = ""
     if completed:
-        ref = reference_solve(program, *reference_caps)
+        tries = max(ORACLE_MIN_TRIES, steps * len(program.clauses))
+        ref = reference_solve(program, ORACLE_MAX_DEPTH, tries)
         if ref.capped:
             detail = "oracle hit its cap; answers not compared"
         elif not multiset_alpha_equal(eng.answers, ref.answers):
@@ -423,83 +464,3 @@ def check_faithfulness(
     return FaithfulnessReport(
         digest, checked, "limit-hit", detail="step cap hit; prefix checked only"
     )
-
-
-def compare_events_to_run(
-    program: Program, events: list[TraceEvent], max_steps: int = 10_000
-) -> FaithfulnessReport:
-    """Replay an arbitrary event list against a fresh engine run of the
-    program — the hook negative controls use to feed mutated streams."""
-    digest = program_digest(program)
-    eng = Engine(program)
-    reb = Rebuilder(RestrictedState.initial(program.goal))
-    mirror = RestrictedState.initial(program.goal)
-    engine_steps = [(rule, delta) for rule, _, delta in stream_events(eng, max_steps)]
-
-    checked = 0
-    try:
-        pushed = []
-        for event in events:
-            done = reb.push(event)
-            if done is not None:
-                pushed.append(done)
-        done = reb.finish()
-        if done is not None:
-            pushed.append(done)
-    except (TraceTruncatedError, CorruptTraceError) as err:
-        return FaithfulnessReport(
-            digest,
-            checked,
-            "fail",
-            first_divergence=Divergence(err.chrono, f"replay rejected the stream: {err}"),
-        )
-    if len(pushed) != len(engine_steps):
-        return FaithfulnessReport(
-            digest,
-            checked,
-            "fail",
-            first_divergence=Divergence(
-                min(len(pushed), len(engine_steps)) + 1,
-                f"{len(pushed)} replayed steps vs {len(engine_steps)} engine steps",
-            ),
-        )
-    for idx, ((applied, eng_delta), (classified, reb_delta)) in enumerate(
-        zip(engine_steps, pushed)
-    ):
-        chrono = idx + 1
-        _apply_delta(mirror, eng_delta)
-        if classified is not applied:
-            return FaithfulnessReport(
-                digest,
-                checked,
-                "fail",
-                first_divergence=Divergence(
-                    chrono,
-                    "classified rule differs from applied rule",
-                    applied_rule=applied,
-                    classified_rule=classified,
-                ),
-            )
-        if not _deltas_match(eng_delta, reb_delta):
-            return FaithfulnessReport(
-                digest,
-                checked,
-                "fail",
-                first_divergence=Divergence(
-                    chrono,
-                    "state change differs between engine and replay",
-                    engine_state=mirror.copy(),
-                    rebuilt_state=reb.state.copy(),
-                ),
-            )
-        checked += 1
-    if not mirror.matches(reb.state):
-        return FaithfulnessReport(
-            digest,
-            checked,
-            "fail",
-            first_divergence=Divergence(
-                checked, "final restricted states diverged"
-            ),
-        )
-    return FaithfulnessReport(digest, checked, "pass")

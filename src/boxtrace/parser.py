@@ -116,27 +116,39 @@ class _Parser:
         return Variable(tok.text)
 
     def term(self) -> Term:
-        tok = self.take()
-        if tok.kind == "var":
-            return self.variable(tok)
-        if tok.kind == "atom":
-            if self.peek().text == "(" and self.peek().kind == "punct":
-                return self.compound_tail(tok)
-            return Atom(tok.text)
-        got = "end of input" if tok.kind == "end" else repr(tok.text)
-        raise ParseError(f"expected a term, found {got}", tok.line, tok.column)
-
-    def compound_tail(self, functor: _Token) -> Compound:
-        self.expect("(")
-        args = [self.term()]
-        while self.peek().text == "," and self.peek().kind == "punct":
-            self.take()
-            args.append(self.term())
-        self.expect(")")
-        return Compound(functor.text, tuple(args))
+        """One term.  Iterative: trace goals can nest far deeper than the
+        recursion limit (the engine builds them one answer at a time)."""
+        # Compounds still reading their arguments: (functor token, args).
+        open_compounds: list[tuple[_Token, list[Term]]] = []
+        while True:
+            tok = self.take()
+            if tok.kind == "var":
+                t: Term = self.variable(tok)
+            elif tok.kind == "atom":
+                if self.peek().text == "(" and self.peek().kind == "punct":
+                    self.take()
+                    open_compounds.append((tok, []))
+                    continue
+                t = Atom(tok.text)
+            else:
+                got = "end of input" if tok.kind == "end" else repr(tok.text)
+                raise ParseError(f"expected a term, found {got}", tok.line, tok.column)
+            # t is complete: hand it to the innermost open compound, closing
+            # compounds until one expects another argument.
+            while open_compounds:
+                functor, args = open_compounds[-1]
+                args.append(t)
+                if self.peek().text == "," and self.peek().kind == "punct":
+                    self.take()
+                    break
+                self.expect(")")
+                open_compounds.pop()
+                t = Compound(functor.text, tuple(args))
+            else:
+                return t
 
     def predication(self) -> Term:
-        tok = self.take()
+        tok = self.peek()
         if tok.kind != "atom":
             got = "end of input" if tok.kind == "end" else repr(tok.text)
             raise ParseError(
@@ -144,9 +156,7 @@ class _Parser:
                 tok.line,
                 tok.column,
             )
-        if self.peek().text == "(" and self.peek().kind == "punct":
-            return self.compound_tail(tok)
-        return Atom(tok.text)
+        return self.term()
 
 
 def parse_term_text(text: str, decode_renamed: bool = False) -> Term:

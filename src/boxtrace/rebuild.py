@@ -6,8 +6,8 @@ clauses, bindings, or the engine at all.  Classification of which rule
 produced an event needs one event of lookahead: the next event's node
 number r' against the current one's r decides between the paired rules
 (same node -> the fact variant, a fresh higher number -> the expanding
-variant).  The depth attribute is never consulted; `lint_depths` checks it
-separately.
+variant).  The depth attribute is never consulted for replay; it is
+checked separately against the replayed tree (`Rebuilder.depth_mismatches`).
 
 Replay state per node: tree membership, creation number, predication; plus
 the current node.  Rebuilt states match the engine's visible state
@@ -17,15 +17,14 @@ harness checks).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional
+from dataclasses import dataclass
+from typing import Iterable, Optional
 
 from .engine import (
     ROOT,
     Path,
     RuleId,
     StepDelta,
-    VirtualState,
     child_of,
     parent_path,
 )
@@ -62,15 +61,6 @@ class RestrictedState:
     def initial(cls, goal: Term) -> "RestrictedState":
         return cls(tree={ROOT}, current=ROOT, numbers={ROOT: 1}, goals={ROOT: goal})
 
-    @classmethod
-    def from_virtual(cls, state: VirtualState) -> "RestrictedState":
-        return cls(
-            tree=set(state.tree),
-            current=state.current,
-            numbers=dict(state.numbers),
-            goals=dict(state.goals),
-        )
-
     def copy(self) -> "RestrictedState":
         return RestrictedState(
             set(self.tree), self.current, dict(self.numbers), dict(self.goals)
@@ -88,14 +78,6 @@ class RestrictedState:
         return all(alpha_equal(self.goals[k], other.goals[k]) for k in self.goals)
 
 
-def nd(state: RestrictedState, number: int) -> Path:
-    """The node with the given creation number (inverse of the numbering)."""
-    for path, n in state.numbers.items():
-        if n == number:
-            return path
-    raise KeyError(f"no node numbered {number}")
-
-
 def _classify(
     event: TraceEvent,
     lookahead: Optional[Lookahead],
@@ -103,6 +85,13 @@ def _classify(
     current_number: int,
     redo_target_known: bool,
 ) -> RuleId:
+    """Which rule produced `event`, given one event of lookahead.
+
+    At stream end: an Exit at the root and any Fail close a run legally; a
+    final Call or below-root Exit can only come from a cut-off stream and
+    classifies best-effort; a final Redo is rejected (a completed run never
+    stops on one).
+    """
     chrono = event.chrono
     port = event.port
     if port is not Port.REDO and event.node != current_number:
@@ -139,32 +128,17 @@ def _classify(
     raise CorruptTraceError("Redo followed by an older node", chrono)
 
 
-def classify(
-    state: RestrictedState, event: TraceEvent, lookahead: Optional[Lookahead]
-) -> RuleId:
-    """Which rule produced `event`, given one event of lookahead.
-
-    At stream end: an Exit at the root and any Fail close a run legally; a
-    final Call or below-root Exit can only come from a cut-off stream and
-    classifies best-effort; a final Redo is rejected (a completed run never
-    stops on one).
-    """
-    return _classify(
-        event,
-        lookahead,
-        current_is_root=state.current == ROOT,
-        current_number=state.numbers[state.current],
-        redo_target_known=event.port is not Port.REDO
-        or event.node in state.numbers.values(),
-    )
-
-
 class Rebuilder:
     """Streaming fold over an event stream with one-event lookahead.
 
-    push() buffers the newest event and finishes the previous one;
-    finish() flushes the last event once the stream ends.  States handed
-    back are the live accumulator; copy() them to keep snapshots.
+    push() buffers the newest event and finishes the previous one, returning
+    its (rule, delta); finish() flushes the last event once the stream ends.
+    `state` is the live accumulator; copy() it to keep a snapshot.  After
+    finish(), `truncated` tells whether the stream stopped where a completed
+    run could not have, and status() how the run ended.  The depth
+    attribute plays no part in replay: `depth_mismatches` collects
+    (chrono, expected, actual) for every event whose depth disagrees with
+    the replayed tree.
     """
 
     def __init__(self, initial: RestrictedState):
@@ -260,12 +234,8 @@ class Rebuilder:
         st.goals[path] = goal
         self._by_number[number] = path
         self._child_count[path] = 0
-        parent = self._parent_of.get(path)
-        if parent is None:
-            parent = parent_path(path) if path else path
-            self._parent_of[path] = parent
-        if path:
-            self._child_count[parent] = path[-1]
+        # Callers create only non-root nodes and record their parent first.
+        self._child_count[self._parent_of[path]] = path[-1]
 
     def _new_child(self, parent: Path) -> Path:
         child = child_of(parent, self._child_count[parent] + 1)
@@ -371,73 +341,6 @@ class Rebuilder:
         return "unknown"
 
 
-def apply_event(
-    state: RestrictedState,
-    rule: RuleId,
-    event: TraceEvent,
-    lookahead: Optional[Lookahead],
-) -> RestrictedState:
-    """Pure single-event application: a fresh state, input untouched."""
-    reb = Rebuilder(state)
-    got = classify(reb.state, event, lookahead)
-    if got is not rule:
-        raise CorruptTraceError(
-            f"event classifies as {got.value}, not {rule.value}", event.chrono
-        )
-    reb._apply(rule, event, lookahead)
-    return reb.state
-
-
-def rebuild_stream(
-    initial: RestrictedState, events: Iterable[TraceEvent], copy_states: bool = True
-) -> Iterator[tuple[RuleId, RestrictedState]]:
-    """Fold the stream; the state for event i is emitted once event i+1
-    arrives (or the stream ends)."""
-    reb = Rebuilder(initial)
-    for event in events:
-        done = reb.push(event)
-        if done is not None:
-            yield done[0], (reb.state.copy() if copy_states else reb.state)
-    done = reb.finish()
-    if done is not None:
-        yield done[0], (reb.state.copy() if copy_states else reb.state)
-
-
-@dataclass
-class RebuildResult:
-    steps: list[tuple[RuleId, RestrictedState]]
-    truncated: bool
-    status: str
-    depth_mismatches: list[tuple[int, int, int]] = field(default_factory=list)
-
-    @property
-    def final(self) -> Optional[RestrictedState]:
-        return self.steps[-1][1] if self.steps else None
-
-    @property
-    def rules(self) -> list[RuleId]:
-        return [r for r, _ in self.steps]
-
-
-def rebuild(initial: RestrictedState, events: Iterable[TraceEvent]) -> RebuildResult:
-    """Eager replay keeping one state snapshot per event."""
-    reb = Rebuilder(initial)
-    steps: list[tuple[RuleId, RestrictedState]] = []
-    for event in events:
-        done = reb.push(event)
-        if done is not None:
-            steps.append((done[0], reb.state.copy()))
-    done = reb.finish()
-    if done is not None:
-        steps.append((done[0], reb.state.copy()))
-    return RebuildResult(
-        steps=steps,
-        truncated=reb.truncated,
-        status=reb.status(),
-        depth_mismatches=reb.depth_mismatches,
-    )
-
-
 def initial_state_for(events: Iterable[TraceEvent]) -> RestrictedState:
     """The replay start state implied by a stream's first event."""
     events = list(events)
@@ -447,21 +350,3 @@ def initial_state_for(events: Iterable[TraceEvent]) -> RestrictedState:
     if first.chrono != 1 or first.port is not Port.CALL:
         raise CorruptTraceError("trace must begin with a Call at chrono 1", first.chrono)
     return RestrictedState.initial(first.goal)
-
-
-def lint_depths(
-    initial: RestrictedState, events: Iterable[TraceEvent]
-) -> list[tuple[int, int, int]]:
-    """Check the redundant depth attribute against the replayed tree.
-
-    Returns (chrono, expected, actual) per mismatched event.  Replay itself
-    never reads depths, so this is the only place corrupt depths show up.
-    """
-    reb = Rebuilder(initial)
-    for event in events:
-        reb.push(event)
-    try:
-        reb.finish()
-    except TraceTruncatedError:
-        pass
-    return reb.depth_mismatches

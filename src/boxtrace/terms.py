@@ -6,9 +6,9 @@ is reserved for variables as written in source text; renamed-apart clause
 instances use indexes >= 1, so instances of the same clause never share
 variables.
 
-Substitutions are plain dicts from Variable to Term, built only through
-`unify` and never mutated afterwards, so callers may keep references to
-earlier substitutions as undo points.
+Substitutions are plain dicts from Variable to Term.  `unify_into` binds
+in place and records each binding on a trail, so callers undo back to a
+mark; `unify` returns an extended copy and leaves its input as it was.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ class Atom:
 class Compound:
     functor: str
     args: tuple["Term", ...]
-    # Cached groundness lets apply_subst skip whole subtrees in O(1).
+    # Cached groundness lets instantiate skip whole subtrees in O(1).
     ground: bool = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
@@ -80,52 +80,18 @@ def unify(t1: Term, t2: Term, s: Subst) -> Optional[Subst]:
     """Most general unifier extending s, or None on clash.
 
     Occurs-check is on: unify(X, f(X)) fails.  The input substitution is
-    never mutated; on success either s itself (no new bindings) or a fresh
-    extended dict is returned.
+    never mutated: unify_into works on a copy with a scratch trail.
     """
-    out = s
-    owned = False
-    stack = [(t1, t2)]
-    while stack:
-        a, b = stack.pop()
-        a = walk(a, out)
-        b = walk(b, out)
-        if a is b:
-            continue
-        if isinstance(a, Variable):
-            if isinstance(b, Variable) and a == b:
-                continue
-            if occurs(a, b, out):
-                return None
-            if not owned:
-                out = dict(out)
-                owned = True
-            out[a] = b
-        elif isinstance(b, Variable):
-            if occurs(b, a, out):
-                return None
-            if not owned:
-                out = dict(out)
-                owned = True
-            out[b] = a
-        elif isinstance(a, Atom) and isinstance(b, Atom):
-            if a.name != b.name:
-                return None
-        elif isinstance(a, Compound) and isinstance(b, Compound):
-            if a.functor != b.functor or len(a.args) != len(b.args):
-                return None
-            stack.extend(zip(a.args, b.args))
-        else:
-            return None
-    return out
+    out = dict(s)
+    return out if unify_into(t1, t2, out, []) else None
 
 
 def unify_into(t1: Term, t2: Term, s: Subst, trail: list[Variable]) -> bool:
-    """Destructive sibling of unify: bind into s directly, recording each
-    bound variable on the trail so callers can undo back to a mark.
+    """Unify in place: bind into s directly, recording each bound variable
+    on the trail so callers can undo back to a mark.
 
     On failure the bindings made so far are already undone.  Occurs-check
-    on, same as unify.
+    is on: unify_into(X, f(X)) fails.
     """
     mark = len(trail)
     stack = [(t1, t2)]
@@ -165,43 +131,19 @@ def unify_into(t1: Term, t2: Term, s: Subst, trail: list[Variable]) -> bool:
 
 
 def apply_subst(term: Term, s: Subst) -> Term:
+    """Replace every bound variable transitively; unbound variables stay."""
+    return instantiate(term, s, {})
+
+
+def instantiate(term: Term, s: Subst, memo: dict[Variable, Term]) -> Term:
     """Replace every bound variable transitively; unbound variables stay.
 
     Unchanged subtrees are shared with the input, so repeated application
     over growing terms does not blow up memory.  Iterative: substituted
-    terms can be arbitrarily deep.
-    """
-    if not s:
-        return term
-    results: list[Term] = []
-    ops: list[tuple[bool, Term]] = [(False, term)]
-    while ops:
-        building, node = ops.pop()
-        if not building:
-            node = walk(node, s)
-            if isinstance(node, Compound) and not node.ground:
-                ops.append((True, node))
-                ops.extend((False, a) for a in reversed(node.args))
-            else:
-                results.append(node)
-        else:
-            assert isinstance(node, Compound)
-            n = len(node.args)
-            new_args = tuple(results[-n:])
-            del results[-n:]
-            if all(x is y for x, y in zip(new_args, node.args)):
-                results.append(node)
-            else:
-                results.append(Compound(node.functor, new_args))
-    return results[0]
-
-
-def instantiate(term: Term, s: Subst, memo: dict[Variable, Term]) -> Term:
-    """apply_subst with a memo of already-expanded bound variables.
-
-    Successive instantiations against one unchanged substitution (an exit
-    cascade up a deep proof) share their work; the caller must drop the
-    memo whenever s gains or loses a binding.
+    terms can be arbitrarily deep.  `memo` holds already-expanded bound
+    variables, so successive instantiations against one unchanged
+    substitution (an exit cascade up a deep proof) share their work; the
+    caller must drop the memo whenever s gains or loses a binding.
     """
     if not s:
         return term
@@ -306,18 +248,6 @@ def functor_key(t: Term) -> tuple[str, int]:
     raise ValueError("a variable has no functor")
 
 
-def term_variables(term: Term) -> set[Variable]:
-    out: set[Variable] = set()
-    stack = [term]
-    while stack:
-        t = stack.pop()
-        if isinstance(t, Variable):
-            out.add(t)
-        elif isinstance(t, Compound):
-            stack.extend(t.args)
-    return out
-
-
 @dataclass(frozen=True)
 class Clause:
     """One program clause; an empty body makes it a fact."""
@@ -337,19 +267,33 @@ class Program:
     goal: Term
 
 
-def _retag(term: Term, index: int) -> Term:
-    # Source terms are as deep as their text, recursion is fine here.
+def rename_term(term: Term, index: int) -> Term:
+    """Copy of term with every variable's rename index set to `index`, the
+    same mapping rename_apart applies to a whole clause; ground subterms
+    are shared.  Iterative: source terms can nest deeper than the recursion
+    limit."""
     if isinstance(term, Variable):
         return Variable(term.name, index)
     if isinstance(term, Atom) or term.ground:
         return term
-    return Compound(term.functor, tuple(_retag(a, index) for a in term.args))
-
-
-def rename_term(term: Term, counter: int) -> Term:
-    """One term of a clause being renamed apart; same mapping as
-    rename_apart for the same counter."""
-    return _retag(term, counter)
+    # Frames: a compound being copied and its arguments copied so far.
+    stack: list[tuple[Compound, list[Term]]] = [(term, [])]
+    while True:
+        node, done = stack[-1]
+        for a in node.args[len(done):]:
+            if isinstance(a, Variable):
+                done.append(Variable(a.name, index))
+            elif isinstance(a, Atom) or a.ground:
+                done.append(a)
+            else:
+                stack.append((a, []))
+                break
+        else:
+            stack.pop()
+            built = Compound(node.functor, tuple(done))
+            if not stack:
+                return built
+            stack[-1][1].append(built)
 
 
 def rename_apart(clause: Clause, counter: int) -> Clause:
@@ -359,8 +303,8 @@ def rename_apart(clause: Clause, counter: int) -> Clause:
     renamed variable).  `counter` must not be in use by any live variable.
     A ground clause is returned as-is.
     """
-    head = _retag(clause.head, counter)
-    body = tuple(_retag(b, counter) for b in clause.body)
+    head = rename_term(clause.head, counter)
+    body = tuple(rename_term(b, counter) for b in clause.body)
     if head is clause.head and all(a is b for a, b in zip(body, clause.body)):
         return clause
     return Clause(head=head, body=body, source_index=clause.source_index)
@@ -374,15 +318,10 @@ TRIAL_INDEX = 2**61
 def trial_heads(program: Program) -> list[Term]:
     """Heads of all clauses renamed into the reserved trial namespace,
     for reuse across many filtering calls."""
-    return [_retag(c.head, TRIAL_INDEX) for c in program.clauses]
+    return [rename_term(c.head, TRIAL_INDEX) for c in program.clauses]
 
 
-def useful_clauses(
-    goal: Term,
-    program: Program,
-    s: Subst,
-    heads: Optional[list[Term]] = None,
-) -> list[Clause]:
+def useful_clauses(goal: Term, program: Program, s: Subst) -> list[Clause]:
     """Clauses whose renamed-apart head unifies with the instantiated goal.
 
     Source order is preserved.  The trial renaming and trial substitution
@@ -390,11 +329,9 @@ def useful_clauses(
     An empty result marks a goal no clause can solve.
     """
     target = apply_subst(goal, s)
-    if heads is None:
-        heads = trial_heads(program)
     return [
         clause
-        for clause, head in zip(program.clauses, heads)
+        for clause, head in zip(program.clauses, trial_heads(program))
         if unify(target, head, {}) is not None
     ]
 

@@ -1,4 +1,4 @@
-"""Trace extraction and (de)serialization.
+"""Trace events: produced from a running engine, and (de)serialized.
 
 Every engine step yields exactly one trace event with five attributes:
 chrono, node number, depth, port, goal.  Ports follow the classic box
@@ -20,15 +20,7 @@ import json
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .engine import (
-    REDO_RULES,
-    Engine,
-    Path,
-    RuleId,
-    RunResult,
-    StepDelta,
-    VirtualState,
-)
+from .engine import REDO_RULES, Engine, Path, RuleId, StepDelta
 from .parser import ParseError, parse_term_text
 from .terms import Term, render_term
 
@@ -60,50 +52,18 @@ class TraceEvent:
     goal: Term
 
 
-@dataclass(frozen=True)
-class ActualTrace:
-    """An event stream plus the one datum needed to replay it from scratch:
-    the root goal (the rest of the initial replay state is fixed)."""
-
-    initial_goal: Term
-    events: tuple[TraceEvent, ...]
-
-
 def node_depth(v: Path) -> int:
     """Nodes on the path from the root to v: the root has depth 1."""
     return len(v) + 1
 
 
-def extract(rule: RuleId, pre: VirtualState, post: VirtualState, chrono: int) -> TraceEvent:
-    """The one event produced by a recorded step."""
-    if rule in REDO_RULES:
-        subject = pre.greatest_choice_point()
-        if subject is None:
-            raise ValueError("redo step recorded without a choice point")
-    else:
-        subject = pre.current
-    port = _PORT_OF_RULE[rule]
-    goal = post.goals[subject] if port is Port.EXIT else pre.goals[subject]
-    return TraceEvent(chrono, pre.numbers[subject], node_depth(subject), port, goal)
-
-
-def extract_trace(result: RunResult) -> ActualTrace:
-    """Map every step of a recorded run to its event."""
-    events = []
-    pre = result.trace.initial
-    for record in result.trace.steps:
-        events.append(extract(record.rule, pre, record.state, record.chrono))
-        pre = record.state
-    return ActualTrace(result.trace.initial.goals[()], tuple(events))
-
-
 def stream_events(
     eng: Engine, max_steps: int | None = None
 ) -> Iterator[tuple[RuleId, TraceEvent, StepDelta]]:
-    """Drive an engine and emit its events without keeping state snapshots.
+    """Drive an engine and emit one (rule, event, delta) per step.
 
-    Produces the same events as extract() over a recorded run; use this for
-    runs too long to snapshot.
+    Stops at a terminal state or once the engine has taken `max_steps`
+    steps.  Keeps nothing beyond the engine's own state.
     """
     while True:
         rule = eng.select_rule()
@@ -124,13 +84,6 @@ def stream_events(
         if port is Port.EXIT:
             goal = eng.goals[subject]
         yield rule, TraceEvent(chrono, node, depth, port, goal), delta
-
-
-def trace_program(program, max_steps: int = 100_000) -> ActualTrace:
-    """Convenience: run a program and return its actual trace."""
-    eng = Engine(program)
-    events = tuple(ev for _, ev, _ in stream_events(eng, max_steps=max_steps))
-    return ActualTrace(program.goal, events)
 
 
 # -- text and JSON-lines forms ----------------------------------------------

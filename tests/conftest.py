@@ -1,6 +1,6 @@
 import pytest
 
-from boxtrace import parse_program
+from boxtrace import Engine, parse_program, stream_events
 
 # The running example everywhere: one backtrack through a two-clause
 # predicate, with one failing and one succeeding continuation.
@@ -16,6 +16,11 @@ eq(X,X).
 TWO_FACTS = "p(a).\np(b).\n:- p(X).\n"
 NO_MATCH = "p(a).\n:- q(a).\n"
 SINGLE_FACT = "a.\n:- a.\n"
+
+
+def events_of(program, max_steps=None):
+    """The event stream of a whole run (or its first max_steps events)."""
+    return [event for _, event, _ in stream_events(Engine(program), max_steps)]
 
 
 @pytest.fixture

@@ -1,0 +1,88 @@
+"""Snapshot-based reference for the event stream.
+
+Records the engine's whole visible state after every step and derives each
+event from the two states around it, the way the box model defines events.
+`stream_events` reads the live engine instead; tests compare the two
+derivations.  A snapshot per step costs memory in the run length, so this
+is for small test runs only.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Optional
+
+from boxtrace import Engine, Port, RuleId, TraceEvent
+from boxtrace.engine import Path
+from boxtrace.terms import Clause, Term
+from boxtrace.trace import node_depth
+
+_PORTS = {rule: Port(rule.value[:-1]) for rule in RuleId}  # Call1 -> Call
+
+
+@dataclass(frozen=True)
+class Snapshot:
+    """The engine's visible state after one step."""
+
+    tree: frozenset[Path]
+    current: Path
+    last_number: int
+    numbers: dict[Path, int]
+    goals: dict[Path, Term]
+    clauses: dict[Path, tuple[Clause, ...]]
+    fresh: dict[Path, bool]
+    done: bool
+    failing: bool
+
+    def greatest_choice_point(self) -> Optional[Path]:
+        """Dewey-greatest node below (or at) `current` with untried clauses."""
+        u = self.current
+        best: Optional[Path] = None
+        for p, cl in self.clauses.items():
+            if cl and p[: len(u)] == u and (best is None or p > best):
+                best = p
+        return best
+
+
+def snapshot(eng: Engine) -> Snapshot:
+    return Snapshot(
+        frozenset(eng.tree), eng.current, eng.last_number, dict(eng.numbers),
+        dict(eng.goals), dict(eng.clauses), dict(eng.fresh), eng.done, eng.failing,
+    )
+
+
+@dataclass(frozen=True)
+class Recording:
+    initial: Snapshot
+    steps: tuple[tuple[RuleId, Snapshot], ...]  # step i has chrono i + 1
+    answers: tuple[Term, ...]
+    completed: bool
+
+
+def record(program, max_steps: int = 100_000) -> Recording:
+    """Run through Engine.step, keeping a snapshot after every step."""
+    eng = Engine(program)
+    initial = snapshot(eng)
+    steps = []
+    while len(steps) < max_steps and (stepped := eng.step()) is not None:
+        steps.append((stepped[0], snapshot(eng)))
+    return Recording(initial, tuple(steps), tuple(eng.answers), eng.select_rule() is None)
+
+
+def event_of(rule: RuleId, pre: Snapshot, post: Snapshot, chrono: int) -> TraceEvent:
+    """The event of one step: its subject is the pre-step current node, or
+    for a Redo the choice point jumped to; an Exit carries the solved goal."""
+    port = _PORTS[rule]
+    subject = pre.greatest_choice_point() if port is Port.REDO else pre.current
+    assert subject is not None, "redo step recorded without a choice point"
+    goal = post.goals[subject] if port is Port.EXIT else pre.goals[subject]
+    return TraceEvent(chrono, pre.numbers[subject], node_depth(subject), port, goal)
+
+
+def reference_events(recording: Recording) -> list[TraceEvent]:
+    events = []
+    pre = recording.initial
+    for chrono, (rule, post) in enumerate(recording.steps, start=1):
+        events.append(event_of(rule, pre, post, chrono))
+        pre = post
+    return events

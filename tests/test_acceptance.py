@@ -14,20 +14,16 @@ import pytest
 from boxtrace import (
     GenParams,
     Port,
+    Rebuilder,
     RestrictedState,
     TraceEvent,
     alpha_equal,
     check_faithfulness,
-    extract_trace,
     gen_program,
-    lint_depths,
     parse_program,
-    rebuild,
-    run,
 )
-from boxtrace.harness import compare_events_to_run
 from boxtrace.parser import parse_term_text
-from tests.conftest import CHOICE_PROGRAM
+from tests.conftest import CHOICE_PROGRAM, events_of
 
 SUITE_SEEDS = range(1, 501)
 SUITE_BUDGET_SECONDS = 60.0
@@ -73,7 +69,7 @@ def test_golden_trace():
         (9, 4, 2, "Exit", "eq(b,b)"),
         (10, 1, 1, "Exit", "goal"),
     ]
-    events = extract_trace(run(parse_program(CHOICE_PROGRAM))).events
+    events = events_of(parse_program(CHOICE_PROGRAM))
     ok = len(events) == len(expected)
     for event, (chrono, node, depth, port, goal) in zip(events, expected):
         ok = ok and (event.chrono, event.node, event.depth, event.port.value) == (
@@ -144,27 +140,33 @@ def test_rule_selection_determinism(suite_results):
 def test_depth_attribute_redundancy():
     started = time.monotonic()
     program = parse_program(CHOICE_PROGRAM)
-    events = list(extract_trace(run(program)).events)
+    events = events_of(program)
 
     mangled = [
         TraceEvent(e.chrono, e.node, e.depth + 5, e.port, e.goal) for e in events
     ]
-    q0 = RestrictedState.initial(events[0].goal)
-    clean, dirty = rebuild(q0, events), rebuild(q0, mangled)
-    same = [r.value for r in clean.rules] == [r.value for r in dirty.rules] and all(
-        s1.matches(s2) for (_, s1), (_, s2) in zip(clean.steps, dirty.steps)
+
+    def replay(stream):
+        reb = Rebuilder(RestrictedState.initial(stream[0].goal))
+        steps = [reb.push(e) for e in stream] + [reb.finish()]
+        return [done for done in steps if done is not None], reb
+
+    (clean, _), (dirty, dirty_reb) = replay(events), replay(mangled)
+    same = [rule for rule, _ in clean] == [rule for rule, _ in dirty] and all(
+        d1 == d2 for (_, d1), (_, d2) in zip(clean, dirty)
     )
-    linted = bool(lint_depths(q0, mangled))
+    same = same and check_faithfulness(program, events=mangled).verdict == "pass"
+    linted = bool(dirty_reb.depth_mismatches)
 
     port_flip = list(events)
     e = port_flip[1]
     port_flip[1] = TraceEvent(e.chrono, e.node, e.depth, Port.EXIT, e.goal)
-    port_detected = compare_events_to_run(program, port_flip).verdict == "fail"
+    port_detected = check_faithfulness(program, events=port_flip).verdict == "fail"
 
     node_flip = list(events)
     e = node_flip[5]
     node_flip[5] = TraceEvent(e.chrono, 3, e.depth, e.port, e.goal)
-    node_detected = compare_events_to_run(program, node_flip).verdict == "fail"
+    node_detected = check_faithfulness(program, events=node_flip).verdict == "fail"
 
     ok = same and linted and port_detected and node_detected
     report_line("depth redundancy + port/node corruption detection", ok, started)
@@ -179,7 +181,7 @@ def test_degenerate_traces():
     def lines(text):
         from boxtrace import render_event
 
-        return [render_event(e) for e in extract_trace(run(parse_program(text))).events]
+        return [render_event(e) for e in events_of(parse_program(text))]
 
     ok = lines("p(a).\n:- q(a).") == ["1 1 1 Call q(a)", "2 1 1 Fail q(a)"]
     ok = ok and lines("a.\n:- a.") == ["1 1 1 Call a", "2 1 1 Exit a"]

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from boxtrace import run
+from boxtrace import Engine, parse_program, stream_events
 from boxtrace.cli import main
 from tests.conftest import CHOICE_PROGRAM, NO_MATCH, TWO_FACTS
 
@@ -127,8 +127,30 @@ def test_pipeline_closure(choice_file, tmp_path, capsys):
     printed_rules = [
         line.split()[1] for line in out_lines if line.strip()[:1].isdigit() and "#" not in line
     ]
+    engine = Engine(parse_program(CHOICE_PROGRAM))
+    assert printed_rules == [rule.value for rule, _, _ in stream_events(engine)]
 
-    from boxtrace import parse_program
 
-    result = run(parse_program(CHOICE_PROGRAM))
-    assert printed_rules == [s.rule.value for s in result.trace.steps]
+def test_deep_goal_round_trip(tmp_path, capsys):
+    # A goal nested 10,000 deep goes through trace, rebuild and check.
+    depth = 10_000
+    deep_goal = "f(" * depth + "W" + ")" * depth
+    deep_head = "f(" * depth + "Z" + ")" * depth
+    path = tmp_path / "deep.pl"
+    path.write_text(f"p(X) :- q(X).\nq({deep_head}).\n:- p({deep_goal}).\n")
+    assert main(["trace", str(path)]) == 0
+    trace_text = capsys.readouterr().out
+    assert [line.split()[3] for line in trace_text.splitlines()] == ["Call", "Call", "Exit", "Exit"]
+    trace_file = tmp_path / "deep.trace"
+    trace_file.write_text(trace_text)
+    assert main(["rebuild", str(trace_file)]) == 0
+    assert "status: success" in capsys.readouterr().out
+    assert main(["check", str(path)]) == 0
+    assert "pass, 4 steps checked" in capsys.readouterr().out
+
+
+def test_malformed_deep_term_exits_2(tmp_path, capsys):
+    path = tmp_path / "broken.pl"
+    path.write_text("p(X).\n:- p(" + "f(" * 10_000 + "a" + ")" * 10_000 + ".\n")
+    assert main(["trace", str(path)]) == 2
+    assert "expected ')', found '.' (line 2, column" in capsys.readouterr().err

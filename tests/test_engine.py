@@ -17,10 +17,11 @@ from boxtrace import (
     parse_term_text,
     parent_path,
     render_term,
-    run,
+    stream_events,
     useful_clauses,
 )
 from boxtrace.terms import functor_key
+from tests.snapshots import record
 
 X = Variable("X")
 
@@ -84,15 +85,14 @@ CHOICE_RULES = [
 
 
 def test_choice_program_rule_sequence(choice_program):
-    result = run(choice_program)
+    result = record(choice_program)
     assert result.completed
-    assert names(s.rule for s in result.trace.steps) == CHOICE_RULES
+    assert names(rule for rule, _ in result.steps) == CHOICE_RULES
     assert [render_term(t) for t in result.answers] == ["goal"]
 
 
 def test_first_step_creates_child_box(choice_program):
-    result = run(choice_program)
-    state = result.trace.steps[0].state
+    state = record(choice_program).steps[0][1]
     assert state.tree == {(), (1,)}
     assert state.current == (1,)
     assert state.last_number == 2
@@ -127,8 +127,7 @@ def test_redo_prunes_failed_sibling(choice_program):
 
 
 def test_recreated_sibling_gets_fresh_number(choice_program):
-    result = run(choice_program)
-    final = result.trace.steps[-1].state
+    final = record(choice_program).steps[-1][1]
     assert final.tree == {(), (1,), (2,)}
     assert final.numbers == {(): 1, (1,): 2, (2,): 4}
     assert render_term(final.goals[(1,)]) == "p(b)"
@@ -153,8 +152,8 @@ def test_sibling_position_controls_exit_variant(choice_program):
 
 
 def test_two_facts_enumerates_both_answers(two_facts):
-    result = run(two_facts)
-    assert names(s.rule for s in result.trace.steps) == [
+    result = record(two_facts)
+    assert names(rule for rule, _ in result.steps) == [
         "Call1", "Exit1", "Redo1", "Exit1",
     ]
     assert [render_term(t) for t in result.answers] == ["p(a)", "p(b)"]
@@ -162,23 +161,23 @@ def test_two_facts_enumerates_both_answers(two_facts):
 
 
 def test_goal_with_no_matching_clause(no_match):
-    result = run(no_match)
-    assert names(s.rule for s in result.trace.steps) == ["Call1", "Fail2"]
+    result = record(no_match)
+    assert names(rule for rule, _ in result.steps) == ["Call1", "Fail2"]
     assert result.answers == ()
-    final = result.trace.steps[-1].state
+    final = result.steps[-1][1]
     assert final.done and final.failing and final.tree == {()}
 
 
 def test_single_fact(single_fact):
-    result = run(single_fact)
-    assert names(s.rule for s in result.trace.steps) == ["Call1", "Exit1"]
+    result = record(single_fact)
+    assert names(rule for rule, _ in result.steps) == ["Call1", "Exit1"]
     assert [render_term(t) for t in result.answers] == ["a"]
 
 
 def test_rule_choice_point_uses_redo2():
     program = parse_program("p(a).\np(X) :- q(X).\nq(b).\n:- p(Z).")
-    result = run(program)
-    assert names(s.rule for s in result.trace.steps) == [
+    result = record(program)
+    assert names(rule for rule, _ in result.steps) == [
         "Call1", "Exit1", "Redo2", "Call1", "Exit1", "Exit1",
     ]
     assert [render_term(t) for t in result.answers] == ["p(a)", "p(b)"]
@@ -188,20 +187,20 @@ def test_deep_choice_point_jump():
     program = parse_program(
         "g :- p(X), q(X).\np(Y) :- r(Y).\nr(a).\nr(b).\nq(b).\n:- g."
     )
-    result = run(program)
+    result = record(program)
     assert [render_term(t) for t in result.answers] == ["g"]
-    rules = names(s.rule for s in result.trace.steps)
+    rules = names(rule for rule, _ in result.steps)
     # the Redo jumps straight into the r box two levels down
     assert "Redo1" in rules
     redo_at = rules.index("Redo1")
-    state = result.trace.steps[redo_at].state
+    state = result.steps[redo_at][1]
     assert state.current == (1, 1)
 
 
 def test_bindings_restored_across_redo(two_facts):
     # After Redo at the root box, X must be free again so p(b) can bind it.
-    result = run(two_facts)
-    exits = [s.state for s in result.trace.steps if s.rule is RuleId.EXIT1]
+    result = record(two_facts)
+    exits = [state for rule, state in result.steps if rule is RuleId.EXIT1]
     assert render_term(exits[0].goals[()]) == "p(a)"
     assert render_term(exits[1].goals[()]) == "p(b)"
 
@@ -211,18 +210,24 @@ def test_bindings_restored_across_redo(two_facts):
 
 def test_step_limit_returns_valid_prefix():
     looping = parse_program("loop :- loop.\n:- loop.")
-    result = run(looping, max_steps=50)
-    assert not result.completed
-    assert result.stop_reason == "step-limit"
-    assert len(result.trace.steps) == 50
-    chronos = [s.chrono for s in result.trace.steps]
-    assert chronos == list(range(1, 51))
+    eng = Engine(looping)
+    events = [event for _, event, _ in stream_events(eng, max_steps=50)]
+    assert eng.chrono == 50
+    assert eng.select_rule() is not None  # stopped by the limit, not finished
+    assert [e.chrono for e in events] == list(range(1, 51))
 
 
 def test_solution_limit(two_facts):
-    result = run(two_facts, max_solutions=1)
-    assert [render_term(t) for t in result.answers] == ["p(a)"]
-    assert result.stop_reason == "solution-limit"
+    # Stopping the stream at the first answer leaves a resumable engine.
+    eng = Engine(two_facts)
+    for _ in stream_events(eng):
+        if eng.answers:
+            break
+    assert [render_term(t) for t in eng.answers] == ["p(a)"]
+    assert eng.select_rule() is RuleId.REDO1
+    rest = [rule for rule, _, _ in stream_events(eng)]
+    assert names(rest) == ["Redo1", "Exit1"]
+    assert [render_term(t) for t in eng.answers] == ["p(a)", "p(b)"]
 
 
 # -- invariants over whole runs ---------------------------------------------------
@@ -255,15 +260,14 @@ def assert_state_invariants(state):
 )
 def test_invariants_hold_along_runs(text, choice_program):
     program = choice_program if text is None else parse_program(text)
-    result = run(program, max_steps=60)
-    assert_state_invariants(result.trace.initial)
-    previous_failing = result.trace.initial.failing
-    for chrono, record in enumerate(result.trace.steps, start=1):
-        assert record.chrono == chrono
-        assert_state_invariants(record.state)
-        if record.rule is RuleId.FAIL2:
-            assert record.state.failing
-        previous_failing = record.state.failing
+    result = record(program, max_steps=60)
+    chronos = [event.chrono for _, event, _ in stream_events(Engine(program), 60)]
+    assert chronos == list(range(1, len(result.steps) + 1))
+    assert_state_invariants(result.initial)
+    for rule, state in result.steps:
+        assert_state_invariants(state)
+        if rule is RuleId.FAIL2:
+            assert state.failing
 
 
 def test_terminal_state_has_no_rule(choice_program):

@@ -3,20 +3,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from boxtrace import (
+    Engine,
     GenParams,
     Port,
+    Rebuilder,
+    RestrictedState,
+    RuleId,
     TraceEvent,
     check_faithfulness,
-    extract_trace,
     gen_program,
     multiset_alpha_equal,
     parse_program,
     reference_solve,
     render_program,
     render_term,
-    run,
+    stream_events,
 )
-from boxtrace.harness import compare_events_to_run, program_digest
+from boxtrace.harness import program_digest
+from tests.conftest import CHOICE_PROGRAM, events_of
 
 
 # -- reference oracle ---------------------------------------------------------
@@ -115,6 +119,21 @@ def test_check_reports_limit_hit():
     assert report.steps_checked == 63  # the final event has no lookahead
 
 
+def test_oracle_budget_grows_with_the_run():
+    # A fact-table join whose oracle search needs more than the fixed
+    # 200,000 clause tries: the budget comes from the run, so the answers
+    # are still compared.
+    edges = [(i, (i + k) % 40) for i in range(40) for k in (1, 3, 7, 12, 20)]
+    facts = "".join(f"e(n{a},n{b}).\n" for a, b in edges)
+    program = parse_program(
+        facts + "path(A,B,C,D) :- e(A,B),e(B,C),e(C,D).\n:- path(A,B,C,D).\n"
+    )
+    assert reference_solve(program).capped
+    report = check_faithfulness(program, max_steps=100_000)
+    assert report.verdict == "pass"
+    assert report.detail == ""
+
+
 def test_check_degenerate_programs(no_match, single_fact, two_facts):
     for program in (no_match, single_fact, two_facts):
         report = check_faithfulness(program)
@@ -139,47 +158,82 @@ def test_small_seed_batch_passes():
 
 
 def test_mutated_trace_swap_fails(choice_program):
-    events = list(extract_trace(run(choice_program)).events)
+    events = events_of(choice_program)
     e2, e3 = events[2], events[3]
     events[2] = TraceEvent(3, e3.node, e3.depth, e3.port, e3.goal)
     events[3] = TraceEvent(4, e2.node, e2.depth, e2.port, e2.goal)
-    report = compare_events_to_run(choice_program, events)
+    report = check_faithfulness(choice_program, events=events)
     assert report.verdict == "fail"
     assert report.first_divergence is not None
     assert report.first_divergence.chrono == 3
 
 
 def test_mutated_port_fails(choice_program):
-    events = list(extract_trace(run(choice_program)).events)
+    events = events_of(choice_program)
     e = events[1]
     events[1] = TraceEvent(e.chrono, e.node, e.depth, Port.EXIT, e.goal)
-    report = compare_events_to_run(choice_program, events)
+    report = check_faithfulness(choice_program, events=events)
     assert report.verdict == "fail"
 
 
 def test_mutated_node_number_fails(choice_program):
-    events = list(extract_trace(run(choice_program)).events)
+    events = events_of(choice_program)
     e = events[5]
     events[5] = TraceEvent(e.chrono, 3, e.depth, e.port, e.goal)
-    report = compare_events_to_run(choice_program, events)
+    report = check_faithfulness(choice_program, events=events)
     assert report.verdict == "fail"
 
 
-def test_depth_corruption_passes_replay_but_fails_lint(choice_program):
-    from boxtrace import RestrictedState, lint_depths
+def test_check_reports_a_misclassified_rule(choice_program):
+    # A valid trace of another program: there p(b) is a rule, so the Redo at
+    # chrono 6 is a Redo2, where the checked run retries the fact with Redo1.
+    other = parse_program(CHOICE_PROGRAM.replace("p(b).", "p(b) :- t.\nt."))
+    report = check_faithfulness(choice_program, events=events_of(other))
+    assert report.verdict == "fail"
+    divergence = report.first_divergence
+    assert divergence.chrono == 6
+    assert divergence.note == "classified rule differs from applied rule"
+    assert (divergence.applied_rule, divergence.classified_rule) == (
+        RuleId.REDO1,
+        RuleId.REDO2,
+    )
 
+
+def test_depth_corruption_passes_replay_but_fails_lint(choice_program):
     events = [
         TraceEvent(e.chrono, e.node, e.depth + 1, e.port, e.goal)
-        for e in extract_trace(run(choice_program)).events
+        for e in events_of(choice_program)
     ]
-    report = compare_events_to_run(choice_program, events)
+    report = check_faithfulness(choice_program, events=events)
     assert report.verdict == "pass"  # replay never reads the depth
-    assert lint_depths(RestrictedState.initial(events[0].goal), events)
+    reb = Rebuilder(RestrictedState.initial(events[0].goal))
+    for event in events:
+        reb.push(event)
+    reb.finish()
+    assert reb.depth_mismatches
 
 
 def test_untouched_trace_passes_compare(choice_program):
-    events = list(extract_trace(run(choice_program)).events)
-    assert compare_events_to_run(choice_program, events).verdict == "pass"
+    events = events_of(choice_program)
+    assert check_faithfulness(choice_program, events=events).verdict == "pass"
+    assert check_faithfulness(choice_program, events=iter(events)).verdict == "pass"
+
+
+def test_stream_one_event_short_fails(choice_program):
+    events = events_of(choice_program)[:-1]
+    report = check_faithfulness(choice_program, events=events)
+    assert report.verdict == "fail"
+    assert report.first_divergence.chrono == 10
+    assert report.first_divergence.note == "the stream has 9 events, the run 10 steps"
+
+
+def test_stream_one_event_long_fails(choice_program):
+    events = events_of(choice_program)
+    events.append(TraceEvent(11, 1, 1, Port.EXIT, events[-1].goal))  # replays fine
+    report = check_faithfulness(choice_program, events=events)
+    assert report.verdict == "fail"
+    assert report.first_divergence.chrono == 11
+    assert report.first_divergence.note == "the stream has 11 events, the run 10 steps"
 
 
 # -- answers against the oracle -------------------------------------------------------
@@ -189,10 +243,12 @@ def test_untouched_trace_passes_compare(choice_program):
 @given(st.integers(min_value=0, max_value=10_000))
 def test_random_programs_agree_with_oracle(seed):
     program = gen_program(GenParams(seed=seed, recursion_prob=0.05))
-    result = run(program, max_steps=4000)
-    if not result.completed:
+    eng = Engine(program)
+    for _ in stream_events(eng, max_steps=4000):
+        pass
+    if eng.select_rule() is not None:
         return
     ref = reference_solve(program, max_depth=200, max_steps=100_000)
     if ref.capped:
         return
-    assert multiset_alpha_equal(result.answers, ref.answers)
+    assert multiset_alpha_equal(eng.answers, ref.answers)

@@ -90,3 +90,18 @@ def test_parse_term_text_decodes_rename_suffix():
     assert parse_term_text("p(X_3)") == Compound("p", (Variable("X_3"),))
     # underscore-initial names without a numeric tail stay whole
     assert parse_term_text("_1", decode_renamed=True) == Variable("_1")
+
+
+def test_deep_term_round_trip():
+    # Trace goals can nest far deeper than Python's recursion limit.
+    from boxtrace import alpha_equal, render_term
+
+    term = Variable("X", 3)
+    for i in range(10_000):
+        term = Compound("f", (term,)) if i % 2 else Compound("g", (Atom("a"), term))
+    text = render_term(term)
+    back = parse_term_text(text, decode_renamed=True)
+    assert render_term(back) == text
+    assert alpha_equal(back, term)
+    with pytest.raises(ParseError, match="column"):
+        parse_term_text(text[:-1])

@@ -4,49 +4,60 @@ from boxtrace import (
     Atom,
     Compound,
     CorruptTraceError,
-    Lookahead,
     Port,
+    Rebuilder,
     RestrictedState,
     RuleId,
     TraceEvent,
     TraceTruncatedError,
     Variable,
     alpha_equal,
-    apply_event,
-    classify,
-    extract_trace,
     initial_state_for,
-    lint_depths,
-    nd,
     parse_program,
-    rebuild,
-    rebuild_stream,
     render_term,
-    run,
 )
+from tests.conftest import events_of
+from tests.snapshots import record
 
 X = Variable("X")
 
 
 def choice_events(choice_program):
-    return extract_trace(run(choice_program)).events
+    return events_of(choice_program)
 
 
 def q0():
     return RestrictedState.initial(Atom("goal"))
 
 
-# -- nd ---------------------------------------------------------------------------
+def replay(events, initial=None):
+    """Every (rule, state copy) a Rebuilder emits over `events`, and the
+    Rebuilder itself (for its final state, status and flags)."""
+    reb = Rebuilder(initial or q0())
+    steps = []
+    for event in events:
+        done = reb.push(event)
+        if done is not None:
+            steps.append((done[0], reb.state.copy()))
+    done = reb.finish()
+    if done is not None:
+        steps.append((done[0], reb.state.copy()))
+    return steps, reb
 
 
-def test_nd_after_first_event(choice_program):
+def rules(steps):
+    return [rule for rule, _ in steps]
+
+
+# -- node numbers -----------------------------------------------------------------
+
+
+def test_node_numbers_after_first_event(choice_program):
     events = choice_events(choice_program)
-    result = rebuild(q0(), events[:2])
-    state = result.steps[0][1]
-    assert nd(state, 2) == (1,)
-    assert nd(state, 1) == ()
-    with pytest.raises(KeyError):
-        nd(state, 99)
+    steps, _ = replay(events[:2])
+    by_number = {n: path for path, n in steps[0][1].numbers.items()}
+    assert by_number == {1: (), 2: (1,)}
+    assert 99 not in by_number
 
 
 # -- classify ----------------------------------------------------------------------
@@ -54,8 +65,8 @@ def test_nd_after_first_event(choice_program):
 
 def test_classify_whole_choice_trace(choice_program):
     events = choice_events(choice_program)
-    result = rebuild(q0(), events)
-    assert [r.value for r in result.rules] == [
+    steps, _ = replay(events)
+    assert [r.value for r in rules(steps)] == [
         "Call2", "Call1", "Exit2", "Call1", "Fail2",
         "Redo1", "Exit2", "Call1", "Exit1", "Exit1",
     ]
@@ -64,24 +75,24 @@ def test_classify_whole_choice_trace(choice_program):
 def test_classify_exit_with_higher_lookahead_below_root(choice_program):
     # event 3 (Exit node 2) with lookahead node 3 while standing below the root
     events = choice_events(choice_program)
-    result = rebuild(q0(), events)
+    steps, _ = replay(events)
     assert events[2].port is Port.EXIT and events[3].node > events[2].node
-    assert result.rules[2] is RuleId.EXIT2
+    assert rules(steps)[2] is RuleId.EXIT2
 
 
 def test_classify_redo_same_node_is_retry(choice_program):
     events = choice_events(choice_program)
-    result = rebuild(q0(), events[:7])
-    assert result.rules[5] is RuleId.REDO1
+    steps, _ = replay(events[:7])
+    assert rules(steps)[5] is RuleId.REDO1
 
 
 def test_classify_exit_at_root_ignores_lookahead():
     # a root Exit followed by a Redo deeper in the tree: the lookahead node
     # number is higher, yet the Exit is still the upward variant
     program = parse_program("g :- p(X).\np(a).\np(b).\n:- g.")
-    events = extract_trace(run(program)).events
-    result = rebuild(RestrictedState.initial(events[0].goal), events)
-    assert [r.value for r in result.rules] == [
+    events = events_of(program)
+    steps, _ = replay(events, initial_state_for(events))
+    assert [r.value for r in rules(steps)] == [
         "Call2", "Call1", "Exit1", "Exit1", "Redo1", "Exit1", "Exit1",
     ]
     root_exit = events[3]
@@ -91,24 +102,28 @@ def test_classify_exit_at_root_ignores_lookahead():
 
 def test_classify_final_exit_at_root_without_lookahead(choice_program):
     events = choice_events(choice_program)
-    result = rebuild(q0(), events)
-    assert result.rules[-1] is RuleId.EXIT1
-    assert not result.truncated
+    steps, reb = replay(events)
+    assert rules(steps)[-1] is RuleId.EXIT1
+    assert not reb.truncated
 
 
 def test_classify_rejects_call_followed_by_older_node():
-    state = RestrictedState.initial(Atom("g"))
-    event = TraceEvent(1, 1, 1, Port.CALL, Atom("g"))
+    reb = Rebuilder(RestrictedState.initial(Atom("g")))
+    reb.push(TraceEvent(1, 1, 1, Port.CALL, Atom("g")))
     with pytest.raises(CorruptTraceError):
-        classify(state, event, Lookahead(0, Atom("g")))
+        reb.push(TraceEvent(2, 0, 1, Port.CALL, Atom("g")))
 
 
-# -- apply_event ---------------------------------------------------------------------
+# -- applying single events -----------------------------------------------------------
 
 
 def test_apply_first_event_creates_child(choice_program):
     events = choice_events(choice_program)
-    state = apply_event(q0(), RuleId.CALL2, events[0], Lookahead(2, events[1].goal))
+    reb = Rebuilder(q0())
+    assert reb.push(events[0]) is None  # classified once the next event arrives
+    rule, delta = reb.push(events[1])
+    assert rule is RuleId.CALL2 and delta.created == (1,) and delta.created_number == 2
+    state = reb.state
     assert state.tree == {(), (1,)}
     assert state.current == (1,)
     assert state.numbers == {(): 1, (1,): 2}
@@ -117,8 +132,8 @@ def test_apply_first_event_creates_child(choice_program):
 
 def test_apply_redo_shrinks_tree(choice_program):
     events = choice_events(choice_program)
-    result = rebuild(q0(), events[:7])
-    state = result.steps[5][1]
+    steps, _ = replay(events[:7])
+    state = steps[5][1]
     assert state.tree == {(), (1,)}
     assert state.current == (1,)
     assert render_term(state.goals[(1,)]) == "p(a)"
@@ -126,23 +141,20 @@ def test_apply_redo_shrinks_tree(choice_program):
 
 def test_apply_final_exit(choice_program):
     events = choice_events(choice_program)
-    result = rebuild(q0(), events)
-    final = result.final
+    steps, _ = replay(events)
+    final = steps[-1][1]
     assert final.current == ()
     assert render_term(final.goals[()]) == "goal"
 
 
-def test_apply_event_is_pure(choice_program):
+def test_rebuilder_leaves_its_initial_state_untouched(choice_program):
     events = choice_events(choice_program)
     start = q0()
-    apply_event(start, RuleId.CALL2, events[0], Lookahead(2, events[1].goal))
-    assert start.tree == {()}
-
-
-def test_apply_event_rejects_wrong_rule(choice_program):
-    events = choice_events(choice_program)
-    with pytest.raises(CorruptTraceError):
-        apply_event(q0(), RuleId.CALL1, events[0], Lookahead(2, events[1].goal))
+    reb = Rebuilder(start)
+    reb.push(events[0])
+    reb.push(events[1])
+    assert reb.state.tree == {(), (1,)}
+    assert start.tree == {()} and start.numbers == {(): 1} and start.current == ()
 
 
 # -- rebuild ------------------------------------------------------------------------
@@ -150,51 +162,57 @@ def test_apply_event_rejects_wrong_rule(choice_program):
 
 def test_rebuild_final_state_of_choice_trace(choice_program):
     events = choice_events(choice_program)
-    result = rebuild(q0(), events)
-    assert len(result.steps) == len(events)
-    final = result.final
+    steps, reb = replay(events)
+    assert len(steps) == len(events)
+    final = reb.state
     assert final.tree == {(), (1,), (2,)}
     assert final.numbers == {(): 1, (1,): 2, (2,): 4}
     assert render_term(final.goals[(1,)]) == "p(b)"
     assert render_term(final.goals[(2,)]) == "eq(b,b)"
-    assert result.status == "success"
+    assert reb.status() == "success"
 
 
 def test_rebuild_matches_engine_restriction_stepwise(choice_program):
-    result = run(choice_program)
-    events = extract_trace(result).events
-    rebuilt = rebuild(q0(), events)
-    for (rule, state), record in zip(rebuilt.steps, result.trace.steps):
-        assert rule is record.rule
-        assert state.matches(RestrictedState.from_virtual(record.state))
+    recording = record(choice_program)
+    rebuilt, _ = replay(events_of(choice_program))
+    assert len(rebuilt) == len(recording.steps)
+    for (rule, state), (applied, snap) in zip(rebuilt, recording.steps):
+        assert rule is applied
+        engine = RestrictedState(
+            set(snap.tree), snap.current, dict(snap.numbers), dict(snap.goals)
+        )
+        assert state.matches(engine)
 
 
 def test_rebuild_empty_stream():
-    assert rebuild(q0(), []).steps == []
+    steps, reb = replay([])
+    assert steps == []
+    assert reb.status() == "unknown"
 
 
 def test_rebuild_is_deterministic(choice_program):
     events = choice_events(choice_program)
-    first = rebuild(q0(), events)
-    second = rebuild(q0(), events)
-    assert [r.value for r in first.rules] == [r.value for r in second.rules]
-    for (_, s1), (_, s2) in zip(first.steps, second.steps):
+    first, _ = replay(events)
+    second, _ = replay(events)
+    assert [r.value for r in rules(first)] == [r.value for r in rules(second)]
+    for (_, s1), (_, s2) in zip(first, second):
         assert s1.matches(s2)
 
 
 def test_rebuild_stream_lags_one_event(choice_program):
     events = choice_events(choice_program)
-    seen = []
-    stream = rebuild_stream(q0(), iter(events))
-    for i, step in enumerate(stream):
-        seen.append(step)
-    assert len(seen) == len(events)
+    reb = Rebuilder(q0())
+    assert reb.push(events[0]) is None
+    seen = [reb.push(event) for event in events[1:]]
+    seen.append(reb.finish())
+    assert None not in seen and len(seen) == len(events)
+    assert reb.finish() is None  # nothing left to flush
 
 
 def test_failure_status(no_match):
-    events = extract_trace(run(no_match)).events
-    result = rebuild(RestrictedState.initial(events[0].goal), events)
-    assert result.status == "failure"
+    events = events_of(no_match)
+    _, reb = replay(events, initial_state_for(events))
+    assert reb.status() == "failure"
 
 
 # -- truncation and corruption ---------------------------------------------------------
@@ -203,29 +221,29 @@ def test_failure_status(no_match):
 def test_stream_ending_on_redo_is_rejected(choice_program):
     events = choice_events(choice_program)[:6]  # ends on the Redo
     with pytest.raises(TraceTruncatedError) as err:
-        rebuild(q0(), events)
+        replay(events)
     assert err.value.chrono == 6
 
 
 def test_stream_ending_on_call_is_marked_truncated(choice_program):
     events = choice_events(choice_program)[:4]  # ends on Call eq(a,b)
-    result = rebuild(q0(), events)
-    assert result.truncated
-    assert result.rules[-1] is RuleId.CALL1
-    assert result.status == "unknown"
+    steps, reb = replay(events)
+    assert reb.truncated
+    assert rules(steps)[-1] is RuleId.CALL1
+    assert reb.status() == "unknown"
 
 
 def test_stream_ending_on_exit_below_root_is_marked_truncated(choice_program):
     events = choice_events(choice_program)[:3]
-    result = rebuild(q0(), events)
-    assert result.truncated
+    _, reb = replay(events)
+    assert reb.truncated
 
 
 def test_chrono_gap_is_rejected(choice_program):
     events = choice_events(choice_program)
     broken = events[:2] + events[3:]
     with pytest.raises(CorruptTraceError):
-        rebuild(q0(), broken)
+        replay(broken)
 
 
 def test_swapped_events_detected(choice_program):
@@ -235,7 +253,7 @@ def test_swapped_events_detected(choice_program):
     events[2] = TraceEvent(3, e3.node, e3.depth, e3.port, e3.goal)
     events[3] = TraceEvent(4, e2.node, e2.depth, e2.port, e2.goal)
     with pytest.raises(CorruptTraceError):
-        rebuild(q0(), events)
+        replay(events)
 
 
 def test_corrupt_port_detected(choice_program):
@@ -243,7 +261,7 @@ def test_corrupt_port_detected(choice_program):
     e = events[1]
     events[1] = TraceEvent(e.chrono, e.node, e.depth, Port.EXIT, e.goal)
     with pytest.raises(CorruptTraceError):
-        rebuild(q0(), events)
+        replay(events)
 
 
 def test_corrupt_node_number_detected(choice_program):
@@ -254,7 +272,7 @@ def test_corrupt_node_number_detected(choice_program):
     e = events[2]
     events[2] = TraceEvent(e.chrono, 9, e.depth, e.port, e.goal)
     with pytest.raises(CorruptTraceError):
-        rebuild(q0(), events)
+        replay(events)
 
 
 def test_exit_below_root_repeating_its_node_rejected():
@@ -266,7 +284,7 @@ def test_exit_below_root_repeating_its_node_rejected():
         TraceEvent(4, 2, 2, Port.EXIT, g),
     ]
     with pytest.raises(CorruptTraceError):
-        rebuild(RestrictedState.initial(g), events)
+        replay(events, RestrictedState.initial(g))
 
 
 # -- the depth attribute is redundant ---------------------------------------------------
@@ -280,17 +298,17 @@ def corrupt_depths(events):
 
 def test_rebuild_never_reads_depth(choice_program):
     events = choice_events(choice_program)
-    good = rebuild(q0(), events)
-    mangled = rebuild(q0(), corrupt_depths(events))
-    assert [r.value for r in good.rules] == [r.value for r in mangled.rules]
-    for (_, s1), (_, s2) in zip(good.steps, mangled.steps):
+    good, _ = replay(events)
+    mangled, _ = replay(corrupt_depths(events))
+    assert [r.value for r in rules(good)] == [r.value for r in rules(mangled)]
+    for (_, s1), (_, s2) in zip(good, mangled):
         assert s1.matches(s2)
 
 
-def test_lint_depths_flags_corruption(choice_program):
+def test_depth_mismatches_flag_corruption(choice_program):
     events = choice_events(choice_program)
-    assert lint_depths(q0(), events) == []
-    flagged = lint_depths(q0(), corrupt_depths(events))
+    assert replay(events)[1].depth_mismatches == []
+    flagged = replay(corrupt_depths(events))[1].depth_mismatches
     assert len(flagged) == len(events)
     chrono, expected, actual = flagged[0]
     assert (chrono, expected, actual) == (1, 1, 8)

@@ -15,7 +15,7 @@ from boxtrace import (
     unify,
     useful_clauses,
 )
-from boxtrace.terms import unify_into
+from boxtrace.terms import rename_term, unify_into
 
 X, Y, Z = Variable("X"), Variable("Y"), Variable("Z")
 a, b = Atom("a"), Atom("b")
@@ -103,6 +103,14 @@ def test_rename_apart_preserves_sharing():
     arg1, arg2 = renamed.head.args
     assert arg1 == arg2 == Variable("X", 7)
     assert renamed.source_index == 3
+
+
+def test_rename_term_deep_term():
+    deep = X
+    for _ in range(10_000):
+        deep = c("f", deep, a)
+    renamed = rename_term(deep, 7)
+    assert render_term(renamed) == render_term(deep).replace("X", "X_7")
 
 
 def test_rename_apart_ground_clause_unchanged():

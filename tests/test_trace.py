@@ -14,18 +14,17 @@ from boxtrace import (
     event_from_json,
     event_to_json,
     events_alpha_equal,
-    extract,
-    extract_trace,
     is_instance_of,
     node_depth,
     parse_event,
     parse_trace_text,
     render_event,
-    run,
     stream_events,
     write_trace_text,
 )
 from boxtrace.trace import render_events_pretty
+from tests.conftest import events_of
+from tests.snapshots import event_of, record, reference_events
 
 # The reference event table for the running example (variables compared up
 # to renaming).
@@ -62,14 +61,16 @@ def test_node_depth():
 
 
 def test_extract_choice_program(choice_program):
-    trace = extract_trace(run(choice_program))
-    assert_matches_table(trace.events, CHOICE_EVENTS)
-    assert trace.initial_goal == Atom("goal")
+    assert_matches_table(reference_events(record(choice_program)), CHOICE_EVENTS)
+    events = events_of(choice_program)
+    assert_matches_table(events, CHOICE_EVENTS)
+    assert events[0].goal == Atom("goal") == choice_program.goal
 
 
 def test_streamed_events_match_extracted(choice_program):
-    result = run(choice_program)
-    recorded = extract_trace(result).events
+    # Two independent derivations: the live engine, and the snapshot
+    # reference that finds each Redo's subject by scanning clause maps.
+    recorded = reference_events(record(choice_program))
     eng = Engine(choice_program)
     streamed = [ev for _, ev, _ in stream_events(eng)]
     assert events_alpha_equal(streamed, recorded)
@@ -78,15 +79,14 @@ def test_streamed_events_match_extracted(choice_program):
 
 
 def test_exactly_one_event_per_step(choice_program):
-    result = run(choice_program)
-    trace = extract_trace(result)
-    assert len(trace.events) == len(result.trace.steps)
+    eng = Engine(choice_program)
+    events = [ev for _, ev, _ in stream_events(eng)]
+    assert len(events) == eng.chrono == len(record(choice_program).steps)
 
 
 def test_exit_goal_is_instance_of_call_goal(choice_program):
-    events = extract_trace(run(choice_program)).events
     calls = {}
-    for event in events:
+    for event in events_of(choice_program):
         if event.port is Port.CALL:
             calls[event.node] = event.goal
         elif event.port is Port.EXIT and event.node in calls:
@@ -94,23 +94,25 @@ def test_exit_goal_is_instance_of_call_goal(choice_program):
 
 
 def test_call_depth_is_parent_depth_plus_one(choice_program):
-    result = run(choice_program)
-    events = extract_trace(result).events
-    pre = result.trace.initial
-    for event, record in zip(events, result.trace.steps):
+    recording = record(choice_program)
+    pre = recording.initial
+    for event, (_, post) in zip(events_of(choice_program), recording.steps):
         if event.port is Port.CALL and len(pre.current) > 0:
             assert event.depth == node_depth(pre.current[:-1]) + 1
-        pre = record.state
+        pre = post
 
 
 def test_redo_subject_is_the_choice_point(choice_program):
-    result = run(choice_program)
-    pre = result.trace.initial
-    for record in result.trace.steps:
-        event = extract(record.rule, pre, record.state, record.chrono)
+    recording = record(choice_program)
+    pre = recording.initial
+    redos = 0
+    for chrono, (rule, post) in enumerate(recording.steps, start=1):
+        event = event_of(rule, pre, post, chrono)
         if event.port is Port.REDO:
             assert event.node == pre.numbers[pre.greatest_choice_point()]
-        pre = record.state
+            redos += 1
+        pre = post
+    assert redos == 1
 
 
 def test_trace_invariants_on_generated_programs():
@@ -118,20 +120,21 @@ def test_trace_invariants_on_generated_programs():
 
     for seed in range(40):
         program = gen_program(GenParams(seed=seed, recursion_prob=0.05))
-        result = run(program, max_steps=500)
-        events = extract_trace(result).events
-        assert len(events) == len(result.trace.steps)
+        recording = record(program, max_steps=500)
+        events = events_of(program, max_steps=500)
+        assert len(events) == len(recording.steps)
         assert [e.chrono for e in events] == list(range(1, len(events) + 1))
+        assert events_alpha_equal(events, reference_events(recording))
         calls = {}
-        pre = result.trace.initial
-        for event, record in zip(events, result.trace.steps):
+        pre = recording.initial
+        for event, (_, post) in zip(events, recording.steps):
             if event.port is Port.CALL:
                 calls[event.node] = event.goal
                 if pre.current:
                     assert event.depth == node_depth(pre.current[:-1]) + 1
             elif event.port is Port.EXIT and event.node in calls:
                 assert is_instance_of(event.goal, calls[event.node])
-            pre = record.state
+            pre = post
 
 
 # -- text form ------------------------------------------------------------------
@@ -163,14 +166,14 @@ def test_parse_accepts_any_whitespace_runs():
 
 
 def test_trace_text_round_trip(choice_program):
-    events = extract_trace(run(choice_program)).events
+    events = events_of(choice_program)
     text = write_trace_text(events)
     assert events_alpha_equal(parse_trace_text(text), events)
     assert text.splitlines()[0] == "1 1 1 Call goal"
 
 
 def test_pretty_output_parses_back(choice_program):
-    events = extract_trace(run(choice_program)).events
+    events = events_of(choice_program)
     lines = render_events_pretty(events)
     assert events_alpha_equal([parse_event(line) for line in lines], events)
     # aligned: all chrono columns right-justified to the same width
@@ -179,7 +182,7 @@ def test_pretty_output_parses_back(choice_program):
 
 
 def test_jsonl_round_trip(choice_program):
-    events = extract_trace(run(choice_program)).events
+    events = events_of(choice_program)
     text = "\n".join(event_to_json(e) for e in events)
     assert events_alpha_equal(parse_trace_text(text, fmt="jsonl"), events)
     assert '"port": "Call"' in event_to_json(events[0])
