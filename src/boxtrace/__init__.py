@@ -3,14 +3,12 @@ four-port box model, with an event stream, its replay, and a faithfulness
 checker tying the two together."""
 
 from .engine import (
-    ROOT,
     DeterminismError,
     Engine,
     EngineError,
-    Path,
     RuleId,
     StepDelta,
-    parent_path,
+    path_of,
 )
 from .harness import (
     FaithfulnessReport,
@@ -28,7 +26,6 @@ from .rebuild import (
     Rebuilder,
     RestrictedState,
     TraceTruncatedError,
-    initial_state_for,
 )
 from .terms import (
     Atom,
@@ -54,7 +51,6 @@ from .trace import (
     event_from_json,
     event_to_json,
     events_alpha_equal,
-    node_depth,
     parse_event,
     parse_trace_text,
     render_event,

@@ -3,7 +3,8 @@
 Subcommands:
 
     trace <prog.pl>       print the event stream of a program run
-    rebuild <trace file>  replay a stored trace: per-event rules + final tree
+    rebuild <trace file>  replay a stored trace (`-` reads stdin): per-event
+                          rules + final tree
     check <prog.pl>       run the full faithfulness check on one program
     fuzz                  run generated-program checks for a seed range
 
@@ -14,21 +15,16 @@ divergence/failure report, 2 on usage or parse errors.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import itertools
 import json
 import sys
-from dataclasses import dataclass
 from typing import Optional
 
-from .engine import ROOT, Engine, Path
+from .engine import Engine, path_of
 from .harness import GenParams, check_faithfulness, gen_program
 from .parser import ParseError, parse_program
-from .rebuild import (
-    CorruptTraceError,
-    Rebuilder,
-    RestrictedState,
-    TraceTruncatedError,
-    initial_state_for,
-)
+from .rebuild import CorruptTraceError, Rebuilder, RestrictedState, TraceTruncatedError
 from .terms import render_term
 from .trace import (
     event_to_json,
@@ -39,65 +35,45 @@ from .trace import (
 )
 
 
-@dataclass
-class CliConfig:
-    subcommand: str
-    program_path: Optional[str] = None
-    trace_path: Optional[str] = None
-    max_steps: int = 100_000
-    max_solutions: Optional[int] = None
-    format: str = "text"
-    pretty: bool = False
-    seed: int = 1
-    count: int = 100
-
-
-def _path_label(v: Path) -> str:
-    return "ε" if v == ROOT else ".".join(str(i) for i in v)
-
-
-def _read_file(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as handle:
-        return handle.read()
-
-
 def _load_program(path: str):
-    return parse_program(_read_file(path))
+    with open(path, "r", encoding="utf-8") as handle:
+        return parse_program(handle.read())
 
 
-def cmd_trace(cfg: CliConfig) -> int:
-    program = _load_program(cfg.program_path)
+def cmd_trace(args: argparse.Namespace) -> int:
+    program = _load_program(args.program)
     eng = Engine(program)
     events = []
-    for _, event, _ in stream_events(eng, max_steps=cfg.max_steps):
-        if cfg.pretty and cfg.format == "text":
+    for _, event, _ in stream_events(eng, max_steps=args.max_steps):
+        if args.pretty and args.format == "text":
             events.append(event)
-        elif cfg.format == "jsonl":
+        elif args.format == "jsonl":
             print(event_to_json(event))
         else:
             print(render_event(event))
-        if cfg.max_solutions is not None and len(eng.answers) >= cfg.max_solutions:
+        if args.max_solutions is not None and len(eng.answers) >= args.max_solutions:
             break
-    if cfg.pretty and cfg.format == "text":
+    if args.pretty and args.format == "text":
         for line in render_events_pretty(events):
             print(line)
     if eng.select_rule() is not None and (
-        cfg.max_solutions is None or len(eng.answers) < cfg.max_solutions
+        args.max_solutions is None or len(eng.answers) < args.max_solutions
     ):
         print(f"note: stopped after {eng.chrono} steps (limit)", file=sys.stderr)
     return 0
 
 
 def _print_final_tree(state: RestrictedState, status: str, as_json: bool) -> None:
-    nodes = sorted(state.tree)
+    # Live nodes in creation order are in Dewey order.
+    nodes = sorted(state.goals)
     if as_json:
         print(
             json.dumps(
                 {
                     "final": [
                         {
-                            "path": _path_label(v) if v else "",
-                            "number": state.numbers[v],
+                            "path": ".".join(map(str, path_of(state, v))),
+                            "number": v,
                             "goal": render_term(state.goals[v]),
                         }
                         for v in nodes
@@ -109,18 +85,20 @@ def _print_final_tree(state: RestrictedState, status: str, as_json: bool) -> Non
         return
     print("final tree:")
     for v in nodes:
-        indent = "  " * len(v)
-        print(f"{indent}{_path_label(v)} #{state.numbers[v]} {render_term(state.goals[v])}")
+        path = path_of(state, v)
+        label = ".".join(map(str, path)) or "ε"
+        print(f"{'  ' * len(path)}{label} #{v} {render_term(state.goals[v])}")
     print(f"status: {status}")
 
 
-def cmd_rebuild(cfg: CliConfig) -> int:
-    events = parse_trace_text(_read_file(cfg.trace_path), fmt=cfg.format)
-    if not events:
-        print("error: empty trace", file=sys.stderr)
-        return 1
-    reb = Rebuilder(initial_state_for(events))
-    as_json = cfg.format == "jsonl"
+def _open_trace(path: str):
+    if path == "-":
+        return contextlib.nullcontext(sys.stdin)
+    return open(path, "r", encoding="utf-8")
+
+
+def cmd_rebuild(args: argparse.Namespace) -> int:
+    as_json = args.format == "jsonl"
 
     def emit(chrono: int, rule) -> None:
         if as_json:
@@ -128,32 +106,39 @@ def cmd_rebuild(cfg: CliConfig) -> int:
         else:
             print(f"{chrono:>5}  {rule.value}")
 
-    try:
-        chrono = 0
-        for event in events:
-            done = reb.push(event)
+    with _open_trace(args.trace) as lines:
+        events = parse_trace_text(lines, fmt=args.format)
+        first = next(events, None)
+        if first is None:
+            print("error: empty trace", file=sys.stderr)
+            return 1
+        reb = Rebuilder(first.goal)
+        try:
+            chrono = 0
+            for event in itertools.chain((first,), events):
+                done = reb.push(event)
+                if done is not None:
+                    chrono += 1
+                    emit(chrono, done[0])
+            done = reb.finish()
             if done is not None:
                 chrono += 1
                 emit(chrono, done[0])
-        done = reb.finish()
-        if done is not None:
-            chrono += 1
-            emit(chrono, done[0])
-    except TraceTruncatedError as err:
-        print(f"error: truncated trace: {err}", file=sys.stderr)
-        return 1
-    except CorruptTraceError as err:
-        print(f"error: corrupt trace: {err}", file=sys.stderr)
-        return 1
+        except TraceTruncatedError as err:
+            print(f"error: truncated trace: {err}", file=sys.stderr)
+            return 1
+        except CorruptTraceError as err:
+            print(f"error: corrupt trace: {err}", file=sys.stderr)
+            return 1
     if reb.truncated:
         print("note: trace is a prefix of a longer run", file=sys.stderr)
     _print_final_tree(reb.state, reb.status(), as_json)
     return 0
 
 
-def cmd_check(cfg: CliConfig) -> int:
-    program = _load_program(cfg.program_path)
-    report = check_faithfulness(program, max_steps=cfg.max_steps)
+def cmd_check(args: argparse.Namespace) -> int:
+    program = _load_program(args.program)
+    report = check_faithfulness(program, max_steps=args.max_steps)
     print(f"program {report.program_digest}: {report.verdict}, "
           f"{report.steps_checked} steps checked")
     if report.detail:
@@ -168,11 +153,11 @@ def cmd_check(cfg: CliConfig) -> int:
     return 1 if report.verdict == "fail" else 0
 
 
-def cmd_fuzz(cfg: CliConfig) -> int:
+def cmd_fuzz(args: argparse.Namespace) -> int:
     passed = limited = failed = 0
-    for seed in range(cfg.seed, cfg.seed + cfg.count):
+    for seed in range(args.seed, args.seed + args.count):
         program = gen_program(GenParams(seed=seed))
-        report = check_faithfulness(program, max_steps=cfg.max_steps)
+        report = check_faithfulness(program, max_steps=args.max_steps)
         if report.verdict == "pass":
             passed += 1
         elif report.verdict == "limit-hit":
@@ -185,7 +170,7 @@ def cmd_fuzz(cfg: CliConfig) -> int:
                       f"{report.first_divergence.note}")
             elif report.detail:
                 print(f"  {report.detail}")
-    print(f"{cfg.count} programs: {passed} pass, {limited} limit-hit, {failed} fail")
+    print(f"{args.count} programs: {passed} pass, {limited} limit-hit, {failed} fail")
     return 0 if failed == 0 else 1
 
 
@@ -197,6 +182,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p_trace = sub.add_parser("trace", help="print the event stream of a program")
+    p_trace.set_defaults(run=cmd_trace)
     p_trace.add_argument("program", help="program file (.pl subset)")
     p_trace.add_argument("--max-steps", type=int, default=100_000)
     p_trace.add_argument("--max-solutions", type=int, default=None)
@@ -205,14 +191,17 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="column-aligned text output")
 
     p_rebuild = sub.add_parser("rebuild", help="replay a stored trace file")
-    p_rebuild.add_argument("trace", help="trace file")
+    p_rebuild.set_defaults(run=cmd_rebuild)
+    p_rebuild.add_argument("trace", help="trace file, or - for standard input")
     p_rebuild.add_argument("--format", choices=("text", "jsonl"), default="text")
 
     p_check = sub.add_parser("check", help="faithfulness check for one program")
+    p_check.set_defaults(run=cmd_check)
     p_check.add_argument("program", help="program file (.pl subset)")
     p_check.add_argument("--max-steps", type=int, default=100_000)
 
     p_fuzz = sub.add_parser("fuzz", help="check generated programs")
+    p_fuzz.set_defaults(run=cmd_fuzz)
     p_fuzz.add_argument("--seed", type=int, default=1)
     p_fuzz.add_argument("--count", type=int, default=100)
     p_fuzz.add_argument("--max-steps", type=int, default=10_000)
@@ -225,33 +214,11 @@ def main(argv: Optional[list[str]] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    cfg = CliConfig(
-        subcommand=args.subcommand,
-        program_path=getattr(args, "program", None),
-        trace_path=getattr(args, "trace", None),
-        max_steps=getattr(args, "max_steps", 100_000),
-        max_solutions=getattr(args, "max_solutions", None),
-        format=getattr(args, "format", "text"),
-        pretty=getattr(args, "pretty", False),
-        seed=getattr(args, "seed", 1),
-        count=getattr(args, "count", 100),
-    )
     try:
-        if cfg.subcommand == "trace":
-            return cmd_trace(cfg)
-        if cfg.subcommand == "rebuild":
-            return cmd_rebuild(cfg)
-        if cfg.subcommand == "check":
-            return cmd_check(cfg)
-        if cfg.subcommand == "fuzz":
-            return cmd_fuzz(cfg)
-    except OSError as err:
+        return args.run(args)
+    except (OSError, ParseError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    except ParseError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    return 2
 
 
 if __name__ == "__main__":

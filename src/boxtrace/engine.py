@@ -1,9 +1,12 @@
 """Resolution engine for the four-port box model.
 
-Execution is a building-visit of a partial proof tree.  Nodes are addressed
-by Dewey paths (tuples of child indices, `()` is the root); each node is a
-box holding the called predication and its not-yet-tried clauses.  Exactly
-one of seven transition rules applies at every non-terminal state:
+Execution is a building-visit of a partial proof tree.  A node is named by
+its creation number (the root is 1, as in the trace's `node` attribute);
+integer tables give each node's parent, its index among its parent's
+children and its depth, which place it in the Dewey-ordered tree (`path_of`
+spells out the Dewey path).  Each node is a box holding the called
+predication and its not-yet-tried clauses.  Exactly one of seven transition
+rules applies at every non-terminal state:
 
     Call1  enter a leaf whose next clause is a fact (or that has no clause
            at all: the degenerate call of a failed box)
@@ -14,9 +17,9 @@ one of seven transition rules applies at every non-terminal state:
     Redo1  jump back to the latest choice point; its next clause is a fact
     Redo2  same jump, next clause is a rule; create its first body child
 
-The visible state per node is: Dewey tree, current node, creation counter
-and per-node creation number, predication, untried clauses, and first-visit
-flag, plus the global `done` and `failing` bits.  Unification lives behind
+The visible state per node is: its place in the tree, predication, untried
+clauses, and first-visit flag; plus the current node, the creation counter,
+and the global `done` and `failing` bits.  Unification lives behind
 the scenes: bindings go into one mutable store with an undo trail, and each
 clause consumption records a trail mark so a jump back to a choice point
 restores the bindings it started from.
@@ -43,71 +46,19 @@ from .terms import (
     unify_into,
 )
 
-class DeweyPath(tuple):
-    """A node address: tuple of child indices, with the hash cached.
-
-    Paths in deep proof trees get long, and the engine keys most of its
-    per-node maps by path; caching the hash makes those lookups O(1) after
-    the address is built once.  Interops freely with plain tuples.
-    """
-
-    def __hash__(self):
-        try:
-            return self._cached_hash
-        except AttributeError:
-            value = tuple.__hash__(self)
-            self._cached_hash = value
-            return value
+# The root box is created first, so its number is 1.
+ROOT = 1
 
 
-_interned: dict[tuple, "DeweyPath"] = {}
-
-
-def intern_path(coords: tuple[int, ...]) -> "DeweyPath":
-    """One shared address object per coordinate sequence, so addresses
-    built independently (engine vs. replay) compare by identity.
-
-    The table is a plain cache: clearing it is always safe (comparisons
-    fall back to tuple equality) and callers that pump many runs through
-    one process clear it between runs.
-    """
-    path = _interned.get(coords)
-    if path is None:
-        if len(_interned) > 2_000_000:
-            _interned.clear()
-        path = DeweyPath(coords)
-        _interned[coords] = path
-    return path
-
-
-def clear_path_cache() -> None:
-    _interned.clear()
-
-
-def child_of(parent: Path, index: int) -> "DeweyPath":
-    """Interned child address, cached on the parent object so repeated
-    (re)creation and independent replay hit the same object.  Children of
-    the root go through the clearable module table instead: the root is
-    immortal and must not pin whole trees."""
-    if not parent:
-        return intern_path((index,))
-    try:
-        kids = parent.__dict__.get("_kids")
-    except AttributeError:
-        # plain-tuple parent from a caller: fall back to the table
-        return intern_path(parent + (index,))
-    if kids is None:
-        kids = {}
-        parent._kids = kids
-    child = kids.get(index)
-    if child is None:
-        child = DeweyPath(parent + (index,))
-        kids[index] = child
-    return child
-
-
-Path = tuple[int, ...]
-ROOT: Path = intern_path(())
+def path_of(state, v: int) -> tuple[int, ...]:
+    """Node v's Dewey path (child indices from the root down; the root's is
+    `()`), read off `state.parent` and `state.index`.  O(depth): for display
+    and tests, never for a step."""
+    path = []
+    while v != ROOT:
+        path.append(state.index[v])
+        v = state.parent[v]
+    return tuple(reversed(path))
 
 
 class EngineError(Exception):
@@ -129,11 +80,6 @@ class RuleId(enum.Enum):
 
 
 REDO_RULES = (RuleId.REDO1, RuleId.REDO2)
-
-
-def parent_path(v: Path) -> Path:
-    """Drop the last coordinate; the root is its own parent."""
-    return v[:-1] if v else ROOT
 
 
 def _clause_index(program: Program):
@@ -164,17 +110,17 @@ def _clause_index(program: Program):
 class StepDelta:
     """What one step changed in the visible tree-shaped state.
 
-    `removed` lists discarded nodes, `created` a new node with its creation
-    number and predication, `updated_goal` the solved node whose predication
-    was overwritten on exit.  `current` is the node after the step.
+    `removed` lists discarded nodes in creation order, `created` a new node
+    as (node, parent, child index) and `created_goal` its predication,
+    `updated_goal` the solved node whose predication was overwritten on
+    exit.  `current` is the node after the step.
     """
 
-    current: Path
-    removed: tuple[Path, ...] = ()
-    created: Optional[Path] = None
-    created_number: Optional[int] = None
+    current: int
+    removed: tuple[int, ...] = ()
+    created: Optional[tuple[int, int, int]] = None
     created_goal: Optional[Term] = None
-    updated_goal: Optional[tuple[Path, Term]] = None
+    updated_goal: Optional[tuple[int, Term]] = None
 
 
 class Engine:
@@ -183,17 +129,20 @@ class Engine:
 
     def __init__(self, program: Program):
         self.program = program
-        self._index = _clause_index(program)
+        self._predicates = _clause_index(program)
         goal = program.goal
-        self.tree: set[Path] = {ROOT}
-        self.current: Path = ROOT
+        self.current = ROOT
         self.last_number = 1
-        self.numbers: dict[Path, int] = {ROOT: 1}
-        self.goals: dict[Path, Term] = {ROOT: goal}
-        self.clauses: dict[Path, tuple[Clause, ...]] = {
+        # The live nodes are the keys of `goals`.  The root is its own parent.
+        self.goals: dict[int, Term] = {ROOT: goal}
+        self.parent: dict[int, int] = {ROOT: ROOT}
+        self.index: dict[int, int] = {ROOT: 0}
+        # Nodes on the path from the root: the trace's depth attribute.
+        self.depth: dict[int, int] = {ROOT: 1}
+        self.clauses: dict[int, tuple[Clause, ...]] = {
             ROOT: self._matching_clauses(goal)
         }
-        self.fresh: dict[Path, bool] = {ROOT: True}
+        self.fresh: dict[int, bool] = {ROOT: True}
         self.done = False
         self.failing = False
         self.chrono = 0
@@ -210,20 +159,16 @@ class Engine:
         self._subst_version = 0
         self._memo_version = -1
         self.rename_counter = 0
-        self.call_goal: dict[Path, Term] = {ROOT: goal}
-        self.active_clause: dict[Path, tuple[Clause, int]] = {}
-        self.saved_mark: dict[Path, int] = {}
-        self.child_count: dict[Path, int] = {ROOT: 0}
-        self.parent_of: dict[Path, Path] = {ROOT: ROOT}
-        # Creation-ordered mirrors of the tree and of the nodes with untried
+        self.call_goal: dict[int, Term] = {ROOT: goal}
+        self.active_clause: dict[int, tuple[Clause, int]] = {}
+        self.saved_mark: dict[int, int] = {}
+        self.child_count: dict[int, int] = {ROOT: 0}
+        # Creation-ordered lists of the live nodes and of those with untried
         # clauses.  Nodes are always created past everything alive, so for
-        # live nodes creation-number order and Dewey order coincide:
-        # insertion appends, and a jump back to a choice point discards a
-        # suffix.  Entries are (creation number, path).
-        self._tree_order: list[tuple[int, Path]] = [(1, ROOT)]
-        self._cp_order: list[tuple[int, Path]] = (
-            [(1, ROOT)] if self.clauses[ROOT] else []
-        )
+        # live nodes creation order and Dewey order coincide: insertion
+        # appends, and a jump back to a choice point discards a suffix.
+        self._tree_order: list[int] = [ROOT]
+        self._cp_order: list[int] = [ROOT] if self.clauses[ROOT] else []
 
     def _matching_clauses(self, goal: Term) -> tuple[Clause, ...]:
         """useful_clauses over an already-instantiated goal, in source order.
@@ -236,7 +181,7 @@ class Engine:
         clauses that cannot unify are skipped: each candidate is still
         trial-unified, so the result is exactly useful_clauses'.
         """
-        predicate = self._index.get(functor_key(goal))
+        predicate = self._predicates.get(functor_key(goal))
         if predicate is None:
             return ()
         candidates, by_first, var_first = predicate
@@ -259,35 +204,35 @@ class Engine:
 
     # -- predicates over the current state ---------------------------------
 
-    def has_next_body_goal(self, v: Path) -> bool:
+    def has_next_body_goal(self, v: int) -> bool:
         """True iff v's goal is not the last one in its parent's running
         clause body, i.e. solving v must spawn a sibling."""
-        if not v:
+        if v == ROOT:
             return False
-        return v[-1] < len(self.active_clause[self.parent_of[v]][0].body)
+        return self.index[v] < len(self.active_clause[self.parent[v]][0].body)
 
-    def has_choice_point(self, v: Path) -> bool:
+    def has_choice_point(self, v: int) -> bool:
         # The current node's subtree holds the Dewey-greatest live node, so
         # the greatest choice point overall is in v's subtree or nowhere.
         # Membership is checked by climbing the choice point's parent chain
         # to v's depth (usually zero or a few hops).
         if not self._cp_order:
             return False
-        node = self._cp_order[-1][1]
-        k = len(v)
-        if len(node) < k:
+        node = self._cp_order[-1]
+        depth, parent = self.depth, self.parent
+        k = depth[v]
+        if depth[node] < k:
             return False
-        parents = self.parent_of
-        while len(node) > k:
-            node = parents[node]
-        return node is v or node == v
+        while depth[node] > k:
+            node = parent[node]
+        return node == v
 
-    def greatest_choice_point(self, v: Path) -> Path:
+    def greatest_choice_point(self, v: int) -> int:
         if not self.has_choice_point(v):
-            raise EngineError(f"no choice point below {v!r}")
-        return self._cp_order[-1][1]
+            raise EngineError(f"no choice point below node {v}")
+        return self._cp_order[-1]
 
-    def instantiated_goal(self, v: Path) -> Term:
+    def instantiated_goal(self, v: int) -> Term:
         """The node's call-time predication under the current bindings."""
         return self._instantiate(self.call_goal[v])
 
@@ -333,14 +278,14 @@ class Engine:
         if fresh and leaf and not done and cl and not fact_next:
             applicable.append(RuleId.CALL2)
         if not fresh and not done and not failing and (consumed if leaf else True):
-            if u and u[-1] < len(self.active_clause[self.parent_of[u]][0].body):
+            if self.has_next_body_goal(u):
                 applicable.append(RuleId.EXIT2)
             else:
                 applicable.append(RuleId.EXIT1)
         if not fresh and not done and not hcp and (failed_leaf or failing):
             applicable.append(RuleId.FAIL2)
         if not fresh and hcp and (failing or done):
-            target = self._cp_order[-1][1]
+            target = self._cp_order[-1]
             target_cl = self.clauses[target]
             if not target_cl[0].body:
                 applicable.append(RuleId.REDO1)
@@ -353,90 +298,88 @@ class Engine:
             )
         if not applicable:
             if not (self.done and not self.has_choice_point(ROOT)):
-                raise EngineError(f"stuck in a non-terminal state at {u!r}")
+                raise EngineError(f"stuck in a non-terminal state at node {u}")
             return None
         return applicable[0]
 
     # -- state updates ------------------------------------------------------
 
-    def _consume_clause(self, v: Path) -> Clause:
+    def _consume_clause(self, v: int) -> Clause:
         """Pop the next untried clause at v and unify its renamed head with
         v's call predication.  Filtering guarantees this cannot fail."""
         cl = self.clauses[v]
         if not cl:
-            raise EngineError(f"no clause left to consume at {v!r}")
+            raise EngineError(f"no clause left to consume at node {v}")
         head_clause, rest = cl[0], cl[1:]
         self.clauses[v] = rest
         if not rest:
             # Consumption happens at the current node or at the greatest
             # choice point, both of which sit at the end of the order.
-            if self._cp_order and self._cp_order[-1][1] == v:
+            if self._cp_order and self._cp_order[-1] == v:
                 self._cp_order.pop()
             else:
-                self._cp_order = [e for e in self._cp_order if e[1] != v]
+                self._cp_order = [e for e in self._cp_order if e != v]
         self.rename_counter += 1
         head = rename_term(head_clause.head, self.rename_counter)
         self.saved_mark[v] = len(self.trail)
         self._subst_version += 1
         if not unify_into(self.call_goal[v], head, self.subst, self.trail):
-            raise EngineError(f"head of a filtered clause failed to unify at {v!r}")
+            raise EngineError(f"head of a filtered clause failed to unify at node {v}")
         self.active_clause[v] = (head_clause, self.rename_counter)
         return head_clause
 
-    def _create_child(self, parent: Path) -> tuple[Path, int, Term]:
+    def _create_child(self, parent: int) -> tuple[tuple[int, int, int], Term]:
         """Make the next child box of `parent`: number it, call the matching
         body goal under the current bindings, and fill it with the clauses
-        that can serve the call."""
+        that can serve the call.  Returns (node, parent, index) and the goal."""
         index = self.child_count[parent] + 1
-        v = child_of(parent, index)
         clause, instance = self.active_clause[parent]
         goal = self._instantiate(rename_term(clause.body[index - 1], instance))
         self.last_number += 1
-        number = self.last_number
-        self.tree.add(v)
-        self._tree_order.append((number, v))
-        self.numbers[v] = number
+        v = self.last_number
+        self._tree_order.append(v)
         self.goals[v] = goal
+        self.parent[v] = parent
+        self.index[v] = index
+        self.depth[v] = self.depth[parent] + 1
         self.call_goal[v] = goal
         cl = self._matching_clauses(goal)
         self.clauses[v] = cl
         if cl:
-            self._cp_order.append((number, v))
+            self._cp_order.append(v)
         self.fresh[v] = True
         self.child_count[v] = 0
         self.child_count[parent] = index
-        self.parent_of[v] = parent
-        return v, number, goal
+        return (v, parent, index), goal
 
-    def _prune_after(self, v: Path) -> tuple[Path, ...]:
+    def _prune_after(self, v: int) -> tuple[int, ...]:
         """Discard every node after v in Dewey order and undo the bindings
         made since v last consumed a clause.  v's stored predication is left
         as it was (its call-time value lives in the hidden bookkeeping)."""
-        keep = self.numbers[v]
         removed_list = []
-        while self._tree_order and self._tree_order[-1][0] > keep:
-            removed_list.append(self._tree_order.pop()[1])
-        while self._cp_order and self._cp_order[-1][0] > keep:
+        while self._tree_order and self._tree_order[-1] > v:
+            removed_list.append(self._tree_order.pop())
+        while self._cp_order and self._cp_order[-1] > v:
             self._cp_order.pop()
         removed_list.reverse()
         removed = tuple(removed_list)
-        removed_set = set(removed)
         for y in removed:
-            # A surviving parent keeps the children before its first removed
-            # one; only such parents can lose children at all.
-            p = self.parent_of[y]
-            if p not in removed_set and self.child_count[p] >= y[-1]:
-                self.child_count[p] = y[-1] - 1
-            self.tree.discard(y)
-            del self.numbers[y]
+            # A surviving parent (numbered at most v) keeps the children
+            # before its first removed one; only such parents can lose
+            # children at all.
+            p = self.parent[y]
+            if p <= v and self.child_count[p] >= self.index[y]:
+                self.child_count[p] = self.index[y] - 1
             del self.goals[y]
+            del self.parent[y]
+            del self.index[y]
+            del self.depth[y]
             del self.clauses[y]
             del self.fresh[y]
             del self.child_count[y]
             self.call_goal.pop(y, None)
             self.active_clause.pop(y, None)
             self.saved_mark.pop(y, None)
-            del self.parent_of[y]
         mark = self.saved_mark[v]
         self._subst_version += 1
         for var in self.trail[mark:]:
@@ -459,15 +402,13 @@ class Engine:
             self._consume_clause(u)
             self.fresh[u] = False
             self.failing = False
-            v, number, goal = self._create_child(u)
-            self.current = v
-            return StepDelta(
-                current=v, created=v, created_number=number, created_goal=goal
-            )
+            created, goal = self._create_child(u)
+            self.current = created[0]
+            return StepDelta(current=self.current, created=created, created_goal=goal)
         if rule is RuleId.EXIT1:
             solved = self.instantiated_goal(u)
             self.goals[u] = solved
-            self.current = self.parent_of[u]
+            self.current = self.parent[u]
             if u == ROOT:
                 self.done = True
                 self.answers.append(solved)
@@ -475,19 +416,18 @@ class Engine:
         if rule is RuleId.EXIT2:
             solved = self.instantiated_goal(u)
             self.goals[u] = solved
-            created, number, goal = self._create_child(self.parent_of[u])
-            if created[-1] != u[-1] + 1:
-                raise EngineError(f"sibling mismatch: {created!r} after {u!r}")
-            self.current = created
+            created, goal = self._create_child(self.parent[u])
+            if created[2] != self.index[u] + 1:
+                raise EngineError(f"sibling mismatch: {created!r} after node {u}")
+            self.current = created[0]
             return StepDelta(
-                current=created,
+                current=self.current,
                 created=created,
-                created_number=number,
                 created_goal=goal,
                 updated_goal=(u, solved),
             )
         if rule is RuleId.FAIL2:
-            self.current = self.parent_of[u]
+            self.current = self.parent[u]
             if u == ROOT:
                 self.done = True
             self.failing = True
@@ -504,15 +444,14 @@ class Engine:
             v = self.greatest_choice_point(u)
             removed = self._prune_after(v)
             self._consume_clause(v)
-            w, number, goal = self._create_child(v)
-            self.current = w
+            created, goal = self._create_child(v)
+            self.current = created[0]
             self.done = False
             self.failing = False
             return StepDelta(
-                current=w,
+                current=self.current,
                 removed=removed,
-                created=w,
-                created_number=number,
+                created=created,
                 created_goal=goal,
             )
         raise EngineError(f"unknown rule {rule!r}")

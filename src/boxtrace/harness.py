@@ -21,14 +21,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .engine import (
-    DeterminismError,
-    Engine,
-    EngineError,
-    RuleId,
-    StepDelta,
-    clear_path_cache,
-)
+from .engine import DeterminismError, Engine, EngineError, RuleId, StepDelta
 from .rebuild import (
     CorruptTraceError,
     Rebuilder,
@@ -47,7 +40,7 @@ from .terms import (
     apply_subst,
     render_program,
     rename_apart,
-    unify,
+    unify_into,
 )
 from .trace import TraceEvent, stream_events
 
@@ -82,8 +75,12 @@ def reference_solve(
     """
     answers: list[Term] = []
     counters = {"steps": 0, "rename": 0}
+    # One substitution, bound in place; each clause tried undoes its
+    # bindings back to the trail mark it started from.
+    s: Subst = {}
+    trail: list[Variable] = []
 
-    def solve(goals: tuple[Term, ...], s: Subst, depth: int):
+    def solve(goals: tuple[Term, ...], depth: int):
         if not goals:
             answers.append(apply_subst(program.goal, s))
             return
@@ -96,12 +93,15 @@ def reference_solve(
                 raise _CapExceeded
             counters["rename"] += 1
             instance = rename_apart(clause, counters["rename"])
-            extended = unify(first, instance.head, s)
-            if extended is not None:
-                solve(instance.body + rest, extended, depth + 1)
+            mark = len(trail)
+            if unify_into(first, instance.head, s, trail):
+                solve(instance.body + rest, depth + 1)
+                for var in trail[mark:]:
+                    del s[var]
+                del trail[mark:]
 
     try:
-        solve((program.goal,), {}, 0)
+        solve((program.goal,), 0)
     except _CapExceeded:
         return RefResult(tuple(answers), capped=True)
     return RefResult(tuple(answers), capped=False)
@@ -244,39 +244,24 @@ def program_digest(program: Program) -> str:
 
 def _apply_delta(state: RestrictedState, delta: StepDelta) -> None:
     for y in delta.removed:
-        state.tree.discard(y)
-        state.numbers.pop(y, None)
         state.goals.pop(y, None)
+        state.parent.pop(y, None)
+        state.index.pop(y, None)
     if delta.updated_goal is not None:
-        path, goal = delta.updated_goal
-        state.goals[path] = goal
+        node, goal = delta.updated_goal
+        state.goals[node] = goal
     if delta.created is not None:
-        state.tree.add(delta.created)
-        state.numbers[delta.created] = delta.created_number
-        state.goals[delta.created] = delta.created_goal
+        node, parent, index = delta.created
+        state.goals[node] = delta.created_goal
+        state.parent[node] = parent
+        state.index[node] = index
     state.current = delta.current
 
 
-def _same_path(x, y) -> bool:
-    # Paths are interned, so identity is the common case; fall back to
-    # value equality for paths built before a cache clear.
-    return x is y or x == y
-
-
 def _deltas_match(a: StepDelta, b: StepDelta) -> bool:
-    if not _same_path(a.current, b.current):
-        return False
-    if len(a.removed) != len(b.removed):
-        return False
-    # Both sides report removals in ascending Dewey order.
-    for x, y in zip(a.removed, b.removed):
-        if not _same_path(x, y):
-            return False
-    if a.created_number != b.created_number:
-        return False
-    if (a.created is None) != (b.created is None):
-        return False
-    if a.created is not None and not _same_path(a.created, b.created):
+    # Both sides report removals in creation order, and a created node with
+    # its parent and child index, so equal deltas place every box alike.
+    if a.current != b.current or a.removed != b.removed or a.created != b.created:
         return False
     if (a.created_goal is None) != (b.created_goal is None):
         return False
@@ -285,7 +270,7 @@ def _deltas_match(a: StepDelta, b: StepDelta) -> bool:
     if (a.updated_goal is None) != (b.updated_goal is None):
         return False
     if a.updated_goal is not None:
-        if not _same_path(a.updated_goal[0], b.updated_goal[0]):
+        if a.updated_goal[0] != b.updated_goal[0]:
             return False
         if not alpha_equal(a.updated_goal[1], b.updated_goal[1]):
             return False
@@ -317,11 +302,10 @@ def check_faithfulness(
     which together pin equality at every step.
     """
     digest = program_digest(program)
-    clear_path_cache()
     eng = Engine(program)
     run = stream_events(eng, max_steps=max_steps)
     feed = None if events is None else iter(events)
-    reb = Rebuilder(RestrictedState.initial(program.goal))
+    reb = Rebuilder(program.goal)
     mirror = RestrictedState.initial(program.goal)
 
     # Replay classifies an event once the next one arrives, so only the
@@ -347,9 +331,9 @@ def check_faithfulness(
             )
         _apply_delta(mirror, eng_delta)
         if (
-            len(mirror.tree) != len(reb.state.tree)
-            or len(mirror.numbers) != len(reb.state.numbers)
-            or len(mirror.goals) != len(reb.state.goals)
+            len(mirror.goals) != len(reb.state.goals)
+            or len(mirror.parent) != len(reb.state.parent)
+            or len(mirror.index) != len(reb.state.index)
         ):
             return Divergence(
                 chrono,

@@ -2,34 +2,29 @@
 
 A reader of the trace can recover, per event, the Dewey tree, the current
 node, the creation numbers, and the node predications — without seeing
-clauses, bindings, or the engine at all.  Classification of which rule
+clauses, bindings, or the engine at all.  Nodes are named by their creation
+numbers, the trace's `node` attribute; each node's parent and index among
+its parent's children place it in the tree.  Classification of which rule
 produced an event needs one event of lookahead: the next event's node
 number r' against the current one's r decides between the paired rules
 (same node -> the fact variant, a fresh higher number -> the expanding
 variant).  The depth attribute is never consulted for replay; it is
 checked separately against the replayed tree (`Rebuilder.depth_mismatches`).
 
-Replay state per node: tree membership, creation number, predication; plus
-the current node.  Rebuilt states match the engine's visible state
-restricted to exactly those parameters, step by step (the property the
-harness checks).
+Replay state per node: place in the tree (parent, child index) and
+predication; plus the current node.  Rebuilt states match the engine's
+visible state restricted to exactly those parameters, step by step (the
+property the harness checks).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Optional
 
-from .engine import (
-    ROOT,
-    Path,
-    RuleId,
-    StepDelta,
-    child_of,
-    parent_path,
-)
+from .engine import ROOT, RuleId, StepDelta
 from .terms import Term, alpha_equal
-from .trace import Port, TraceEvent, node_depth
+from .trace import Port, TraceEvent
 
 
 class CorruptTraceError(Exception):
@@ -52,26 +47,34 @@ class Lookahead:
 
 @dataclass
 class RestrictedState:
-    tree: set[Path]
-    current: Path
-    numbers: dict[Path, int]
-    goals: dict[Path, Term]
+    """The engine's visible state restricted to what replay recovers.
+
+    The live nodes are the keys of `goals`, named by creation number;
+    `parent` and `index` place each in the tree (the root is its own parent,
+    at index 0), which together with the numbers encodes the Dewey tree
+    one to one (`engine.path_of` spells a node's path out).
+    """
+
+    current: int
+    goals: dict[int, Term]
+    parent: dict[int, int]
+    index: dict[int, int]
 
     @classmethod
     def initial(cls, goal: Term) -> "RestrictedState":
-        return cls(tree={ROOT}, current=ROOT, numbers={ROOT: 1}, goals={ROOT: goal})
+        return cls(ROOT, {ROOT: goal}, {ROOT: ROOT}, {ROOT: 0})
 
     def copy(self) -> "RestrictedState":
         return RestrictedState(
-            set(self.tree), self.current, dict(self.numbers), dict(self.goals)
+            self.current, dict(self.goals), dict(self.parent), dict(self.index)
         )
 
     def matches(self, other: "RestrictedState") -> bool:
         """Structural equality, predications compared up to renaming."""
         if (
-            self.tree != other.tree
-            or self.current != other.current
-            or self.numbers != other.numbers
+            self.current != other.current
+            or self.parent != other.parent
+            or self.index != other.index
             or self.goals.keys() != other.goals.keys()
         ):
             return False
@@ -81,8 +84,7 @@ class RestrictedState:
 def _classify(
     event: TraceEvent,
     lookahead: Optional[Lookahead],
-    current_is_root: bool,
-    current_number: int,
+    current: int,
     redo_target_known: bool,
 ) -> RuleId:
     """Which rule produced `event`, given one event of lookahead.
@@ -94,10 +96,10 @@ def _classify(
     """
     chrono = event.chrono
     port = event.port
-    if port is not Port.REDO and event.node != current_number:
+    if port is not Port.REDO and event.node != current:
         raise CorruptTraceError(
             f"{port.value} event names node {event.node} but the current "
-            f"node is numbered {current_number}",
+            f"node is numbered {current}",
             chrono,
         )
     if port is Port.CALL:
@@ -107,7 +109,7 @@ def _classify(
             return RuleId.CALL2
         raise CorruptTraceError("Call followed by an older node", chrono)
     if port is Port.EXIT:
-        if current_is_root:
+        if current == ROOT:
             return RuleId.EXIT1
         if lookahead is None or lookahead.node < event.node:
             return RuleId.EXIT1
@@ -131,32 +133,25 @@ def _classify(
 class Rebuilder:
     """Streaming fold over an event stream with one-event lookahead.
 
-    push() buffers the newest event and finishes the previous one, returning
-    its (rule, delta); finish() flushes the last event once the stream ends.
-    `state` is the live accumulator; copy() it to keep a snapshot.  After
-    finish(), `truncated` tells whether the stream stopped where a completed
-    run could not have, and status() how the run ended.  The depth
-    attribute plays no part in replay: `depth_mismatches` collects
-    (chrono, expected, actual) for every event whose depth disagrees with
-    the replayed tree.
+    Replay starts from the root box holding `goal`, and the stream must
+    begin with a Call at chrono 1.  push() buffers the newest event and
+    finishes the previous one, returning its (rule, delta); finish() flushes
+    the last event once the stream ends.  `state` is the live accumulator;
+    copy() it to keep a snapshot.  After finish(), `truncated` tells whether
+    the stream stopped where a completed run could not have, and status()
+    how the run ended.  The depth attribute plays no part in replay:
+    `depth_mismatches` collects (chrono, expected, actual) for every event
+    whose depth disagrees with the replayed tree.
     """
 
-    def __init__(self, initial: RestrictedState):
-        self.state = initial.copy()
-        self._by_number = {n: p for p, n in self.state.numbers.items()}
+    def __init__(self, goal: Term):
+        self.state = RestrictedState.initial(goal)
         # Creation order doubles as Dewey order for live nodes (creation
-        # always happens past everything alive), so the mirror list below
-        # appends on creation and drops a suffix on Redo.
-        self._tree_order = sorted(
-            (n, p) for p, n in self.state.numbers.items()
-        )
-        self._child_count: dict[Path, int] = {p: 0 for p in self.state.tree}
-        self._parent_of: dict[Path, Path] = {}
-        for p in sorted(self.state.tree, key=len):
-            above = parent_path(p) if p else p
-            self._parent_of[p] = above
-            if p:
-                self._child_count[above] = max(self._child_count[above], p[-1])
+        # always happens past everything alive), so this list appends on
+        # creation and drops a suffix on Redo.
+        self._tree_order: list[int] = [ROOT]
+        self._child_count: dict[int, int] = {ROOT: 0}
+        self._depth: dict[int, int] = {ROOT: 1}
         self._pending: Optional[TraceEvent] = None
         self._expected_chrono = 1
         self.truncated = False
@@ -166,6 +161,12 @@ class Rebuilder:
     # -- incremental API -----------------------------------------------------
 
     def push(self, event: TraceEvent) -> Optional[tuple[RuleId, StepDelta]]:
+        if self._expected_chrono == 1 and (
+            event.chrono != 1 or event.port is not Port.CALL
+        ):
+            raise CorruptTraceError(
+                "trace must begin with a Call at chrono 1", event.chrono
+            )
         if event.chrono != self._expected_chrono:
             raise CorruptTraceError(
                 f"chrono {event.chrono} out of order (expected "
@@ -183,10 +184,8 @@ class Rebuilder:
         if prev is None:
             return None
         out = self._finish_one(prev, None)
-        # A completed run can only stop on an Exit or Fail at the root
-        # (the root is always numbered 1).
-        at_root = prev.node == 1
-        if prev.port is Port.CALL or not at_root:
+        # A completed run can only stop on an Exit or Fail at the root.
+        if prev.port is Port.CALL or prev.node != ROOT:
             self.truncated = True
         return out
 
@@ -196,20 +195,15 @@ class Rebuilder:
         rule = _classify(
             event,
             lookahead,
-            current_is_root=self.state.current == ROOT,
-            current_number=self.state.numbers[self.state.current],
+            current=self.state.current,
             redo_target_known=event.port is not Port.REDO
-            or event.node in self._by_number,
+            or event.node in self.state.goals,
         )
-        subject = (
-            self._by_number[event.node]
-            if event.port is Port.REDO
-            else self.state.current
-        )
-        if event.depth != node_depth(subject):
-            self.depth_mismatches.append(
-                (event.chrono, node_depth(subject), event.depth)
-            )
+        # Classification has checked that event.node is live: the current
+        # node, or the Redo's choice point.
+        depth = self._depth[event.node]
+        if event.depth != depth:
+            self.depth_mismatches.append((event.chrono, depth, event.depth))
         delta = self._apply(rule, event, lookahead)
         self.last_event = event
         return rule, delta
@@ -217,49 +211,45 @@ class Rebuilder:
     # -- state updates -------------------------------------------------------
 
     def _add_node(
-        self, path: Path, number: int, goal: Term, chrono: int
-    ) -> None:
-        if number in self._by_number:
+        self, v: int, parent: int, index: int, goal: Term, chrono: int
+    ) -> tuple[int, int, int]:
+        """Create node v as child `index` of `parent`; returns the delta's
+        (node, parent, index)."""
+        if v in self.state.goals:
+            raise CorruptTraceError(f"creation number {v} assigned twice", chrono)
+        if v < self._tree_order[-1]:
             raise CorruptTraceError(
-                f"creation number {number} assigned twice", chrono
-            )
-        if self._tree_order and number < self._tree_order[-1][0]:
-            raise CorruptTraceError(
-                f"creation number {number} is older than a live node", chrono
+                f"creation number {v} is older than a live node", chrono
             )
         st = self.state
-        st.tree.add(path)
-        self._tree_order.append((number, path))
-        st.numbers[path] = number
-        st.goals[path] = goal
-        self._by_number[number] = path
-        self._child_count[path] = 0
-        # Callers create only non-root nodes and record their parent first.
-        self._child_count[self._parent_of[path]] = path[-1]
+        self._tree_order.append(v)
+        st.goals[v] = goal
+        st.parent[v] = parent
+        st.index[v] = index
+        self._depth[v] = self._depth[parent] + 1
+        self._child_count[v] = 0
+        self._child_count[parent] = index
+        st.current = v
+        return v, parent, index
 
-    def _new_child(self, parent: Path) -> Path:
-        child = child_of(parent, self._child_count[parent] + 1)
-        self._parent_of[child] = parent
-        return child
-
-    def _prune_after(self, v: Path) -> tuple[Path, ...]:
+    def _prune_after(self, v: int) -> tuple[int, ...]:
         st = self.state
-        keep = st.numbers[v]
         removed_list = []
-        while self._tree_order and self._tree_order[-1][0] > keep:
-            removed_list.append(self._tree_order.pop()[1])
+        while self._tree_order[-1] > v:
+            removed_list.append(self._tree_order.pop())
         removed_list.reverse()
         removed = tuple(removed_list)
-        removed_set = set(removed)
         for y in removed:
-            p = self._parent_of[y]
-            if p not in removed_set and self._child_count.get(p, 0) >= y[-1]:
-                self._child_count[p] = y[-1] - 1
-            st.tree.discard(y)
-            del self._by_number[st.numbers.pop(y)]
-            st.goals.pop(y, None)
-            self._child_count.pop(y, None)
-            self._parent_of.pop(y, None)
+            # A surviving parent (numbered at most v) keeps the children
+            # before its first removed one.
+            p = st.parent[y]
+            if p <= v and self._child_count[p] >= st.index[y]:
+                self._child_count[p] = st.index[y] - 1
+            del st.goals[y]
+            del st.parent[y]
+            del st.index[y]
+            del self._depth[y]
+            del self._child_count[y]
         return removed
 
     def _apply(
@@ -271,19 +261,17 @@ class Rebuilder:
             return StepDelta(current=st.current)
         if rule is RuleId.CALL2:
             assert lookahead is not None
-            child = self._new_child(st.current)
-            self._add_node(child, lookahead.node, lookahead.goal, chrono)
-            st.current = child
+            u = st.current
+            created = self._add_node(
+                lookahead.node, u, self._child_count[u] + 1, lookahead.goal, chrono
+            )
             return StepDelta(
-                current=child,
-                created=child,
-                created_number=lookahead.node,
-                created_goal=lookahead.goal,
+                current=st.current, created=created, created_goal=lookahead.goal
             )
         if rule is RuleId.EXIT1:
             u = st.current
             st.goals[u] = event.goal
-            st.current = self._parent_of.get(u, ROOT)
+            st.current = st.parent[u]
             return StepDelta(current=st.current, updated_goal=(u, event.goal))
         if rule is RuleId.EXIT2:
             assert lookahead is not None
@@ -291,38 +279,33 @@ class Rebuilder:
             if u == ROOT:
                 raise CorruptTraceError("sibling creation at the root", chrono)
             st.goals[u] = event.goal
-            parent = self._parent_of.get(u, ROOT)
-            sibling = child_of(parent, u[-1] + 1)
-            self._parent_of[sibling] = parent
-            self._add_node(sibling, lookahead.node, lookahead.goal, chrono)
-            st.current = sibling
+            created = self._add_node(
+                lookahead.node, st.parent[u], st.index[u] + 1, lookahead.goal, chrono
+            )
             return StepDelta(
-                current=sibling,
-                created=sibling,
-                created_number=lookahead.node,
+                current=st.current,
+                created=created,
                 created_goal=lookahead.goal,
                 updated_goal=(u, event.goal),
             )
         if rule is RuleId.FAIL2:
-            st.current = self._parent_of.get(st.current, ROOT)
+            st.current = st.parent[st.current]
             return StepDelta(current=st.current)
         if rule is RuleId.REDO1:
-            v = self._by_number[event.node]
-            removed = self._prune_after(v)
-            st.current = v
-            return StepDelta(current=v, removed=removed)
+            removed = self._prune_after(event.node)
+            st.current = event.node
+            return StepDelta(current=st.current, removed=removed)
         if rule is RuleId.REDO2:
             assert lookahead is not None
-            v = self._by_number[event.node]
+            v = event.node
             removed = self._prune_after(v)
-            child = self._new_child(v)
-            self._add_node(child, lookahead.node, lookahead.goal, chrono)
-            st.current = child
+            created = self._add_node(
+                lookahead.node, v, self._child_count[v] + 1, lookahead.goal, chrono
+            )
             return StepDelta(
-                current=child,
+                current=st.current,
                 removed=removed,
-                created=child,
-                created_number=lookahead.node,
+                created=created,
                 created_goal=lookahead.goal,
             )
         raise CorruptTraceError(f"unhandled rule {rule!r}", chrono)
@@ -333,20 +316,10 @@ class Rebuilder:
         """'success' or 'failure' when the replayed run plainly finished at
         the root, else 'unknown'."""
         e = self.last_event
-        if e is not None and not self.truncated and e.node == 1:
+        if e is not None and not self.truncated and e.node == ROOT:
             if e.port is Port.EXIT:
                 return "success"
             if e.port is Port.FAIL:
                 return "failure"
         return "unknown"
 
-
-def initial_state_for(events: Iterable[TraceEvent]) -> RestrictedState:
-    """The replay start state implied by a stream's first event."""
-    events = list(events)
-    if not events:
-        raise CorruptTraceError("empty trace", 0)
-    first = events[0]
-    if first.chrono != 1 or first.port is not Port.CALL:
-        raise CorruptTraceError("trace must begin with a Call at chrono 1", first.chrono)
-    return RestrictedState.initial(first.goal)

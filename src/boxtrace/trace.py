@@ -20,7 +20,7 @@ import json
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .engine import REDO_RULES, Engine, Path, RuleId, StepDelta
+from .engine import REDO_RULES, Engine, RuleId, StepDelta
 from .parser import ParseError, parse_term_text
 from .terms import Term, render_term
 
@@ -52,11 +52,6 @@ class TraceEvent:
     goal: Term
 
 
-def node_depth(v: Path) -> int:
-    """Nodes on the path from the root to v: the root has depth 1."""
-    return len(v) + 1
-
-
 def stream_events(
     eng: Engine, max_steps: int | None = None
 ) -> Iterator[tuple[RuleId, TraceEvent, StepDelta]]:
@@ -76,14 +71,13 @@ def stream_events(
         else:
             subject = eng.current
         chrono = eng.chrono + 1
-        node = eng.numbers[subject]
-        depth = node_depth(subject)
+        depth = eng.depth[subject]
         port = _PORT_OF_RULE[rule]
         goal = eng.goals[subject]
         delta = eng.apply_rule(rule)
         if port is Port.EXIT:
             goal = eng.goals[subject]
-        yield rule, TraceEvent(chrono, node, depth, port, goal), delta
+        yield rule, TraceEvent(chrono, subject, depth, port, goal), delta
 
 
 # -- text and JSON-lines forms ----------------------------------------------
@@ -161,20 +155,22 @@ def write_trace_text(events: Iterable[TraceEvent], pretty: bool = False) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def parse_trace_text(text: str, fmt: str = "text") -> list[TraceEvent]:
-    """Parse a whole trace file (``text`` or ``jsonl``); blank lines skipped."""
-    events = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
+def parse_trace_text(lines: str | Iterable[str], fmt: str = "text") -> Iterator[TraceEvent]:
+    """Parse a trace (``text`` or ``jsonl``) lazily, one event per line read;
+    blank lines are skipped.  `lines` is the whole text or any iterable of
+    lines, such as an open file, so a trace streams in constant memory."""
+    if isinstance(lines, str):
+        lines = lines.splitlines()
+    parse = event_from_json if fmt == "jsonl" else parse_event
+    for lineno, line in enumerate(lines, start=1):
+        line = line.rstrip("\r\n")
         if not line.strip():
             continue
         try:
-            if fmt == "jsonl":
-                events.append(event_from_json(line))
-            else:
-                events.append(parse_event(line))
+            event = parse(line)
         except ParseError as err:
             raise ParseError(f"bad trace line: {err}", lineno, 1) from None
-    return events
+        yield event
 
 
 def events_alpha_equal(a: Iterable[TraceEvent], b: Iterable[TraceEvent]) -> bool:

@@ -3,8 +3,10 @@
 Records the engine's whole visible state after every step and derives each
 event from the two states around it, the way the box model defines events.
 `stream_events` reads the live engine instead; tests compare the two
-derivations.  A snapshot per step costs memory in the run length, so this
-is for small test runs only.
+derivations.  Snapshots are Dewey-shaped: nodes are keyed by their Dewey
+paths, built from the engine's integer tables with `path_of`.  A snapshot
+per step costs memory in the run length, so this is for small test runs
+only.
 """
 
 from __future__ import annotations
@@ -12,10 +14,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from boxtrace import Engine, Port, RuleId, TraceEvent
-from boxtrace.engine import Path
+from boxtrace import Engine, Port, RuleId, TraceEvent, path_of
 from boxtrace.terms import Clause, Term
-from boxtrace.trace import node_depth
+
+Path = tuple[int, ...]
 
 _PORTS = {rule: Port(rule.value[:-1]) for rule in RuleId}  # Call1 -> Call
 
@@ -44,10 +46,26 @@ class Snapshot:
         return best
 
 
+def node_depth(v: Path) -> int:
+    """Nodes on the path from the root to v: the root has depth 1."""
+    return len(v) + 1
+
+
+def dewey(state) -> dict[Path, int]:
+    """{Dewey path: creation number} over the live nodes of an engine or a
+    replayed state."""
+    return {path_of(state, v): v for v in state.goals}
+
+
 def snapshot(eng: Engine) -> Snapshot:
+    numbers = dewey(eng)
+    paths = {v: p for p, v in numbers.items()}
     return Snapshot(
-        frozenset(eng.tree), eng.current, eng.last_number, dict(eng.numbers),
-        dict(eng.goals), dict(eng.clauses), dict(eng.fresh), eng.done, eng.failing,
+        frozenset(numbers), paths[eng.current], eng.last_number, numbers,
+        {paths[v]: g for v, g in eng.goals.items()},
+        {paths[v]: cl for v, cl in eng.clauses.items()},
+        {paths[v]: f for v, f in eng.fresh.items()},
+        eng.done, eng.failing,
     )
 
 

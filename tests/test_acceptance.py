@@ -15,7 +15,6 @@ from boxtrace import (
     GenParams,
     Port,
     Rebuilder,
-    RestrictedState,
     TraceEvent,
     alpha_equal,
     check_faithfulness,
@@ -147,7 +146,7 @@ def test_depth_attribute_redundancy():
     ]
 
     def replay(stream):
-        reb = Rebuilder(RestrictedState.initial(stream[0].goal))
+        reb = Rebuilder(stream[0].goal)
         steps = [reb.push(e) for e in stream] + [reb.finish()]
         return [done for done in steps if done is not None], reb
 

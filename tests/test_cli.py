@@ -1,8 +1,12 @@
+import contextlib
+import io
 import json
+import os
+import tracemalloc
 
 import pytest
 
-from boxtrace import Engine, parse_program, stream_events
+from boxtrace import Engine, parse_program, render_event, stream_events
 from boxtrace.cli import main
 from tests.conftest import CHOICE_PROGRAM, NO_MATCH, TWO_FACTS
 
@@ -154,3 +158,65 @@ def test_malformed_deep_term_exits_2(tmp_path, capsys):
     path.write_text("p(X).\n:- p(" + "f(" * 10_000 + "a" + ")" * 10_000 + ".\n")
     assert main(["trace", str(path)]) == 2
     assert "expected ')', found '.' (line 2, column" in capsys.readouterr().err
+
+
+def test_rebuild_empty_trace_exits_1(tmp_path, capsys):
+    trace_file = tmp_path / "empty.trace"
+    trace_file.write_text("\n\n")
+    assert main(["rebuild", str(trace_file)]) == 1
+    assert capsys.readouterr().err == "error: empty trace\n"
+
+
+def test_rebuild_first_event_not_a_call_exits_1(tmp_path, capsys):
+    trace_file = tmp_path / "exit-first.trace"
+    trace_file.write_text("1 1 1 Exit a\n")
+    assert main(["rebuild", str(trace_file)]) == 1
+    assert capsys.readouterr().err == (
+        "error: corrupt trace: trace must begin with a Call at chrono 1 (chrono 1)\n"
+    )
+
+
+def test_rebuild_reads_stdin(choice_file, tmp_path, capsys, monkeypatch):
+    main(["trace", choice_file])
+    trace_text = capsys.readouterr().out
+    trace_file = tmp_path / "choice.trace"
+    trace_file.write_text(trace_text)
+    assert main(["rebuild", str(trace_file)]) == 0
+    from_file = capsys.readouterr().out
+    monkeypatch.setattr("sys.stdin", io.StringIO(trace_text))
+    assert main(["rebuild", "-"]) == 0
+    assert capsys.readouterr().out == from_file
+
+
+def test_rebuild_bad_line_exits_2_with_its_number(tmp_path, capsys):
+    trace_file = tmp_path / "bad.trace"
+    trace_file.write_text("1 1 1 Call p(X)\n\n2 1 1 Jump p(a)\n")
+    assert main(["rebuild", str(trace_file)]) == 2
+    assert "(line 3, column 1)" in capsys.readouterr().err
+
+
+def _rebuild_peak(path: str) -> int:
+    with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+        tracemalloc.start()
+        try:
+            assert main(["rebuild", path]) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+
+def test_rebuild_streams_in_constant_memory(tmp_path):
+    # A flat trace (Call, then Exit and Redo at the root per fact): replay
+    # holds one box whatever the length, so twice the events may not need
+    # noticeably more memory.
+    paths = []
+    for facts in (1000, 2000):
+        program = parse_program("".join(f"p(c{i}).\n" for i in range(facts)) + ":- p(X).\n")
+        path = tmp_path / f"flat{facts}.trace"
+        with path.open("w") as handle:
+            for _, event, _ in stream_events(Engine(program)):
+                handle.write(render_event(event) + "\n")
+        paths.append(str(path))
+    _rebuild_peak(paths[0])  # warm-up: first-use allocations are not replay's
+    short, long = _rebuild_peak(paths[0]), _rebuild_peak(paths[1])
+    assert long <= 1.3 * short, (short, long)

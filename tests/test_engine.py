@@ -4,7 +4,6 @@ from hypothesis import strategies as st
 
 import boxtrace.engine as engine_module
 from boxtrace import (
-    ROOT,
     Atom,
     Compound,
     Engine,
@@ -15,13 +14,13 @@ from boxtrace import (
     gen_program,
     parse_program,
     parse_term_text,
-    parent_path,
+    path_of,
     render_term,
     stream_events,
     useful_clauses,
 )
 from boxtrace.terms import functor_key
-from tests.snapshots import record
+from tests.snapshots import dewey, record
 
 X = Variable("X")
 
@@ -33,33 +32,57 @@ def names(rules):
 # -- Dewey path order and navigation -------------------------------------------
 
 
+# Nodes are creation numbers; the root is 1.  `path_of` spells out a node's
+# Dewey path from the engine's parent and child-index tables.
+BRANCHING = "g :- p(X), q(X).\np(Y) :- r(Y), s(Y).\nr(a).\nr(b).\ns(b).\nq(b).\n:- g."
+
+
 def test_dewey_order_examples():
-    # Dewey order is plain tuple order, which the engine's creation-ordered
-    # tree mirror (`_tree_order`) relies on.
+    # Dewey order is plain tuple order.  The engine's creation-ordered list
+    # of live nodes (`_tree_order`) relies on it matching creation order.
     assert () < (1,)  # root before everything
     assert (1, 1) < (1, 2)  # siblings by index
     assert not (2,) < (1, 1)  # (1,1) precedes (2,)
     assert (1,) < (1, 2)  # prefix before extension
     assert (1, 1) < (2,)
+    eng = Engine(parse_program(BRANCHING))
+    while eng.step() is not None:
+        live = sorted(eng.goals)
+        assert live == eng._tree_order
+        paths = [path_of(eng, v) for v in live]
+        assert paths == sorted(paths)
 
 
 def test_parent_path():
-    assert parent_path((1, 2)) == (1,)
-    assert parent_path((2,)) == ()
-    assert parent_path(()) == ()  # the root is its own parent
+    # The parent table drops a node's last Dewey coordinate, the index table
+    # holds it, and the depth table counts the path's nodes.
+    eng = Engine(parse_program(BRANCHING))
+    seen = set()
+    while eng.step() is not None:
+        assert eng.parent.keys() == eng.index.keys() == eng.depth.keys() == eng.goals.keys()
+        for v in eng.goals:
+            path = path_of(eng, v)
+            seen.add(path)
+            assert eng.depth[v] == len(path) + 1
+            if v != 1:
+                assert path_of(eng, eng.parent[v]) == path[:-1]
+                assert eng.index[v] == path[-1]
+    assert {(), (1,), (1, 1), (1, 2), (2,)} <= seen
+    assert eng.parent[1] == 1 and path_of(eng, 1) == ()  # the root is its own parent
 
 
 def test_new_sibling_path(choice_program):
-    # Exit2 creates the next sibling: same parent, last coordinate plus one.
+    # Exit2 creates the next sibling: same parent, child index plus one.
     eng = Engine(choice_program)
     eng.step()
     eng.step()
     exited = eng.current
     rule, delta = eng.step()
     assert rule is RuleId.EXIT2
-    assert delta.created == exited[:-1] + (exited[-1] + 1,) == (2,)
+    assert delta.created == (3, eng.parent[exited], eng.index[exited] + 1) == (3, 1, 2)
+    assert path_of(eng, 3) == (2,)
     # The root has no sibling: its exit is always Exit1.
-    assert not eng.has_next_body_goal(ROOT)
+    assert not eng.has_next_body_goal(1)
 
 
 def test_paths_after(choice_program):
@@ -70,10 +93,10 @@ def test_paths_after(choice_program):
     eng = Engine(choice_program)
     for _ in range(5):  # through the Fail2 at eq(a,b)
         eng.step()
-    before = set(eng.tree)
+    before = dewey(eng)
     rule, delta = eng.step()
-    assert rule is RuleId.REDO1 and delta.current == (1,)
-    assert list(delta.removed) == sorted(y for y in before if y > (1,))
+    assert rule is RuleId.REDO1 and path_of(eng, delta.current) == (1,)
+    assert list(delta.removed) == [before[y] for y in sorted(before) if y > (1,)]
 
 
 # -- the running example, step by step -----------------------------------------
@@ -108,22 +131,22 @@ def test_choice_point_tracking_after_failure(choice_program):
     eng = Engine(choice_program)
     for _ in range(5):  # through the Fail2 at eq(a,b)
         eng.step()
-    assert eng.current == ROOT
+    assert eng.current == 1
     assert eng.failing
-    assert eng.greatest_choice_point(ROOT) == (1,)
-    assert [cl.source_index for cl in eng.clauses[(1,)]] == [2]
+    assert eng.greatest_choice_point(1) == 2 and path_of(eng, 2) == (1,)
+    assert [cl.source_index for cl in eng.clauses[2]] == [2]
 
 
 def test_redo_prunes_failed_sibling(choice_program):
     eng = Engine(choice_program)
     for _ in range(6):  # Redo1 applied
         eng.step()
-    assert eng.tree == {(), (1,)}
-    assert eng.current == (1,)
-    assert eng.clauses[(1,)] == ()
+    assert dewey(eng) == {(): 1, (1,): 2}
+    assert eng.current == 2
+    assert eng.clauses[2] == ()
     assert not eng.failing
     # the exited value is kept on the node until the next Exit overwrites it
-    assert render_term(eng.goals[(1,)]) == "p(a)"
+    assert render_term(eng.goals[2]) == "p(a)"
 
 
 def test_recreated_sibling_gets_fresh_number(choice_program):
@@ -141,11 +164,11 @@ def test_sibling_position_controls_exit_variant(choice_program):
     eng = Engine(choice_program)
     eng.step()
     eng.step()  # Call p(X)
-    assert eng.has_next_body_goal((1,))
-    assert not eng.has_next_body_goal(())
+    assert eng.has_next_body_goal(dewey(eng)[(1,)])
+    assert not eng.has_next_body_goal(1)
     for _ in range(6):
         eng.step()  # through Call eq(b,b)
-    assert not eng.has_next_body_goal((2,))
+    assert not eng.has_next_body_goal(dewey(eng)[(2,)])
 
 
 # -- enumeration and degenerate programs ----------------------------------------
@@ -243,7 +266,7 @@ def assert_state_invariants(state):
     assert state.last_number >= max(numbers)
     for v in state.tree:
         if v:
-            assert parent_path(v) in state.tree
+            assert v[:-1] in state.tree
         if state.fresh[v]:
             assert not any(y[: len(v)] == v for y in state.tree if y != v)
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,7 +9,6 @@ from boxtrace import (
     GenParams,
     Port,
     Rebuilder,
-    RestrictedState,
     RuleId,
     TraceEvent,
     check_faithfulness,
@@ -206,7 +207,7 @@ def test_depth_corruption_passes_replay_but_fails_lint(choice_program):
     ]
     report = check_faithfulness(choice_program, events=events)
     assert report.verdict == "pass"  # replay never reads the depth
-    reb = Rebuilder(RestrictedState.initial(events[0].goal))
+    reb = Rebuilder(events[0].goal)
     for event in events:
         reb.push(event)
     reb.finish()
@@ -252,3 +253,24 @@ def test_random_programs_agree_with_oracle(seed):
     if ref.capped:
         return
     assert multiset_alpha_equal(eng.answers, ref.answers)
+
+
+def _check_peak(program, steps: int) -> int:
+    tracemalloc.start()
+    try:
+        assert check_faithfulness(program, max_steps=steps).verdict == "limit-hit"
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_check_memory_grows_linearly_with_depth():
+    # A runaway two-predicate recursion one box deeper per step, passing a
+    # binding chain down as long as the tree is deep.  Memory per box must
+    # not grow with its depth: double the steps, about double the peak.
+    program = parse_program(
+        "r0(f(a,Z),Y) :- r1(X,Y).\nr0(a,b).\n"
+        "r1(g(c,Z),Y) :- r0(X,Y).\nr1(c,d).\n:- r0(A,B).\n"
+    )
+    short, long = _check_peak(program, 2000), _check_peak(program, 4000)
+    assert long <= 2.5 * short, (short, long)

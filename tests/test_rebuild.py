@@ -1,23 +1,32 @@
+import contextlib
+import io
+from unittest import mock
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from boxtrace import (
     Atom,
     Compound,
     CorruptTraceError,
+    GenParams,
     Port,
     Rebuilder,
-    RestrictedState,
     RuleId,
     TraceEvent,
     TraceTruncatedError,
     Variable,
     alpha_equal,
-    initial_state_for,
+    gen_program,
     parse_program,
+    path_of,
+    render_event,
     render_term,
 )
+from boxtrace.cli import main
 from tests.conftest import events_of
-from tests.snapshots import record
+from tests.snapshots import dewey, record
 
 X = Variable("X")
 
@@ -26,14 +35,10 @@ def choice_events(choice_program):
     return events_of(choice_program)
 
 
-def q0():
-    return RestrictedState.initial(Atom("goal"))
-
-
-def replay(events, initial=None):
+def replay(events, goal=Atom("goal")):
     """Every (rule, state copy) a Rebuilder emits over `events`, and the
     Rebuilder itself (for its final state, status and flags)."""
-    reb = Rebuilder(initial or q0())
+    reb = Rebuilder(goal)
     steps = []
     for event in events:
         done = reb.push(event)
@@ -55,7 +60,7 @@ def rules(steps):
 def test_node_numbers_after_first_event(choice_program):
     events = choice_events(choice_program)
     steps, _ = replay(events[:2])
-    by_number = {n: path for path, n in steps[0][1].numbers.items()}
+    by_number = {n: path for path, n in dewey(steps[0][1]).items()}
     assert by_number == {1: (), 2: (1,)}
     assert 99 not in by_number
 
@@ -91,7 +96,7 @@ def test_classify_exit_at_root_ignores_lookahead():
     # number is higher, yet the Exit is still the upward variant
     program = parse_program("g :- p(X).\np(a).\np(b).\n:- g.")
     events = events_of(program)
-    steps, _ = replay(events, initial_state_for(events))
+    steps, _ = replay(events, events[0].goal)
     assert [r.value for r in rules(steps)] == [
         "Call2", "Call1", "Exit1", "Exit1", "Redo1", "Exit1", "Exit1",
     ]
@@ -108,7 +113,7 @@ def test_classify_final_exit_at_root_without_lookahead(choice_program):
 
 
 def test_classify_rejects_call_followed_by_older_node():
-    reb = Rebuilder(RestrictedState.initial(Atom("g")))
+    reb = Rebuilder(Atom("g"))
     reb.push(TraceEvent(1, 1, 1, Port.CALL, Atom("g")))
     with pytest.raises(CorruptTraceError):
         reb.push(TraceEvent(2, 0, 1, Port.CALL, Atom("g")))
@@ -119,42 +124,43 @@ def test_classify_rejects_call_followed_by_older_node():
 
 def test_apply_first_event_creates_child(choice_program):
     events = choice_events(choice_program)
-    reb = Rebuilder(q0())
+    reb = Rebuilder(Atom("goal"))
     assert reb.push(events[0]) is None  # classified once the next event arrives
     rule, delta = reb.push(events[1])
-    assert rule is RuleId.CALL2 and delta.created == (1,) and delta.created_number == 2
+    # node 2, child 1 of the root
+    assert rule is RuleId.CALL2 and delta.created == (2, 1, 1)
     state = reb.state
-    assert state.tree == {(), (1,)}
-    assert state.current == (1,)
-    assert state.numbers == {(): 1, (1,): 2}
-    assert alpha_equal(state.goals[(1,)], Compound("p", (X,)))
+    assert dewey(state) == {(): 1, (1,): 2}
+    assert state.current == 2 and path_of(state, 2) == (1,)
+    assert alpha_equal(state.goals[2], Compound("p", (X,)))
 
 
 def test_apply_redo_shrinks_tree(choice_program):
     events = choice_events(choice_program)
     steps, _ = replay(events[:7])
     state = steps[5][1]
-    assert state.tree == {(), (1,)}
-    assert state.current == (1,)
-    assert render_term(state.goals[(1,)]) == "p(a)"
+    assert dewey(state) == {(): 1, (1,): 2}
+    assert state.current == 2
+    assert render_term(state.goals[2]) == "p(a)"
 
 
 def test_apply_final_exit(choice_program):
     events = choice_events(choice_program)
     steps, _ = replay(events)
     final = steps[-1][1]
-    assert final.current == ()
-    assert render_term(final.goals[()]) == "goal"
+    assert final.current == 1
+    assert render_term(final.goals[1]) == "goal"
 
 
 def test_rebuilder_leaves_its_initial_state_untouched(choice_program):
+    # A copy of the state taken before replay is not touched by it.
     events = choice_events(choice_program)
-    start = q0()
-    reb = Rebuilder(start)
+    reb = Rebuilder(Atom("goal"))
+    start = reb.state.copy()
     reb.push(events[0])
     reb.push(events[1])
-    assert reb.state.tree == {(), (1,)}
-    assert start.tree == {()} and start.numbers == {(): 1} and start.current == ()
+    assert dewey(reb.state) == {(): 1, (1,): 2}
+    assert dewey(start) == {(): 1} and start.current == 1
 
 
 # -- rebuild ------------------------------------------------------------------------
@@ -165,10 +171,9 @@ def test_rebuild_final_state_of_choice_trace(choice_program):
     steps, reb = replay(events)
     assert len(steps) == len(events)
     final = reb.state
-    assert final.tree == {(), (1,), (2,)}
-    assert final.numbers == {(): 1, (1,): 2, (2,): 4}
-    assert render_term(final.goals[(1,)]) == "p(b)"
-    assert render_term(final.goals[(2,)]) == "eq(b,b)"
+    assert dewey(final) == {(): 1, (1,): 2, (2,): 4}
+    assert render_term(final.goals[2]) == "p(b)"
+    assert render_term(final.goals[4]) == "eq(b,b)"
     assert reb.status() == "success"
 
 
@@ -176,12 +181,13 @@ def test_rebuild_matches_engine_restriction_stepwise(choice_program):
     recording = record(choice_program)
     rebuilt, _ = replay(events_of(choice_program))
     assert len(rebuilt) == len(recording.steps)
+    # Compared Dewey-shaped: the snapshots key the engine's nodes by path.
     for (rule, state), (applied, snap) in zip(rebuilt, recording.steps):
         assert rule is applied
-        engine = RestrictedState(
-            set(snap.tree), snap.current, dict(snap.numbers), dict(snap.goals)
-        )
-        assert state.matches(engine)
+        paths = {v: path_of(state, v) for v in state.goals}
+        assert dewey(state) == snap.numbers
+        assert paths[state.current] == snap.current
+        assert all(alpha_equal(g, snap.goals[paths[v]]) for v, g in state.goals.items())
 
 
 def test_rebuild_empty_stream():
@@ -201,7 +207,7 @@ def test_rebuild_is_deterministic(choice_program):
 
 def test_rebuild_stream_lags_one_event(choice_program):
     events = choice_events(choice_program)
-    reb = Rebuilder(q0())
+    reb = Rebuilder(Atom("goal"))
     assert reb.push(events[0]) is None
     seen = [reb.push(event) for event in events[1:]]
     seen.append(reb.finish())
@@ -211,7 +217,7 @@ def test_rebuild_stream_lags_one_event(choice_program):
 
 def test_failure_status(no_match):
     events = events_of(no_match)
-    _, reb = replay(events, initial_state_for(events))
+    _, reb = replay(events, events[0].goal)
     assert reb.status() == "failure"
 
 
@@ -284,7 +290,7 @@ def test_exit_below_root_repeating_its_node_rejected():
         TraceEvent(4, 2, 2, Port.EXIT, g),
     ]
     with pytest.raises(CorruptTraceError):
-        replay(events, RestrictedState.initial(g))
+        replay(events, g)
 
 
 # -- the depth attribute is redundant ---------------------------------------------------
@@ -314,19 +320,76 @@ def test_depth_mismatches_flag_corruption(choice_program):
     assert (chrono, expected, actual) == (1, 1, 8)
 
 
-# -- initial state helper -----------------------------------------------------------
+# -- the start of a stream -----------------------------------------------------------
 
 
-def test_initial_state_for(choice_program):
+def test_replay_starts_from_the_root_goal(choice_program):
     events = choice_events(choice_program)
-    state = initial_state_for(events)
-    assert state.tree == {()}
-    assert state.numbers == {(): 1}
-    assert state.goals[()] == Atom("goal")
+    state = Rebuilder(events[0].goal).state
+    assert dewey(state) == {(): 1}
+    assert state.current == 1
+    assert state.goals[1] == Atom("goal")
 
 
-def test_initial_state_for_rejects_non_call():
-    with pytest.raises(CorruptTraceError):
-        initial_state_for([TraceEvent(1, 1, 1, Port.EXIT, Atom("g"))])
-    with pytest.raises(CorruptTraceError):
-        initial_state_for([])
+def test_first_event_must_be_a_call_at_chrono_1():
+    g = Atom("g")
+    with pytest.raises(CorruptTraceError, match="must begin with a Call"):
+        Rebuilder(g).push(TraceEvent(1, 1, 1, Port.EXIT, g))
+    with pytest.raises(CorruptTraceError, match="must begin with a Call"):
+        Rebuilder(g).push(TraceEvent(2, 1, 1, Port.CALL, g))
+    # An empty stream replays nothing (`boxtrace rebuild` reports it as an
+    # empty trace).
+    assert Rebuilder(g).finish() is None
+
+
+# -- mutated streams --------------------------------------------------------------
+
+_MUTATIONS = ("drop", "swap", "port", "node", "chrono")
+
+
+def _mutate(events, kind, at, value):
+    """`events` with one event dropped, swapped with the next (chronos kept),
+    re-ported, renumbered or re-chronoed."""
+    out = list(events)
+    e = out[at]
+    if kind == "drop":
+        del out[at]
+    elif kind == "swap" and at + 1 < len(out):
+        f = out[at + 1]
+        out[at] = TraceEvent(e.chrono, f.node, f.depth, f.port, f.goal)
+        out[at + 1] = TraceEvent(f.chrono, e.node, e.depth, e.port, e.goal)
+    elif kind == "port":
+        ports = list(Port)
+        port = ports[(ports.index(e.port) + 1 + value % 3) % 4]
+        out[at] = TraceEvent(e.chrono, e.node, e.depth, port, e.goal)
+    elif kind == "node":
+        node = 1 + value % (max(x.node for x in out) + 2)
+        out[at] = TraceEvent(e.chrono, node, e.depth, e.port, e.goal)
+    elif kind == "chrono":
+        out[at] = TraceEvent(1 + value % (len(out) + 1), e.node, e.depth, e.port, e.goal)
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=5_000),
+    st.sampled_from(_MUTATIONS),
+    st.integers(min_value=0, max_value=10**6),
+    st.integers(min_value=0, max_value=10**6),
+)
+def test_mutated_streams_raise_only_corrupt_trace_errors(seed, kind, where, value):
+    program = gen_program(GenParams(seed=seed, recursion_prob=0.05))
+    events = events_of(program, max_steps=200)
+    events = _mutate(events, kind, where % len(events), value)
+    reb = Rebuilder(program.goal)
+    try:
+        for event in events:
+            reb.push(event)
+        reb.finish()
+    except CorruptTraceError:
+        pass
+    text = "".join(render_event(e) + "\n" for e in events)
+    with mock.patch("sys.stdin", io.StringIO(text)), contextlib.redirect_stdout(
+        io.StringIO()
+    ), contextlib.redirect_stderr(io.StringIO()):
+        assert main(["rebuild", "-"]) in (0, 1)

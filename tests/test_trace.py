@@ -15,8 +15,9 @@ from boxtrace import (
     event_to_json,
     events_alpha_equal,
     is_instance_of,
-    node_depth,
     parse_event,
+    parse_program,
+    path_of,
     parse_trace_text,
     render_event,
     stream_events,
@@ -24,7 +25,7 @@ from boxtrace import (
 )
 from boxtrace.trace import render_events_pretty
 from tests.conftest import events_of
-from tests.snapshots import event_of, record, reference_events
+from tests.snapshots import event_of, node_depth, record, reference_events
 
 # The reference event table for the running example (variables compared up
 # to renaming).
@@ -58,6 +59,14 @@ def test_node_depth():
     assert node_depth(()) == 1
     assert node_depth((1,)) == 2
     assert node_depth((1, 1, 2)) == 4
+    # The engine's depth table, read by the events, agrees with the paths.
+    program = parse_program("g :- p(X).\np(Y) :- q(Y), r(Y).\nq(a).\nr(a) :- s.\ns.\n:- g.")
+    eng = Engine(program)
+    for _, event, _ in stream_events(eng):
+        assert eng.depth[eng.current] == node_depth(path_of(eng, eng.current))
+        assert event.node in eng.goals
+        assert event.depth == node_depth(path_of(eng, event.node))
+    assert max(eng.depth.values()) == 4
 
 
 def test_extract_choice_program(choice_program):
