@@ -6,6 +6,7 @@ from .engine import (
     DeterminismError,
     Engine,
     EngineError,
+    RestrictedState,
     RuleId,
     StepDelta,
     path_of,
@@ -22,10 +23,9 @@ from .harness import (
 from .parser import ParseError, parse_program, parse_term_text
 from .rebuild import (
     CorruptTraceError,
-    Lookahead,
     Rebuilder,
-    RestrictedState,
     TraceTruncatedError,
+    states_match,
 )
 from .terms import (
     Atom,

@@ -21,10 +21,10 @@ import json
 import sys
 from typing import Optional
 
-from .engine import Engine, path_of
+from .engine import Engine, RestrictedState, path_of
 from .harness import GenParams, check_faithfulness, gen_program
 from .parser import ParseError, parse_program
-from .rebuild import CorruptTraceError, Rebuilder, RestrictedState, TraceTruncatedError
+from .rebuild import CorruptTraceError, Rebuilder, TraceTruncatedError
 from .terms import render_term
 from .trace import (
     event_to_json,
@@ -65,7 +65,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
 
 def _print_final_tree(state: RestrictedState, status: str, as_json: bool) -> None:
     # Live nodes in creation order are in Dewey order.
-    nodes = sorted(state.goals)
+    nodes = state.order
     if as_json:
         print(
             json.dumps(

@@ -4,7 +4,11 @@ Execution is a building-visit of a partial proof tree.  A node is named by
 its creation number (the root is 1, as in the trace's `node` attribute);
 integer tables give each node's parent, its index among its parent's
 children and its depth, which place it in the Dewey-ordered tree (`path_of`
-spells out the Dewey path).  Each node is a box holding the called
+spells out the Dewey path).  That tree, with the node predications and the
+current node, is `RestrictedState`: the part of the state the trace shows.
+`Engine` extends it with the hidden parameters, and replay (rebuild.py)
+holds one built from the events alone, so both sides grow and prune the
+tree with the same code.  Each node is a box holding the called
 predication and its not-yet-tried clauses.  Exactly one of seven transition
 rules applies at every non-terminal state:
 
@@ -123,22 +127,91 @@ class StepDelta:
     updated_goal: Optional[tuple[int, Term]] = None
 
 
-class Engine:
+class RestrictedState:
+    """The box tree: the engine's visible state restricted to what the trace
+    shows.  The engine extends it and replay holds one, so both build the
+    tree with the same two operations.
+
+    The live nodes are the keys of `goals`, named by creation number;
+    `parent` and `index` place each in the tree (the root is its own parent,
+    at index 0), which together with the numbers encodes the Dewey tree
+    one to one (`path_of` spells a node's path out).  `depth` (nodes on the
+    path from the root: the trace's depth attribute), `child_count` and the
+    creation-ordered `order` of the live nodes follow from those.  Nodes are
+    always created past everything alive, so for live nodes creation order
+    and Dewey order coincide: creation appends to `order`, and a jump back
+    to a choice point discards a suffix.
+    """
+
+    def __init__(self, goal: Term):
+        self.current = ROOT
+        self.goals: dict[int, Term] = {ROOT: goal}
+        self.parent: dict[int, int] = {ROOT: ROOT}
+        self.index: dict[int, int] = {ROOT: 0}
+        self.depth: dict[int, int] = {ROOT: 1}
+        self.child_count: dict[int, int] = {ROOT: 0}
+        self.order: list[int] = [ROOT]
+
+    def add_child(self, v: int, parent: int, goal: Term) -> tuple[int, int, int]:
+        """Make node v, holding `goal`, the next child of `parent`; returns
+        (node, parent, child index)."""
+        index = self.child_count[parent] + 1
+        self.order.append(v)
+        self.goals[v] = goal
+        self.parent[v] = parent
+        self.index[v] = index
+        self.depth[v] = self.depth[parent] + 1
+        self.child_count[v] = 0
+        self.child_count[parent] = index
+        return v, parent, index
+
+    def prune_after(self, v: int) -> tuple[int, ...]:
+        """Discard every node after v in Dewey order; returns them in
+        creation order.  v's predication is left as it is."""
+        order = self.order
+        removed_list = []
+        while order[-1] > v:
+            removed_list.append(order.pop())
+        removed_list.reverse()
+        removed = tuple(removed_list)
+        for y in removed:
+            # A surviving parent (numbered at most v) keeps the children
+            # before its first removed one; only such parents can lose
+            # children at all.
+            p = self.parent[y]
+            if p <= v and self.child_count[p] >= self.index[y]:
+                self.child_count[p] = self.index[y] - 1
+            del self.goals[y]
+            del self.parent[y]
+            del self.index[y]
+            del self.depth[y]
+            del self.child_count[y]
+        return removed
+
+    def copy(self) -> "RestrictedState":
+        """A detached copy of the tree (an engine's hidden tables stay
+        behind)."""
+        new = RestrictedState(self.goals[ROOT])
+        new.current = self.current
+        new.goals = dict(self.goals)
+        new.parent = dict(self.parent)
+        new.index = dict(self.index)
+        new.depth = dict(self.depth)
+        new.child_count = dict(self.child_count)
+        new.order = list(self.order)
+        return new
+
+
+class Engine(RestrictedState):
     """Single sequential run of one program.  Not thread-safe; distinct
     instances are independent."""
 
     def __init__(self, program: Program):
+        super().__init__(program.goal)
         self.program = program
         self._predicates = _clause_index(program)
         goal = program.goal
-        self.current = ROOT
         self.last_number = 1
-        # The live nodes are the keys of `goals`.  The root is its own parent.
-        self.goals: dict[int, Term] = {ROOT: goal}
-        self.parent: dict[int, int] = {ROOT: ROOT}
-        self.index: dict[int, int] = {ROOT: 0}
-        # Nodes on the path from the root: the trace's depth attribute.
-        self.depth: dict[int, int] = {ROOT: 1}
         self.clauses: dict[int, tuple[Clause, ...]] = {
             ROOT: self._matching_clauses(goal)
         }
@@ -162,12 +235,8 @@ class Engine:
         self.call_goal: dict[int, Term] = {ROOT: goal}
         self.active_clause: dict[int, tuple[Clause, int]] = {}
         self.saved_mark: dict[int, int] = {}
-        self.child_count: dict[int, int] = {ROOT: 0}
-        # Creation-ordered lists of the live nodes and of those with untried
-        # clauses.  Nodes are always created past everything alive, so for
-        # live nodes creation order and Dewey order coincide: insertion
-        # appends, and a jump back to a choice point discards a suffix.
-        self._tree_order: list[int] = [ROOT]
+        # Creation-ordered list of the live nodes with untried clauses (a
+        # subsequence of `order`).
         self._cp_order: list[int] = [ROOT] if self.clauses[ROOT] else []
 
     def _matching_clauses(self, goal: Term) -> tuple[Clause, ...]:
@@ -313,12 +382,11 @@ class Engine:
         head_clause, rest = cl[0], cl[1:]
         self.clauses[v] = rest
         if not rest:
-            # Consumption happens at the current node or at the greatest
+            # Consumption happens at the newest box or at the greatest
             # choice point, both of which sit at the end of the order.
-            if self._cp_order and self._cp_order[-1] == v:
-                self._cp_order.pop()
-            else:
-                self._cp_order = [e for e in self._cp_order if e != v]
+            if not self._cp_order or self._cp_order[-1] != v:
+                raise EngineError(f"node {v} emptied but is not the last choice point")
+            self._cp_order.pop()
         self.rename_counter += 1
         head = rename_term(head_clause.head, self.rename_counter)
         self.saved_mark[v] = len(self.trail)
@@ -332,52 +400,31 @@ class Engine:
         """Make the next child box of `parent`: number it, call the matching
         body goal under the current bindings, and fill it with the clauses
         that can serve the call.  Returns (node, parent, index) and the goal."""
-        index = self.child_count[parent] + 1
         clause, instance = self.active_clause[parent]
-        goal = self._instantiate(rename_term(clause.body[index - 1], instance))
+        body_goal = clause.body[self.child_count[parent]]
+        goal = self._instantiate(rename_term(body_goal, instance))
         self.last_number += 1
         v = self.last_number
-        self._tree_order.append(v)
-        self.goals[v] = goal
-        self.parent[v] = parent
-        self.index[v] = index
-        self.depth[v] = self.depth[parent] + 1
+        created = self.add_child(v, parent, goal)
         self.call_goal[v] = goal
         cl = self._matching_clauses(goal)
         self.clauses[v] = cl
         if cl:
             self._cp_order.append(v)
         self.fresh[v] = True
-        self.child_count[v] = 0
-        self.child_count[parent] = index
-        return (v, parent, index), goal
+        return created, goal
 
     def _prune_after(self, v: int) -> tuple[int, ...]:
-        """Discard every node after v in Dewey order and undo the bindings
-        made since v last consumed a clause.  v's stored predication is left
-        as it was (its call-time value lives in the hidden bookkeeping)."""
-        removed_list = []
-        while self._tree_order and self._tree_order[-1] > v:
-            removed_list.append(self._tree_order.pop())
+        """Discard every node after v in Dewey order with its hidden
+        bookkeeping, and undo the bindings made since v last consumed a
+        clause.  v's call-time predication stays in `call_goal`."""
+        removed = self.prune_after(v)
         while self._cp_order and self._cp_order[-1] > v:
             self._cp_order.pop()
-        removed_list.reverse()
-        removed = tuple(removed_list)
         for y in removed:
-            # A surviving parent (numbered at most v) keeps the children
-            # before its first removed one; only such parents can lose
-            # children at all.
-            p = self.parent[y]
-            if p <= v and self.child_count[p] >= self.index[y]:
-                self.child_count[p] = self.index[y] - 1
-            del self.goals[y]
-            del self.parent[y]
-            del self.index[y]
-            del self.depth[y]
             del self.clauses[y]
             del self.fresh[y]
-            del self.child_count[y]
-            self.call_goal.pop(y, None)
+            del self.call_goal[y]
             self.active_clause.pop(y, None)
             self.saved_mark.pop(y, None)
         mark = self.saved_mark[v]

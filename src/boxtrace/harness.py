@@ -2,11 +2,12 @@
 and against an independent resolution oracle.
 
 `check_faithfulness` runs the engine, replays its event stream (or any
-stream handed in) against it, and asserts per step that the replayed state
-equals the engine state restricted to {tree, current node, numbers,
-predications} and that the classified rule equals the applied one.  The
-per-step comparison works on step deltas (with periodic and final
-whole-state comparisons), so long capped runs stay affordable.  Answers are additionally compared against
+stream handed in) alongside it, and asserts per step that the classified
+rule equals the applied one and that replay changed its tree as the engine
+changed its own.  Whole states are compared against the engine's own
+tables: a copy taken at chrono 1, every FULL_COMPARE_EVERY steps and at a
+capped run's last compared step, and the live engine at the end of a
+completed run.  Answers are additionally compared against
 `reference_solve`, a plain recursive resolution search that shares nothing
 with the engine beyond terms and unification.
 
@@ -21,12 +22,19 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .engine import DeterminismError, Engine, EngineError, RuleId, StepDelta
+from .engine import (
+    DeterminismError,
+    Engine,
+    EngineError,
+    RestrictedState,
+    RuleId,
+    StepDelta,
+)
 from .rebuild import (
     CorruptTraceError,
     Rebuilder,
-    RestrictedState,
     TraceTruncatedError,
+    states_match,
 )
 from .terms import (
     Atom,
@@ -217,6 +225,11 @@ FULL_COMPARE_EVERY = 8192
 
 @dataclass
 class Divergence:
+    """Where replay and engine parted.  `engine_state` is the engine's tree
+    after `chrono` steps (at the run's end if it is shorter);
+    `rebuilt_state` is replay's, where whole states or deltas were compared.
+    """
+
     chrono: int
     note: str
     applied_rule: Optional[RuleId] = None
@@ -240,22 +253,6 @@ class FaithfulnessReport:
 
 def program_digest(program: Program) -> str:
     return hashlib.sha256(render_program(program).encode()).hexdigest()[:12]
-
-
-def _apply_delta(state: RestrictedState, delta: StepDelta) -> None:
-    for y in delta.removed:
-        state.goals.pop(y, None)
-        state.parent.pop(y, None)
-        state.index.pop(y, None)
-    if delta.updated_goal is not None:
-        node, goal = delta.updated_goal
-        state.goals[node] = goal
-    if delta.created is not None:
-        node, parent, index = delta.created
-        state.goals[node] = delta.created_goal
-        state.parent[node] = parent
-        state.index[node] = index
-    state.current = delta.current
 
 
 def _deltas_match(a: StepDelta, b: StepDelta) -> bool:
@@ -283,6 +280,15 @@ def _length_mismatch(streamed: int, ran: int) -> Divergence:
     )
 
 
+def _engine_state_at(program: Program, chrono: int) -> RestrictedState:
+    """The engine's tree after `chrono` steps, from a fresh (deterministic)
+    re-run: the engine side of a divergence, built only on failure."""
+    eng = Engine(program)
+    while eng.chrono < chrono and eng.step() is not None:
+        pass
+    return eng.copy()
+
+
 def check_faithfulness(
     program: Program,
     max_steps: int = 10_000,
@@ -296,32 +302,32 @@ def check_faithfulness(
     mutated streams this way).  A stream shorter or longer than the run
     fails, and so does one that replay rejects anywhere.
 
-    Comparison per step: applied vs classified rule, then the step deltas
-    on {tree, current, numbers, predications}; whole restricted states are
-    compared at the start, every FULL_COMPARE_EVERY steps, and at the end,
-    which together pin equality at every step.
+    Comparison per step: applied vs classified rule, tree sizes, then the
+    step deltas on {tree, current, numbers, predications}.  Whole restricted
+    states are compared against a copy of the engine's taken at chrono 1,
+    every FULL_COMPARE_EVERY steps and at step `max_steps - 1` (a capped
+    run's last compared step), and against the live engine at the end of a
+    completed run.
     """
     digest = program_digest(program)
     eng = Engine(program)
     run = stream_events(eng, max_steps=max_steps)
     feed = None if events is None else iter(events)
     reb = Rebuilder(program.goal)
-    mirror = RestrictedState.initial(program.goal)
 
-    # Replay classifies an event once the next one arrives, so only the
-    # engine's last two steps are ever compared.
-    previous: Optional[tuple[RuleId, StepDelta]] = None
-    latest: Optional[tuple[RuleId, StepDelta]] = None
+    # Replay finishes an event only once the engine has taken the next step,
+    # so per step only the engine's rule, delta, tree size and (at a
+    # checkpoint) a copy of its state are kept, for its last two steps.
+    previous: Optional[tuple] = None
+    latest: Optional[tuple] = None
     steps = 0
     divergence: Optional[Divergence] = None
     checked = 0
     completed = True
 
-    def compare_one(
-        idx: int, applied: RuleId, eng_delta: StepDelta, rebuilt
-    ) -> Optional[Divergence]:
+    def compare_one(chrono: int, engine_step: tuple, rebuilt) -> Optional[Divergence]:
+        applied, eng_delta, size, checkpoint = engine_step
         classified, reb_delta = rebuilt
-        chrono = idx + 1
         if classified is not applied:
             return Divergence(
                 chrono,
@@ -329,12 +335,7 @@ def check_faithfulness(
                 applied_rule=applied,
                 classified_rule=classified,
             )
-        _apply_delta(mirror, eng_delta)
-        if (
-            len(mirror.goals) != len(reb.state.goals)
-            or len(mirror.parent) != len(reb.state.parent)
-            or len(mirror.index) != len(reb.state.index)
-        ):
+        if size != len(reb.state.goals):
             return Divergence(
                 chrono,
                 "replayed tree size differs from the engine's",
@@ -342,30 +343,26 @@ def check_faithfulness(
                 classified_rule=classified,
             )
         if not _deltas_match(eng_delta, reb_delta):
-            return Divergence(
-                chrono,
-                "state change differs between engine and replay",
-                applied_rule=applied,
-                classified_rule=classified,
-                engine_state=mirror.copy(),
-                rebuilt_state=reb.state.copy(),
-            )
-        if chrono == 1 or chrono % FULL_COMPARE_EVERY == 0:
-            if not mirror.matches(reb.state):
-                return Divergence(
-                    chrono,
-                    "restricted states diverged",
-                    applied_rule=applied,
-                    classified_rule=classified,
-                    engine_state=mirror.copy(),
-                    rebuilt_state=reb.state.copy(),
-                )
-        return None
+            note = "state change differs between engine and replay"
+        elif checkpoint is not None and not states_match(checkpoint, reb.state):
+            note = "restricted states diverged"
+        else:
+            return None
+        return Divergence(
+            chrono,
+            note,
+            applied_rule=applied,
+            classified_rule=classified,
+            rebuilt_state=reb.state.copy(),
+        )
 
     try:
         for rule, event, delta in run:
-            previous, latest = latest, (rule, delta)
             steps += 1
+            checkpoint = None
+            if steps == 1 or steps % FULL_COMPARE_EVERY == 0 or steps == max_steps - 1:
+                checkpoint = eng.copy()
+            previous, latest = latest, (rule, delta, len(eng.goals), checkpoint)
             if feed is not None:
                 event = next(feed, None)
                 if event is None:
@@ -373,8 +370,7 @@ def check_faithfulness(
                     break
             done = reb.push(event)
             if done is not None:
-                applied, eng_delta = previous
-                divergence = compare_one(steps - 2, applied, eng_delta, done)
+                divergence = compare_one(steps - 1, previous, done)
                 checked += 1
                 if divergence:
                     break
@@ -405,27 +401,15 @@ def check_faithfulness(
             done = None
             divergence = Divergence(err.chrono, f"replay rejected the stream: {err}")
         if done is not None:
-            applied, eng_delta = latest
-            divergence = compare_one(steps - 1, applied, eng_delta, done)
+            divergence = compare_one(steps, latest, done)
             checked += 1
-            if divergence is None and not mirror.matches(reb.state):
+            if divergence is None and not states_match(eng, reb.state):
                 divergence = Divergence(
-                    steps,
-                    "final restricted states diverged",
-                    engine_state=mirror.copy(),
-                    rebuilt_state=reb.state.copy(),
+                    steps, "final restricted states diverged", rebuilt_state=reb.state.copy()
                 )
 
     if divergence is not None:
-        return FaithfulnessReport(digest, checked, "fail", first_divergence=divergence)
-
-    if not completed and not mirror.matches(reb.state):
-        divergence = Divergence(
-            checked,
-            "restricted states diverged at the checked prefix's end",
-            engine_state=mirror.copy(),
-            rebuilt_state=reb.state.copy(),
-        )
+        divergence.engine_state = _engine_state_at(program, divergence.chrono)
         return FaithfulnessReport(digest, checked, "fail", first_divergence=divergence)
 
     detail = ""

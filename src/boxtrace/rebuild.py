@@ -11,18 +11,20 @@ number r' against the current one's r decides between the paired rules
 variant).  The depth attribute is never consulted for replay; it is
 checked separately against the replayed tree (`Rebuilder.depth_mismatches`).
 
-Replay state per node: place in the tree (parent, child index) and
-predication; plus the current node.  Rebuilt states match the engine's
-visible state restricted to exactly those parameters, step by step (the
-property the harness checks).
+Replay state is the engine's own tree class, `RestrictedState`: per node its
+place in the tree (parent, child index) and predication, plus the current
+node.  Only the tree operations are shared (`add_child`, `prune_after`);
+which node a Redo prunes after, which number, parent and goal a new box
+gets, and which rule applied are decided here from the events alone.
+Rebuilt states match the engine's state restricted to exactly those
+parameters, step by step (`states_match`; the property the harness checks).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
-from .engine import ROOT, RuleId, StepDelta
+from .engine import ROOT, RestrictedState, RuleId, StepDelta
 from .terms import Term, alpha_equal
 from .trace import Port, TraceEvent
 
@@ -37,57 +39,26 @@ class TraceTruncatedError(CorruptTraceError):
     """The stream stopped where a completed run could not have."""
 
 
-@dataclass(frozen=True)
-class Lookahead:
-    """Node number and goal of the next event; absent only at stream end."""
-
-    node: int
-    goal: Term
-
-
-@dataclass
-class RestrictedState:
-    """The engine's visible state restricted to what replay recovers.
-
-    The live nodes are the keys of `goals`, named by creation number;
-    `parent` and `index` place each in the tree (the root is its own parent,
-    at index 0), which together with the numbers encodes the Dewey tree
-    one to one (`engine.path_of` spells a node's path out).
-    """
-
-    current: int
-    goals: dict[int, Term]
-    parent: dict[int, int]
-    index: dict[int, int]
-
-    @classmethod
-    def initial(cls, goal: Term) -> "RestrictedState":
-        return cls(ROOT, {ROOT: goal}, {ROOT: ROOT}, {ROOT: 0})
-
-    def copy(self) -> "RestrictedState":
-        return RestrictedState(
-            self.current, dict(self.goals), dict(self.parent), dict(self.index)
-        )
-
-    def matches(self, other: "RestrictedState") -> bool:
-        """Structural equality, predications compared up to renaming."""
-        if (
-            self.current != other.current
-            or self.parent != other.parent
-            or self.index != other.index
-            or self.goals.keys() != other.goals.keys()
-        ):
-            return False
-        return all(alpha_equal(self.goals[k], other.goals[k]) for k in self.goals)
+def states_match(a: RestrictedState, b: RestrictedState) -> bool:
+    """Equality of two box trees on {tree, current, numbers, predications},
+    predications compared up to renaming."""
+    if (
+        a.current != b.current
+        or a.parent != b.parent
+        or a.index != b.index
+        or a.goals.keys() != b.goals.keys()
+    ):
+        return False
+    return all(alpha_equal(a.goals[k], b.goals[k]) for k in a.goals)
 
 
 def _classify(
     event: TraceEvent,
-    lookahead: Optional[Lookahead],
+    lookahead: Optional[TraceEvent],
     current: int,
     redo_target_known: bool,
 ) -> RuleId:
-    """Which rule produced `event`, given one event of lookahead.
+    """Which rule produced `event`, given the next event as lookahead.
 
     At stream end: an Exit at the root and any Fail close a run legally; a
     final Call or below-root Exit can only come from a cut-off stream and
@@ -136,22 +107,17 @@ class Rebuilder:
     Replay starts from the root box holding `goal`, and the stream must
     begin with a Call at chrono 1.  push() buffers the newest event and
     finishes the previous one, returning its (rule, delta); finish() flushes
-    the last event once the stream ends.  `state` is the live accumulator;
-    copy() it to keep a snapshot.  After finish(), `truncated` tells whether
-    the stream stopped where a completed run could not have, and status()
-    how the run ended.  The depth attribute plays no part in replay:
-    `depth_mismatches` collects (chrono, expected, actual) for every event
-    whose depth disagrees with the replayed tree.
+    the last event once the stream ends.  `state` is the live accumulator,
+    of the engine's own tree class; copy() it to keep a snapshot.  After
+    finish(), `truncated` tells whether the stream stopped where a completed
+    run could not have, and status() how the run ended.  The depth
+    attribute plays no part in replay: `depth_mismatches` collects (chrono,
+    expected, actual) for every event whose depth disagrees with the
+    replayed tree.
     """
 
     def __init__(self, goal: Term):
-        self.state = RestrictedState.initial(goal)
-        # Creation order doubles as Dewey order for live nodes (creation
-        # always happens past everything alive), so this list appends on
-        # creation and drops a suffix on Redo.
-        self._tree_order: list[int] = [ROOT]
-        self._child_count: dict[int, int] = {ROOT: 0}
-        self._depth: dict[int, int] = {ROOT: 1}
+        self.state = RestrictedState(goal)
         self._pending: Optional[TraceEvent] = None
         self._expected_chrono = 1
         self.truncated = False
@@ -177,7 +143,7 @@ class Rebuilder:
         prev, self._pending = self._pending, event
         if prev is None:
             return None
-        return self._finish_one(prev, Lookahead(event.node, event.goal))
+        return self._finish_one(prev, event)
 
     def finish(self) -> Optional[tuple[RuleId, StepDelta]]:
         prev, self._pending = self._pending, None
@@ -190,7 +156,7 @@ class Rebuilder:
         return out
 
     def _finish_one(
-        self, event: TraceEvent, lookahead: Optional[Lookahead]
+        self, event: TraceEvent, lookahead: Optional[TraceEvent]
     ) -> tuple[RuleId, StepDelta]:
         rule = _classify(
             event,
@@ -201,7 +167,7 @@ class Rebuilder:
         )
         # Classification has checked that event.node is live: the current
         # node, or the Redo's choice point.
-        depth = self._depth[event.node]
+        depth = self.state.depth[event.node]
         if event.depth != depth:
             self.depth_mismatches.append((event.chrono, depth, event.depth))
         delta = self._apply(rule, event, lookahead)
@@ -210,50 +176,24 @@ class Rebuilder:
 
     # -- state updates -------------------------------------------------------
 
-    def _add_node(
-        self, v: int, parent: int, index: int, goal: Term, chrono: int
+    def _add_child(
+        self, parent: int, lookahead: TraceEvent, chrono: int
     ) -> tuple[int, int, int]:
-        """Create node v as child `index` of `parent`; returns the delta's
-        (node, parent, index)."""
-        if v in self.state.goals:
+        """Create the lookahead's node as the next child of `parent` and make
+        it current; returns the delta's (node, parent, index)."""
+        st = self.state
+        v = lookahead.node
+        if v in st.goals:
             raise CorruptTraceError(f"creation number {v} assigned twice", chrono)
-        if v < self._tree_order[-1]:
+        if v < st.order[-1]:
             raise CorruptTraceError(
                 f"creation number {v} is older than a live node", chrono
             )
-        st = self.state
-        self._tree_order.append(v)
-        st.goals[v] = goal
-        st.parent[v] = parent
-        st.index[v] = index
-        self._depth[v] = self._depth[parent] + 1
-        self._child_count[v] = 0
-        self._child_count[parent] = index
         st.current = v
-        return v, parent, index
-
-    def _prune_after(self, v: int) -> tuple[int, ...]:
-        st = self.state
-        removed_list = []
-        while self._tree_order[-1] > v:
-            removed_list.append(self._tree_order.pop())
-        removed_list.reverse()
-        removed = tuple(removed_list)
-        for y in removed:
-            # A surviving parent (numbered at most v) keeps the children
-            # before its first removed one.
-            p = st.parent[y]
-            if p <= v and self._child_count[p] >= st.index[y]:
-                self._child_count[p] = st.index[y] - 1
-            del st.goals[y]
-            del st.parent[y]
-            del st.index[y]
-            del self._depth[y]
-            del self._child_count[y]
-        return removed
+        return st.add_child(v, parent, lookahead.goal)
 
     def _apply(
-        self, rule: RuleId, event: TraceEvent, lookahead: Optional[Lookahead]
+        self, rule: RuleId, event: TraceEvent, lookahead: Optional[TraceEvent]
     ) -> StepDelta:
         st = self.state
         chrono = event.chrono
@@ -261,10 +201,7 @@ class Rebuilder:
             return StepDelta(current=st.current)
         if rule is RuleId.CALL2:
             assert lookahead is not None
-            u = st.current
-            created = self._add_node(
-                lookahead.node, u, self._child_count[u] + 1, lookahead.goal, chrono
-            )
+            created = self._add_child(st.current, lookahead, chrono)
             return StepDelta(
                 current=st.current, created=created, created_goal=lookahead.goal
             )
@@ -279,9 +216,9 @@ class Rebuilder:
             if u == ROOT:
                 raise CorruptTraceError("sibling creation at the root", chrono)
             st.goals[u] = event.goal
-            created = self._add_node(
-                lookahead.node, st.parent[u], st.index[u] + 1, lookahead.goal, chrono
-            )
+            # The current node is the last child of its parent, so the new
+            # sibling's index is u's plus one.
+            created = self._add_child(st.parent[u], lookahead, chrono)
             return StepDelta(
                 current=st.current,
                 created=created,
@@ -292,16 +229,14 @@ class Rebuilder:
             st.current = st.parent[st.current]
             return StepDelta(current=st.current)
         if rule is RuleId.REDO1:
-            removed = self._prune_after(event.node)
+            removed = st.prune_after(event.node)
             st.current = event.node
             return StepDelta(current=st.current, removed=removed)
         if rule is RuleId.REDO2:
             assert lookahead is not None
             v = event.node
-            removed = self._prune_after(v)
-            created = self._add_node(
-                lookahead.node, v, self._child_count[v] + 1, lookahead.goal, chrono
-            )
+            removed = st.prune_after(v)
+            created = self._add_child(v, lookahead, chrono)
             return StepDelta(
                 current=st.current,
                 removed=removed,

@@ -8,6 +8,7 @@ from boxtrace import (
     Compound,
     Engine,
     GenParams,
+    Rebuilder,
     RuleId,
     Variable,
     alpha_equal,
@@ -37,38 +38,59 @@ def names(rules):
 BRANCHING = "g :- p(X), q(X).\np(Y) :- r(Y), s(Y).\nr(a).\nr(b).\ns(b).\nq(b).\n:- g."
 
 
+def box_trees(program):
+    """(side, live state) after every step: the engine's own box tree, then
+    that of a replay of its events (the same class, built from the stream
+    alone)."""
+    eng = Engine(program)
+    while eng.step() is not None:
+        yield "engine", eng
+    reb = Rebuilder(program.goal)
+    for _, event, _ in stream_events(Engine(program)):
+        if reb.push(event) is not None:
+            yield "replay", reb.state
+    reb.finish()
+    yield "replay", reb.state
+
+
 def test_dewey_order_examples():
-    # Dewey order is plain tuple order.  The engine's creation-ordered list
-    # of live nodes (`_tree_order`) relies on it matching creation order.
+    # Dewey order is plain tuple order.  The creation-ordered list of live
+    # nodes (`order`) relies on it matching creation order.
     assert () < (1,)  # root before everything
     assert (1, 1) < (1, 2)  # siblings by index
     assert not (2,) < (1, 1)  # (1,1) precedes (2,)
     assert (1,) < (1, 2)  # prefix before extension
     assert (1, 1) < (2,)
-    eng = Engine(parse_program(BRANCHING))
-    while eng.step() is not None:
-        live = sorted(eng.goals)
-        assert live == eng._tree_order
-        paths = [path_of(eng, v) for v in live]
+    sides = set()
+    for side, state in box_trees(parse_program(BRANCHING)):
+        sides.add(side)
+        live = sorted(state.goals)
+        assert live == state.order
+        paths = [path_of(state, v) for v in live]
         assert paths == sorted(paths)
+    assert sides == {"engine", "replay"}
 
 
 def test_parent_path():
     # The parent table drops a node's last Dewey coordinate, the index table
-    # holds it, and the depth table counts the path's nodes.
-    eng = Engine(parse_program(BRANCHING))
-    seen = set()
-    while eng.step() is not None:
-        assert eng.parent.keys() == eng.index.keys() == eng.depth.keys() == eng.goals.keys()
-        for v in eng.goals:
-            path = path_of(eng, v)
-            seen.add(path)
-            assert eng.depth[v] == len(path) + 1
+    # holds it, the depth table counts the path's nodes, and child_count
+    # counts the live children; on the engine and on replay alike.
+    seen = {"engine": set(), "replay": set()}
+    for side, state in box_trees(parse_program(BRANCHING)):
+        tables = (state.parent, state.index, state.depth, state.child_count)
+        assert all(table.keys() == state.goals.keys() for table in tables)
+        for v in state.goals:
+            path = path_of(state, v)
+            seen[side].add(path)
+            assert state.depth[v] == len(path) + 1
+            children = [y for y in state.goals if y != 1 and state.parent[y] == v]
+            assert state.child_count[v] == len(children)
             if v != 1:
-                assert path_of(eng, eng.parent[v]) == path[:-1]
-                assert eng.index[v] == path[-1]
-    assert {(), (1,), (1, 1), (1, 2), (2,)} <= seen
-    assert eng.parent[1] == 1 and path_of(eng, 1) == ()  # the root is its own parent
+                assert path_of(state, state.parent[v]) == path[:-1]
+                assert state.index[v] == path[-1]
+        assert state.parent[1] == 1 and path_of(state, 1) == ()  # the root is its own parent
+    for paths in seen.values():
+        assert {(), (1,), (1, 1), (1, 2), (2,)} <= paths
 
 
 def test_new_sibling_path(choice_program):

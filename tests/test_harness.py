@@ -183,6 +183,14 @@ def test_mutated_node_number_fails(choice_program):
     events[5] = TraceEvent(e.chrono, 3, e.depth, e.port, e.goal)
     report = check_faithfulness(choice_program, events=events)
     assert report.verdict == "fail"
+    divergence = report.first_divergence
+    assert divergence.chrono == 6
+    # The engine side is the engine's own tree after those six steps.
+    eng = Engine(choice_program)
+    for _ in range(6):
+        eng.step()
+    for table in ("current", "goals", "parent", "index", "depth", "child_count", "order"):
+        assert getattr(divergence.engine_state, table) == getattr(eng, table), table
 
 
 def test_check_reports_a_misclassified_rule(choice_program):
@@ -198,6 +206,28 @@ def test_check_reports_a_misclassified_rule(choice_program):
         RuleId.REDO1,
         RuleId.REDO2,
     )
+
+
+def test_check_reads_the_engines_own_tree(monkeypatch):
+    # An engine whose tables disagree with the deltas it reports: each box
+    # that exits below the root is refiled at child index 41.  The deltas
+    # still match replay's, so only a comparison with the engine's own
+    # tables can see it.
+    apply_rule = Engine.apply_rule
+
+    def refiling(self, rule):
+        delta = apply_rule(self, rule)
+        if delta.updated_goal is not None and delta.updated_goal[0] != 1:
+            self.index[delta.updated_goal[0]] = 41
+        return delta
+
+    monkeypatch.setattr(Engine, "apply_rule", refiling)
+    report = check_faithfulness(parse_program("a :- b, c.\nb.\nc.\n:- a."))
+    assert report.verdict == "fail"
+    divergence = report.first_divergence
+    assert (divergence.chrono, divergence.note) == (6, "final restricted states diverged")
+    assert divergence.engine_state.index[2] == 41
+    assert divergence.rebuilt_state.index[2] == 1
 
 
 def test_depth_corruption_passes_replay_but_fails_lint(choice_program):
