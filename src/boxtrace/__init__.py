@@ -37,25 +37,21 @@ from .terms import (
     Variable,
     alpha_equal,
     apply_subst,
-    is_instance_of,
     render_clause,
     render_program,
     render_term,
     rename_apart,
     unify,
-    useful_clauses,
 )
 from .trace import (
     Port,
     TraceEvent,
     event_from_json,
     event_to_json,
-    events_alpha_equal,
     parse_event,
     parse_trace_text,
     render_event,
     stream_events,
-    write_trace_text,
 )
 
 __version__ = "0.1.0"

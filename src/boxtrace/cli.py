@@ -174,6 +174,21 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
     return 0 if failed == 0 else 1
 
 
+def _at_least(low: int):
+    """argparse type: an integer no smaller than `low`."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return parse
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="boxtrace",
@@ -184,11 +199,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p_trace = sub.add_parser("trace", help="print the event stream of a program")
     p_trace.set_defaults(run=cmd_trace)
     p_trace.add_argument("program", help="program file (.pl subset)")
-    p_trace.add_argument("--max-steps", type=int, default=100_000)
-    p_trace.add_argument("--max-solutions", type=int, default=None)
+    p_trace.add_argument("--max-steps", type=_at_least(0), default=100_000)
+    p_trace.add_argument("--max-solutions", type=_at_least(1), default=None)
     p_trace.add_argument("--format", choices=("text", "jsonl"), default="text")
     p_trace.add_argument("--pretty", action="store_true",
-                         help="column-aligned text output")
+                         help="column-aligned text output; the one mode that does "
+                         "not stream: it holds every event until the run ends")
 
     p_rebuild = sub.add_parser("rebuild", help="replay a stored trace file")
     p_rebuild.set_defaults(run=cmd_rebuild)
@@ -198,13 +214,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p_check = sub.add_parser("check", help="faithfulness check for one program")
     p_check.set_defaults(run=cmd_check)
     p_check.add_argument("program", help="program file (.pl subset)")
-    p_check.add_argument("--max-steps", type=int, default=100_000)
+    p_check.add_argument("--max-steps", type=_at_least(0), default=100_000)
 
     p_fuzz = sub.add_parser("fuzz", help="check generated programs")
     p_fuzz.set_defaults(run=cmd_fuzz)
     p_fuzz.add_argument("--seed", type=int, default=1)
-    p_fuzz.add_argument("--count", type=int, default=100)
-    p_fuzz.add_argument("--max-steps", type=int, default=10_000)
+    p_fuzz.add_argument("--count", type=_at_least(0), default=100)
+    p_fuzz.add_argument("--max-steps", type=_at_least(0), default=10_000)
     return parser
 
 
@@ -216,7 +232,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.run(args)
-    except (OSError, ParseError) as err:
+    except (OSError, ParseError, UnicodeDecodeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

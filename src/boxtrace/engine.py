@@ -240,7 +240,7 @@ class Engine(RestrictedState):
         self._cp_order: list[int] = [ROOT] if self.clauses[ROOT] else []
 
     def _matching_clauses(self, goal: Term) -> tuple[Clause, ...]:
-        """useful_clauses over an already-instantiated goal, in source order.
+        """Clauses whose renamed head unifies with the instantiated goal, in order.
 
         Candidates come from first-argument indexing (the abstract machine's
         `switch_on_term`): a bound first argument selects the clauses whose
@@ -248,7 +248,7 @@ class Engine(RestrictedState):
         whose first head argument is a variable; an unbound first argument,
         or a goal of arity 0, takes every clause of the predicate.  Only
         clauses that cannot unify are skipped: each candidate is still
-        trial-unified, so the result is exactly useful_clauses'.
+        trial-unified, so the result equals a filter over the whole program.
         """
         predicate = self._predicates.get(functor_key(goal))
         if predicate is None:

@@ -18,7 +18,7 @@ or numbers.  A program must contain exactly one `:- goal.` directive.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .terms import Atom, Clause, Compound, Program, Term, Variable
 
@@ -26,61 +26,49 @@ from .terms import Atom, Clause, Compound, Program, Term, Variable
 class ParseError(Exception):
     def __init__(self, message: str, line: int, column: int):
         super().__init__(f"{message} (line {line}, column {column})")
+        self.message = message
         self.line = line
         self.column = column
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):  # a tuple: one is built per token read
     kind: str  # "atom" | "var" | "punct" | "end"
     text: str
     line: int
     column: int
 
 
-_IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+# One alternative per token kind, matched at the current offset: skipped
+# whitespace and comments, punctuation, variables, atoms.
+_TOKEN = re.compile(
+    r"(?P<skip>(?:\s|%[^\n]*)+)"
+    r"|(?P<punct>:-|[(),.])"
+    r"|(?P<var>[A-Z_][A-Za-z0-9_]*)"
+    r"|(?P<atom>[a-z][A-Za-z0-9_]*)"
+)
 _RENAMED = re.compile(r"^(.+)_([0-9]+)$")
 
 
 def _tokenize(text: str) -> list[_Token]:
     tokens = []
-    line, col = 1, 1
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if c.isspace():
-            i += 1
-            col += 1
-            continue
-        if c == "%":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if c == ":" and i + 1 < n and text[i + 1] == "-":
-            tokens.append(_Token("punct", ":-", line, col))
-            i += 2
-            col += 2
-            continue
-        if c in "(),.":
-            tokens.append(_Token("punct", c, line, col))
-            i += 1
-            col += 1
-            continue
-        m = _IDENT.match(text, i)
-        if m:
-            word = m.group(0)
-            kind = "var" if word[0].isupper() or word[0] == "_" else "atom"
-            tokens.append(_Token(kind, word, line, col))
-            i = m.end()
-            col += len(word)
-            continue
-        raise ParseError(f"unexpected character {c!r}", line, col)
-    tokens.append(_Token("end", "", line, col))
+    line, line_start = 1, 0  # line_start: offset of the current line's first character
+    pos, n = 0, len(text)
+    match = _TOKEN.match
+    while pos < n:
+        m = match(text, pos)
+        if m is None:
+            raise ParseError(f"unexpected character {text[pos]!r}", line, pos - line_start + 1)
+        end = m.end()
+        if m.lastgroup == "skip":
+            # Only skipped text holds newlines.
+            last = text.rfind("\n", pos, end)
+            if last >= 0:
+                line += text.count("\n", pos, end)
+                line_start = last + 1
+        else:
+            tokens.append(_Token(m.lastgroup, m.group(), line, pos - line_start + 1))
+        pos = end
+    tokens.append(_Token("end", "", line, pos - line_start + 1))
     return tokens
 
 

@@ -3,21 +3,22 @@
 A reader of the trace can recover, per event, the Dewey tree, the current
 node, the creation numbers, and the node predications — without seeing
 clauses, bindings, or the engine at all.  Nodes are named by their creation
-numbers, the trace's `node` attribute; each node's parent and index among
-its parent's children place it in the tree.  Classification of which rule
-produced an event needs one event of lookahead: the next event's node
-number r' against the current one's r decides between the paired rules
-(same node -> the fact variant, a fresh higher number -> the expanding
-variant).  The depth attribute is never consulted for replay; it is
-checked separately against the replayed tree (`Rebuilder.depth_mismatches`).
+numbers, the trace's `node` attribute.  Replay decides and applies each
+event in one switch on its port (`Rebuilder._finish_one`).  Each port has
+two rules, and one event of lookahead picks between them: a fresh, higher
+node number r' in the next event means the rule that creates box r'
+(Call2, Exit2, Redo2); the event's own number means the fact variant that
+stays on the node (Call1, Redo1), and for an Exit a lower one means going
+up (Exit1).  A Fail is always Fail2.  The depth attribute is never
+consulted for replay; it is checked separately against the replayed tree
+(`Rebuilder.depth_mismatches`).
 
-Replay state is the engine's own tree class, `RestrictedState`: per node its
-place in the tree (parent, child index) and predication, plus the current
-node.  Only the tree operations are shared (`add_child`, `prune_after`);
-which node a Redo prunes after, which number, parent and goal a new box
-gets, and which rule applied are decided here from the events alone.
-Rebuilt states match the engine's state restricted to exactly those
-parameters, step by step (`states_match`; the property the harness checks).
+Replay state is the engine's own tree class, `RestrictedState`.  Only the
+tree operations are shared (`add_child`, `prune_after`); which node a Redo
+prunes after, which number, parent and goal a new box gets, and which rule
+applied are decided here from the events alone.  Rebuilt states match the
+engine's state restricted to exactly those parameters, step by step
+(`states_match`; the property the harness checks).
 """
 
 from __future__ import annotations
@@ -52,68 +53,21 @@ def states_match(a: RestrictedState, b: RestrictedState) -> bool:
     return all(alpha_equal(a.goals[k], b.goals[k]) for k in a.goals)
 
 
-def _classify(
-    event: TraceEvent,
-    lookahead: Optional[TraceEvent],
-    current: int,
-    redo_target_known: bool,
-) -> RuleId:
-    """Which rule produced `event`, given the next event as lookahead.
-
-    At stream end: an Exit at the root and any Fail close a run legally; a
-    final Call or below-root Exit can only come from a cut-off stream and
-    classifies best-effort; a final Redo is rejected (a completed run never
-    stops on one).
-    """
-    chrono = event.chrono
-    port = event.port
-    if port is not Port.REDO and event.node != current:
-        raise CorruptTraceError(
-            f"{port.value} event names node {event.node} but the current "
-            f"node is numbered {current}",
-            chrono,
-        )
-    if port is Port.CALL:
-        if lookahead is None or lookahead.node == event.node:
-            return RuleId.CALL1
-        if lookahead.node > event.node:
-            return RuleId.CALL2
-        raise CorruptTraceError("Call followed by an older node", chrono)
-    if port is Port.EXIT:
-        if current == ROOT:
-            return RuleId.EXIT1
-        if lookahead is None or lookahead.node < event.node:
-            return RuleId.EXIT1
-        if lookahead.node > event.node:
-            return RuleId.EXIT2
-        raise CorruptTraceError("Exit below the root repeats its node number", chrono)
-    if port is Port.FAIL:
-        return RuleId.FAIL2
-    # Redo
-    if not redo_target_known:
-        raise CorruptTraceError(f"Redo names unknown node {event.node}", chrono)
-    if lookahead is None:
-        raise TraceTruncatedError("stream ends on a Redo event", chrono)
-    if lookahead.node == event.node:
-        return RuleId.REDO1
-    if lookahead.node > event.node:
-        return RuleId.REDO2
-    raise CorruptTraceError("Redo followed by an older node", chrono)
-
-
 class Rebuilder:
     """Streaming fold over an event stream with one-event lookahead.
 
     Replay starts from the root box holding `goal`, and the stream must
     begin with a Call at chrono 1.  push() buffers the newest event and
     finishes the previous one, returning its (rule, delta); finish() flushes
-    the last event once the stream ends.  `state` is the live accumulator,
-    of the engine's own tree class; copy() it to keep a snapshot.  After
-    finish(), `truncated` tells whether the stream stopped where a completed
-    run could not have, and status() how the run ended.  The depth
-    attribute plays no part in replay: `depth_mismatches` collects (chrono,
-    expected, actual) for every event whose depth disagrees with the
-    replayed tree.
+    the last event once the stream ends.  Finishing an event is one switch
+    on its port that rejects a corrupt event, picks the port's rule from the
+    next event's node number and applies that rule's visible effect.
+    `state` is the live accumulator, of the engine's own tree class; copy()
+    it to keep a snapshot.  After finish(), `truncated` tells whether the
+    stream stopped where a completed run could not have, and status() how
+    the run ended.  The depth attribute plays no part in replay:
+    `depth_mismatches` collects (chrono, expected, actual) for every event
+    whose depth disagrees with the replayed tree.
     """
 
     def __init__(self, goal: Term):
@@ -156,94 +110,81 @@ class Rebuilder:
         return out
 
     def _finish_one(
-        self, event: TraceEvent, lookahead: Optional[TraceEvent]
+        self, event: TraceEvent, nxt: Optional[TraceEvent]
     ) -> tuple[RuleId, StepDelta]:
-        rule = _classify(
-            event,
-            lookahead,
-            current=self.state.current,
-            redo_target_known=event.port is not Port.REDO
-            or event.node in self.state.goals,
-        )
-        # Classification has checked that event.node is live: the current
-        # node, or the Redo's choice point.
-        depth = self.state.depth[event.node]
+        """Classify and apply one event, given the next one (None at stream
+        end).  At stream end an Exit at the root and any Fail close a run
+        legally; a final Call or below-root Exit can only come from a cut-off
+        stream and classifies best-effort; a final Redo is rejected, since a
+        completed run never stops on one."""
+        st = self.state
+        chrono, port, v = event.chrono, event.port, event.node
+        # The subject is live: the current node, or the choice point a Redo
+        # jumps back to.
+        if port is Port.REDO:
+            if v not in st.goals:
+                raise CorruptTraceError(f"Redo names unknown node {v}", chrono)
+        elif v != st.current:
+            raise CorruptTraceError(
+                f"{port.value} event names node {v} but the current "
+                f"node is numbered {st.current}",
+                chrono,
+            )
+        depth = st.depth[v]
         if event.depth != depth:
-            self.depth_mismatches.append((event.chrono, depth, event.depth))
-        delta = self._apply(rule, event, lookahead)
+            self.depth_mismatches.append((chrono, depth, event.depth))
+
+        removed: tuple[int, ...] = ()
+        created = updated_goal = None
+        if port is Port.CALL:
+            if nxt is not None and nxt.node < v:
+                raise CorruptTraceError("Call followed by an older node", chrono)
+            if nxt is None or nxt.node == v:
+                rule = RuleId.CALL1
+            else:
+                rule, created = RuleId.CALL2, self._add_child(v, nxt, chrono)
+        elif port is Port.EXIT:
+            # Every Exit at the root goes up: the next event may be a Redo
+            # anywhere below it.
+            if v != ROOT and nxt is not None and nxt.node == v:
+                raise CorruptTraceError("Exit below the root repeats its node number", chrono)
+            st.goals[v] = event.goal
+            updated_goal = (v, event.goal)
+            if v == ROOT or nxt is None or nxt.node < v:
+                rule = RuleId.EXIT1
+                st.current = st.parent[v]
+            else:
+                # v is the last child of its parent: the new sibling follows it.
+                rule, created = RuleId.EXIT2, self._add_child(st.parent[v], nxt, chrono)
+        elif port is Port.FAIL:
+            rule = RuleId.FAIL2
+            st.current = st.parent[v]
+        else:  # Redo: back to the choice point v, dropping every node after it.
+            if nxt is None:
+                raise TraceTruncatedError("stream ends on a Redo event", chrono)
+            if nxt.node < v:
+                raise CorruptTraceError("Redo followed by an older node", chrono)
+            removed = st.prune_after(v)
+            if nxt.node == v:
+                rule = RuleId.REDO1
+                st.current = v
+            else:
+                rule, created = RuleId.REDO2, self._add_child(v, nxt, chrono)
         self.last_event = event
-        return rule, delta
+        created_goal = None if created is None else nxt.goal
+        return rule, StepDelta(st.current, removed, created, created_goal, updated_goal)
 
-    # -- state updates -------------------------------------------------------
-
-    def _add_child(
-        self, parent: int, lookahead: TraceEvent, chrono: int
-    ) -> tuple[int, int, int]:
-        """Create the lookahead's node as the next child of `parent` and make
+    def _add_child(self, parent: int, nxt: TraceEvent, chrono: int) -> tuple[int, int, int]:
+        """Create the next event's node as the next child of `parent` and make
         it current; returns the delta's (node, parent, index)."""
         st = self.state
-        v = lookahead.node
+        v = nxt.node
         if v in st.goals:
             raise CorruptTraceError(f"creation number {v} assigned twice", chrono)
         if v < st.order[-1]:
-            raise CorruptTraceError(
-                f"creation number {v} is older than a live node", chrono
-            )
+            raise CorruptTraceError(f"creation number {v} is older than a live node", chrono)
         st.current = v
-        return st.add_child(v, parent, lookahead.goal)
-
-    def _apply(
-        self, rule: RuleId, event: TraceEvent, lookahead: Optional[TraceEvent]
-    ) -> StepDelta:
-        st = self.state
-        chrono = event.chrono
-        if rule is RuleId.CALL1:
-            return StepDelta(current=st.current)
-        if rule is RuleId.CALL2:
-            assert lookahead is not None
-            created = self._add_child(st.current, lookahead, chrono)
-            return StepDelta(
-                current=st.current, created=created, created_goal=lookahead.goal
-            )
-        if rule is RuleId.EXIT1:
-            u = st.current
-            st.goals[u] = event.goal
-            st.current = st.parent[u]
-            return StepDelta(current=st.current, updated_goal=(u, event.goal))
-        if rule is RuleId.EXIT2:
-            assert lookahead is not None
-            u = st.current
-            if u == ROOT:
-                raise CorruptTraceError("sibling creation at the root", chrono)
-            st.goals[u] = event.goal
-            # The current node is the last child of its parent, so the new
-            # sibling's index is u's plus one.
-            created = self._add_child(st.parent[u], lookahead, chrono)
-            return StepDelta(
-                current=st.current,
-                created=created,
-                created_goal=lookahead.goal,
-                updated_goal=(u, event.goal),
-            )
-        if rule is RuleId.FAIL2:
-            st.current = st.parent[st.current]
-            return StepDelta(current=st.current)
-        if rule is RuleId.REDO1:
-            removed = st.prune_after(event.node)
-            st.current = event.node
-            return StepDelta(current=st.current, removed=removed)
-        if rule is RuleId.REDO2:
-            assert lookahead is not None
-            v = event.node
-            removed = st.prune_after(v)
-            created = self._add_child(v, lookahead, chrono)
-            return StepDelta(
-                current=st.current,
-                removed=removed,
-                created=created,
-                created_goal=lookahead.goal,
-            )
-        raise CorruptTraceError(f"unhandled rule {rule!r}", chrono)
+        return st.add_child(v, parent, nxt.goal)
 
     # -- derived status ------------------------------------------------------
 

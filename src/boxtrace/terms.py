@@ -186,34 +186,6 @@ def instantiate(term: Term, s: Subst, memo: dict[Variable, Term]) -> Term:
     return results[0]
 
 
-def match(pattern: Term, t: Term, s: Optional[Subst] = None) -> Optional[Subst]:
-    """One-way matching: bind only variables of `pattern` so it equals t."""
-    out = dict(s) if s else {}
-    stack = [(pattern, t)]
-    while stack:
-        a, b = stack.pop()
-        a = walk(a, out)
-        if isinstance(a, Variable):
-            out[a] = b
-        elif isinstance(a, Atom):
-            if not (isinstance(b, Atom) and b.name == a.name):
-                return None
-        else:
-            if (
-                not isinstance(b, Compound)
-                or b.functor != a.functor
-                or len(b.args) != len(a.args)
-            ):
-                return None
-            stack.extend(zip(a.args, b.args))
-    return out
-
-
-def is_instance_of(t: Term, pattern: Term) -> bool:
-    """True iff t equals pattern under some substitution of pattern's vars."""
-    return match(pattern, t) is not None
-
-
 def alpha_equal(t1: Term, t2: Term) -> bool:
     """Structural equality up to a consistent bijective renaming of variables."""
     fwd: dict[Variable, Variable] = {}
@@ -319,21 +291,6 @@ def trial_heads(program: Program) -> list[Term]:
     """Heads of all clauses renamed into the reserved trial namespace,
     for reuse across many filtering calls."""
     return [rename_term(c.head, TRIAL_INDEX) for c in program.clauses]
-
-
-def useful_clauses(goal: Term, program: Program, s: Subst) -> list[Clause]:
-    """Clauses whose renamed-apart head unifies with the instantiated goal.
-
-    Source order is preserved.  The trial renaming and trial substitution
-    are throwaway: callers re-unify when they actually consume a clause.
-    An empty result marks a goal no clause can solve.
-    """
-    target = apply_subst(goal, s)
-    return [
-        clause
-        for clause, head in zip(program.clauses, trial_heads(program))
-        if unify(target, head, {}) is not None
-    ]
 
 
 def render_term(t: Term) -> str:

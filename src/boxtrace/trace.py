@@ -87,23 +87,30 @@ def render_event(e: TraceEvent) -> str:
     return f"{e.chrono} {e.node} {e.depth} {e.port.value} {render_term(e.goal)}"
 
 
-def parse_event(line: str) -> TraceEvent:
-    fields = line.split()
-    if len(fields) != 5:
-        raise ParseError(f"expected 5 fields, found {len(fields)}", 1, 1)
-    raw_chrono, raw_node, raw_depth, raw_port, raw_goal = fields
+def _event(line: str, chrono, node, depth, port, goal) -> TraceEvent:
+    """One event from its five fields, as text or as JSON values: the one
+    validator of both trace forms.  `line` is the raw line, for messages."""
     try:
-        chrono, node, depth = int(raw_chrono), int(raw_node), int(raw_depth)
+        # Through str, so that a JSON float or boolean is no integer either.
+        chrono, node, depth = int(str(chrono)), int(str(node)), int(str(depth))
     except ValueError:
         raise ParseError(f"non-integer event field in {line!r}", 1, 1) from None
     if chrono < 1 or node < 1 or depth < 1:
         raise ParseError(f"event fields must be positive in {line!r}", 1, 1)
     try:
-        port = Port(raw_port)
+        port = Port(port)
     except ValueError:
-        raise ParseError(f"unknown port {raw_port!r}", 1, 1) from None
-    goal = parse_term_text(raw_goal, decode_renamed=True)
-    return TraceEvent(chrono, node, depth, port, goal)
+        raise ParseError(f"unknown port {port!r}", 1, 1) from None
+    if not isinstance(goal, str):
+        raise ParseError(f"goal is not term text in {line!r}", 1, 1)
+    return TraceEvent(chrono, node, depth, port, parse_term_text(goal, decode_renamed=True))
+
+
+def parse_event(line: str) -> TraceEvent:
+    fields = line.split()
+    if len(fields) != 5:
+        raise ParseError(f"expected 5 fields, found {len(fields)}", 1, 1)
+    return _event(line, *fields)
 
 
 def render_events_pretty(events: Iterable[TraceEvent]) -> list[str]:
@@ -136,23 +143,10 @@ def event_to_json(e: TraceEvent) -> str:
 def event_from_json(line: str) -> TraceEvent:
     try:
         obj = json.loads(line)
-        chrono, node, depth = int(obj["chrono"]), int(obj["node"]), int(obj["depth"])
-        raw_port, raw_goal = obj["port"], obj["goal"]
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError):
+        fields = [obj[key] for key in ("chrono", "node", "depth", "port", "goal")]
+    except (json.JSONDecodeError, KeyError, TypeError):
         raise ParseError(f"malformed JSON event {line!r}", 1, 1) from None
-    try:
-        port = Port(raw_port)
-    except ValueError:
-        raise ParseError(f"unknown port {raw_port!r}", 1, 1) from None
-    return TraceEvent(chrono, node, depth, port, parse_term_text(raw_goal, decode_renamed=True))
-
-
-def write_trace_text(events: Iterable[TraceEvent], pretty: bool = False) -> str:
-    if pretty:
-        lines = render_events_pretty(events)
-    else:
-        lines = [render_event(e) for e in events]
-    return "\n".join(lines) + ("\n" if lines else "")
+    return _event(line, *fields)
 
 
 def parse_trace_text(lines: str | Iterable[str], fmt: str = "text") -> Iterator[TraceEvent]:
@@ -169,22 +163,5 @@ def parse_trace_text(lines: str | Iterable[str], fmt: str = "text") -> Iterator[
         try:
             event = parse(line)
         except ParseError as err:
-            raise ParseError(f"bad trace line: {err}", lineno, 1) from None
+            raise ParseError(f"bad trace line: {err.message}", lineno, 1) from None
         yield event
-
-
-def events_alpha_equal(a: Iterable[TraceEvent], b: Iterable[TraceEvent]) -> bool:
-    """Event-stream equality with goals compared up to variable renaming."""
-    from .terms import alpha_equal
-
-    xs, ys = list(a), list(b)
-    if len(xs) != len(ys):
-        return False
-    return all(
-        x.chrono == y.chrono
-        and x.node == y.node
-        and x.depth == y.depth
-        and x.port == y.port
-        and alpha_equal(x.goal, y.goal)
-        for x, y in zip(xs, ys)
-    )

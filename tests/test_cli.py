@@ -188,11 +188,28 @@ def test_rebuild_reads_stdin(choice_file, tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().out == from_file
 
 
-def test_rebuild_bad_line_exits_2_with_its_number(tmp_path, capsys):
+def _event_line(fmt: str, chrono, node, depth, port, goal) -> str:
+    if fmt == "text":
+        return f"{chrono} {node} {depth} {port} {goal}"
+    return json.dumps({"chrono": chrono, "node": node, "depth": depth, "port": port, "goal": goal})
+
+
+@pytest.mark.parametrize("fmt", ["text", "jsonl"])
+def test_rebuild_bad_line_exits_2_with_its_number(tmp_path, capsys, fmt):
     trace_file = tmp_path / "bad.trace"
-    trace_file.write_text("1 1 1 Call p(X)\n\n2 1 1 Jump p(a)\n")
-    assert main(["rebuild", str(trace_file)]) == 2
-    assert "(line 3, column 1)" in capsys.readouterr().err
+    good = _event_line(fmt, 1, 1, 1, "Call", "p(X)")
+    for bad, why in [
+        ((2, 1, 1, "Jump", "p(a)"), "unknown port 'Jump'"),
+        ((2, 1, -4, "Exit", "p(a)"), "event fields must be positive"),
+        ((2, -7, 1, "Exit", "p(a)"), "event fields must be positive"),
+        ((2, 1, 1, "Exit", "p(a"), "expected ')', found end of input"),
+    ]:
+        trace_file.write_text(f"{good}\n\n{_event_line(fmt, *bad)}\n")
+        assert main(["rebuild", str(trace_file), "--format", fmt]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad trace line: ") and why in err
+        # The trace line is named once, by its number in the file.
+        assert err.count("(line ") == 1 and err.endswith("(line 3, column 1)\n")
 
 
 def _rebuild_peak(path: str) -> int:
@@ -220,3 +237,32 @@ def test_rebuild_streams_in_constant_memory(tmp_path):
     _rebuild_peak(paths[0])  # warm-up: first-use allocations are not replay's
     short, long = _rebuild_peak(paths[0]), _rebuild_peak(paths[1])
     assert long <= 1.3 * short, (short, long)
+
+
+@pytest.mark.parametrize("command", ["trace", "check", "rebuild"])
+def test_input_not_utf8_exits_2(tmp_path, capsys, command):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes("p(café).\n:- p(X).\n".encode("latin-1"))
+    assert main([command, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["trace", "--max-steps", "-1"],
+        ["check", "--max-steps", "-1"],
+        ["fuzz", "--max-steps", "-1"],
+        ["fuzz", "--count", "-3"],
+        ["trace", "--max-solutions", "0"],
+    ],
+    ids=" ".join,
+)
+def test_out_of_range_counts_are_usage_errors(choice_file, capsys, argv):
+    if argv[0] != "fuzz":
+        argv = [argv[0], choice_file, *argv[1:]]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument {argv[-2]}: " in captured.err

@@ -18,9 +18,9 @@ from boxtrace import (
     path_of,
     render_term,
     stream_events,
-    useful_clauses,
 )
 from boxtrace.terms import functor_key
+from tests.references import useful_clauses
 from tests.snapshots import dewey, record
 
 X = Variable("X")

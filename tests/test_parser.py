@@ -105,3 +105,21 @@ def test_deep_term_round_trip():
     assert alpha_equal(back, term)
     with pytest.raises(ParseError, match="column"):
         parse_term_text(text[:-1])
+
+
+@pytest.mark.parametrize(
+    "text, message, line, column",
+    [
+        ("p(a).\n\t? :- p(a).\n", "unexpected character '?'", 2, 2),
+        ("p(1a).\n:- p(a).\n", "unexpected character '1'", 1, 3),
+        ("p(a.\n:- p(a).\n", "expected ')', found '.'", 1, 4),
+        ("p(a).\n:- p(a)", "expected '.', found end of input", 2, 8),
+        # End of input is reported where the text ends, past a trailing comment.
+        ("p(a).\n% no goal", "missing goal directive", 2, 10),
+    ],
+)
+def test_parse_error_position(text, message, line, column):
+    with pytest.raises(ParseError) as err:
+        parse_program(text)
+    assert (err.value.line, err.value.column) == (line, column)
+    assert str(err.value) == f"{message} (line {line}, column {column})"

@@ -294,6 +294,74 @@ def test_exit_below_root_repeating_its_node_rejected():
         replay(events, g)
 
 
+def _stream(*events):
+    """TraceEvents over the goal g from (node, port) pairs, chronos from 1."""
+    return [
+        TraceEvent(chrono, node, 1, Port(port), Atom("g"))
+        for chrono, (node, port) in enumerate(events, start=1)
+    ]
+
+
+@pytest.mark.parametrize(
+    "events, error, message, chrono",
+    [
+        (
+            _stream((1, "Call"), (2, "Call"), (2, "Fail"), (2, "Fail")),
+            CorruptTraceError,
+            "Fail event names node 2 but the current node is numbered 1",
+            4,
+        ),
+        (
+            _stream((1, "Call"), (2, "Call"), (1, "Call")),
+            CorruptTraceError,
+            "Call followed by an older node",
+            2,
+        ),
+        (
+            _stream((1, "Call"), (2, "Call"), (2, "Exit"), (1, "Exit"), (2, "Redo"), (1, "Call")),
+            CorruptTraceError,
+            "Redo followed by an older node",
+            5,
+        ),
+        (
+            _stream((1, "Call"), (2, "Call"), (2, "Exit"), (2, "Exit")),
+            CorruptTraceError,
+            "Exit below the root repeats its node number",
+            3,
+        ),
+        (
+            _stream((1, "Call"), (1, "Fail"), (7, "Redo"), (7, "Exit")),
+            CorruptTraceError,
+            "Redo names unknown node 7",
+            3,
+        ),
+        (
+            _stream((1, "Call"), (1, "Fail"), (1, "Redo")),
+            TraceTruncatedError,
+            "stream ends on a Redo event",
+            3,
+        ),
+        (
+            _stream((1, "Call"), (2, "Call"), (3, "Call"), (3, "Exit"), (2, "Exit"), (3, "Call")),
+            CorruptTraceError,
+            "creation number 3 assigned twice",
+            5,
+        ),
+        (
+            _stream((1, "Call"), (2, "Call"), (4, "Call"), (4, "Exit"), (2, "Exit"), (3, "Call")),
+            CorruptTraceError,
+            "creation number 3 is older than a live node",
+            5,
+        ),
+    ],
+)
+def test_rejection_message_and_chrono(events, error, message, chrono):
+    with pytest.raises(CorruptTraceError) as err:
+        replay(events, Atom("g"))
+    assert type(err.value) is error
+    assert (str(err.value), err.value.chrono) == (f"{message} (chrono {chrono})", chrono)
+
+
 # -- the depth attribute is redundant ---------------------------------------------------
 
 

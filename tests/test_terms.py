@@ -8,14 +8,13 @@ from boxtrace import (
     Variable,
     alpha_equal,
     apply_subst,
-    is_instance_of,
     parse_program,
     render_term,
     rename_apart,
     unify,
-    useful_clauses,
 )
 from boxtrace.terms import rename_term, unify_into
+from tests.references import is_instance_of, useful_clauses
 
 X, Y, Z = Variable("X"), Variable("Y"), Variable("Z")
 a, b = Atom("a"), Atom("b")

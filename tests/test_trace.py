@@ -1,3 +1,5 @@
+import json
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -13,18 +15,16 @@ from boxtrace import (
     alpha_equal,
     event_from_json,
     event_to_json,
-    events_alpha_equal,
-    is_instance_of,
     parse_event,
     parse_program,
     path_of,
     parse_trace_text,
     render_event,
     stream_events,
-    write_trace_text,
 )
 from boxtrace.trace import render_events_pretty
 from tests.conftest import events_of
+from tests.references import events_alpha_equal, is_instance_of, write_trace_text
 from tests.snapshots import event_of, node_depth, record, reference_events
 
 # The reference event table for the running example (variables compared up
@@ -159,15 +159,39 @@ def test_parse_event_round_trip():
     assert render_event(parse_event(line)) == line
 
 
-def test_parse_event_errors():
-    with pytest.raises(ParseError, match="unknown port"):
-        parse_event("1 1 1 Jump x")
-    with pytest.raises(ParseError, match="5 fields"):
-        parse_event("1 1 Call x")
-    with pytest.raises(ParseError, match="non-integer"):
-        parse_event("one 1 1 Call x")
-    with pytest.raises(ParseError, match="positive"):
-        parse_event("0 1 1 Call x")
+# Each bad event in both forms, as (chrono, node, depth, port, goal), with
+# the error it must raise; the text and JSON-lines forms share one validator.
+BAD_EVENTS = [
+    (("1", "1", "1", "Jump", "x"), "unknown port"),
+    (("one", "1", "1", "Call", "x"), "non-integer"),
+    (("0", "1", "1", "Call", "x"), "positive"),
+    (("1", "-7", "1", "Call", "x"), "positive"),
+    (("1", "1", "-4", "Call", "x"), "positive"),
+    (("1", "1", "1", "Call", "p(x"), "expected"),
+]
+
+
+def _json_event(chrono, node, depth, port, goal):
+    keys = ("chrono", "node", "depth", "port", "goal")
+    values = [int(v) if v.lstrip("-").isdigit() else v for v in (chrono, node, depth)]
+    return json.dumps(dict(zip(keys, [*values, port, goal])))
+
+
+@pytest.mark.parametrize(
+    "parse, form, wrong_shape",
+    [
+        (parse_event, " ".join, ("1 1 Call x", "5 fields")),
+        (event_from_json, lambda fields: _json_event(*fields), ('{"chrono": 1}', "malformed")),
+    ],
+    ids=["text", "jsonl"],
+)
+def test_parse_event_errors(parse, form, wrong_shape):
+    line, message = wrong_shape
+    with pytest.raises(ParseError, match=message):
+        parse(line)
+    for fields, message in BAD_EVENTS:
+        with pytest.raises(ParseError, match=message):
+            parse(form(fields))
 
 
 def test_parse_accepts_any_whitespace_runs():
@@ -200,6 +224,16 @@ def test_jsonl_round_trip(choice_program):
 def test_bad_jsonl():
     with pytest.raises(ParseError):
         event_from_json('{"chrono": 1}')
+    # JSON values the text form cannot spell are rejected too.
+    good = {"chrono": 1, "node": 1, "depth": 1, "port": "Call", "goal": "g"}
+    for key, value, message in [
+        ("goal", 5, "goal is not term text"),
+        ("depth", 2.5, "non-integer"),
+        ("node", True, "non-integer"),
+        ("chrono", None, "non-integer"),
+    ]:
+        with pytest.raises(ParseError, match=message):
+            event_from_json(json.dumps({**good, key: value}))
 
 
 # -- event round-trip property ----------------------------------------------------
