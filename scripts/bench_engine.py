@@ -1,13 +1,17 @@
 #!/usr/bin/env python3
 """Step-rate smoke benchmark.
 
-Three workload shapes:
+Four workload shapes:
   * bounded-depth combinatorial backtracking (choice-point churn) --
     the shape that accidental quadratic tree bookkeeping would wreck;
   * a deep enumerator (tree depth grows with every solution);
   * runaway recursion, one box deeper per step, reported in depth bands:
     the step rate over the 1,000 steps that end at depth 1k, 10k and 40k.
-    Cost per step should not grow with depth, so the bands should agree.
+    Cost per step should not grow with depth, so the bands should agree;
+  * a fact table `p(c0). ... p(cK). :- p(X).` run to the end at 5k, 10k,
+    20k and 40k facts: one Redo per fact, all through one box.  Cost per
+    step should not grow with the number of clauses, so the bands should
+    agree too.
 
 Each line is the median of RUNS fresh runs, with their min-max: single
 runs on a small shared machine can differ by 2x.  The advisory floor is
@@ -46,7 +50,12 @@ loop.
 """
 DEPTH_BANDS = (1_000, 10_000, 40_000)
 BAND_WIDTH = 1_000
+FACT_TABLE_SIZES = (5_000, 10_000, 20_000, 40_000)
 RUNS = 5
+
+
+def fact_table(size: int) -> str:
+    return "".join(f"p(c{i}).\n" for i in range(size)) + ":- p(X).\n"
 
 
 def rate(text: str, cap: int) -> tuple[int, float]:
@@ -92,6 +101,12 @@ def main() -> int:
     bands = [depth_bands(RUNAWAY) for _ in range(RUNS)]
     for i, depth in enumerate(DEPTH_BANDS):
         print(f"runaway at depth {depth:>6,} : {spread([run[i][1] for run in bands])}")
+
+    for size in FACT_TABLE_SIZES:
+        # Two steps per fact (Exit1, then Redo1), so the cap is never hit.
+        runs = [rate(fact_table(size), 2 * size + 2) for _ in range(RUNS)]
+        rates = [per_sec for _, per_sec in runs]
+        print(f"fact table of {size:>6,} : {runs[0][0]:>7} steps {spread(rates)}")
     return 0
 
 

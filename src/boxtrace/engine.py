@@ -9,7 +9,8 @@ current node, is `RestrictedState`: the part of the state the trace shows.
 `Engine` extends it with the hidden parameters, and replay (rebuild.py)
 holds one built from the events alone, so both sides grow and prune the
 tree with the same code.  Each node is a box holding the called
-predication and its not-yet-tried clauses.  Exactly one of seven transition
+predication and its not-yet-tried clauses (the clauses matching the call,
+kept whole, past a per-node position).  Exactly one of seven transition
 rules applies at every non-terminal state:
 
     Call1  enter a leaf whose next clause is a fact (or that has no clause
@@ -32,8 +33,7 @@ restores the bindings it started from.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .terms import (
     Clause,
@@ -110,8 +110,7 @@ def _clause_index(program: Program):
     return index
 
 
-@dataclass(frozen=True)
-class StepDelta:
+class StepDelta(NamedTuple):
     """What one step changed in the visible tree-shaped state.
 
     `removed` lists discarded nodes in creation order, `created` a new node
@@ -212,9 +211,12 @@ class Engine(RestrictedState):
         self._predicates = _clause_index(program)
         goal = program.goal
         self.last_number = 1
+        # A node's matching clauses, kept whole; the untried ones are
+        # clauses[v][next_clause[v]:], so consuming one is O(1).
         self.clauses: dict[int, tuple[Clause, ...]] = {
             ROOT: self._matching_clauses(goal)
         }
+        self.next_clause: dict[int, int] = {ROOT: 0}
         self.fresh: dict[int, bool] = {ROOT: True}
         self.done = False
         self.failing = False
@@ -323,7 +325,9 @@ class Engine(RestrictedState):
         fresh = self.fresh[u]
         leaf = self.child_count[u] == 0
         cl = self.clauses[u]
-        fact_next = bool(cl) and not cl[0].body
+        k = self.next_clause[u]
+        untried = k < len(cl)
+        fact_next = untried and not cl[k].body
         done, failing = self.done, self.failing
         # A leaf solved its call iff it consumed a clause (consumption only
         # happens after its head unified); a non-leaf is only ever current
@@ -331,7 +335,7 @@ class Engine(RestrictedState):
         # its subtree a finished proof.  A leaf that never consumed and has
         # no clause is the box nothing can serve: the failure origin.
         consumed = u in self.active_clause
-        failed_leaf = leaf and not cl and not consumed
+        failed_leaf = leaf and not untried and not consumed
         # hcp only decides the Fail2 and Redo guards, whose other conjuncts
         # are known first; skipping it elsewhere changes no guard's truth.
         if not fresh and (failed_leaf or failing or done):
@@ -342,9 +346,9 @@ class Engine(RestrictedState):
         applicable = []
         # The empty-clause alternative on Call1 is the degenerate call of a
         # box no clause can serve; it is immediately followed by Fail2.
-        if fresh and leaf and not done and (fact_next or not cl):
+        if fresh and leaf and not done and (fact_next or not untried):
             applicable.append(RuleId.CALL1)
-        if fresh and leaf and not done and cl and not fact_next:
+        if fresh and leaf and not done and untried and not fact_next:
             applicable.append(RuleId.CALL2)
         if not fresh and not done and not failing and (consumed if leaf else True):
             if self.has_next_body_goal(u):
@@ -355,8 +359,7 @@ class Engine(RestrictedState):
             applicable.append(RuleId.FAIL2)
         if not fresh and hcp and (failing or done):
             target = self._cp_order[-1]
-            target_cl = self.clauses[target]
-            if not target_cl[0].body:
+            if not self.clauses[target][self.next_clause[target]].body:
                 applicable.append(RuleId.REDO1)
             else:
                 applicable.append(RuleId.REDO2)
@@ -374,14 +377,15 @@ class Engine(RestrictedState):
     # -- state updates ------------------------------------------------------
 
     def _consume_clause(self, v: int) -> Clause:
-        """Pop the next untried clause at v and unify its renamed head with
+        """Take the next untried clause at v and unify its renamed head with
         v's call predication.  Filtering guarantees this cannot fail."""
         cl = self.clauses[v]
-        if not cl:
+        k = self.next_clause[v]
+        if k >= len(cl):
             raise EngineError(f"no clause left to consume at node {v}")
-        head_clause, rest = cl[0], cl[1:]
-        self.clauses[v] = rest
-        if not rest:
+        head_clause = cl[k]
+        self.next_clause[v] = k + 1
+        if k + 1 == len(cl):
             # Consumption happens at the newest box or at the greatest
             # choice point, both of which sit at the end of the order.
             if not self._cp_order or self._cp_order[-1] != v:
@@ -409,6 +413,7 @@ class Engine(RestrictedState):
         self.call_goal[v] = goal
         cl = self._matching_clauses(goal)
         self.clauses[v] = cl
+        self.next_clause[v] = 0
         if cl:
             self._cp_order.append(v)
         self.fresh[v] = True
@@ -423,6 +428,7 @@ class Engine(RestrictedState):
             self._cp_order.pop()
         for y in removed:
             del self.clauses[y]
+            del self.next_clause[y]
             del self.fresh[y]
             del self.call_goal[y]
             self.active_clause.pop(y, None)
@@ -440,7 +446,7 @@ class Engine(RestrictedState):
         u = self.current
         self.chrono += 1
         if rule is RuleId.CALL1:
-            if self.clauses[u]:
+            if self.next_clause[u] < len(self.clauses[u]):
                 self._consume_clause(u)
             self.fresh[u] = False
             self.failing = False

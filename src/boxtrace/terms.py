@@ -6,6 +6,13 @@ is reserved for variables as written in source text; renamed-apart clause
 instances use indexes >= 1, so instances of the same clause never share
 variables.
 
+Terms are tuples (`Variable` is (name, index), `Atom` is (name,),
+`Compound` is (functor, args, ground)), immutable by construction: ground
+subterms are shared between terms and `instantiate` keeps unchanged
+subtrees, which is sound only because no term is ever changed after it is
+built.  Terms of different classes never compare equal (their lengths
+differ), but a term does compare equal to the plain tuple of its fields.
+
 Substitutions are plain dicts from Variable to Term.  `unify_into` binds
 in place and records each binding on a trail, so callers undo back to a
 mark; `unify` returns an extended copy and leaves its input as it was.
@@ -13,44 +20,75 @@ mark; `unify` returns an extended copy and leaves its input as it was.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from operator import itemgetter
 from typing import Optional, Union
 
 
-@dataclass(frozen=True)
-class Variable:
-    name: str
-    index: int = 0
+class Variable(tuple):
+    """(name, rename index)."""
+
+    __slots__ = ()
+
+    def __new__(cls, name: str, index: int = 0):
+        return tuple.__new__(cls, (name, index))
+
+    def __getnewargs__(self):
+        return tuple(self)
+
+    def __repr__(self):
+        return f"Variable(name={self[0]!r}, index={self[1]!r})"
+
+    name = property(itemgetter(0))
+    index = property(itemgetter(1))
 
 
-@dataclass(frozen=True)
-class Atom:
-    name: str
+class Atom(tuple):
+    """(name,)."""
+
+    __slots__ = ()
+
+    def __new__(cls, name: str):
+        return tuple.__new__(cls, (name,))
+
+    def __getnewargs__(self):
+        return tuple(self)
+
+    def __repr__(self):
+        return f"Atom(name={self[0]!r})"
+
+    name = property(itemgetter(0))
 
 
-@dataclass(frozen=True)
-class Compound:
-    functor: str
-    args: tuple["Term", ...]
-    # Cached groundness lets instantiate skip whole subtrees in O(1).
-    ground: bool = field(init=False, compare=False, repr=False)
+class Compound(tuple):
+    """(functor, args, ground).  `ground` is derived from the args and
+    cached, so instantiate and rename skip whole ground subtrees in O(1)."""
 
-    def __post_init__(self):
-        if len(self.args) < 1:
+    __slots__ = ()
+
+    def __new__(cls, functor: str, args: tuple["Term", ...]):
+        if len(args) < 1:
             raise ValueError("compound terms need at least one argument")
-        object.__setattr__(self, "ground", all(is_ground(a) for a in self.args))
+        ground = True
+        for a in args:
+            if a.__class__ is Variable or (a.__class__ is Compound and not a[2]):
+                ground = False
+                break
+        return tuple.__new__(cls, (functor, args, ground))
+
+    def __getnewargs__(self):
+        return self[:2]
+
+    def __repr__(self):
+        return f"Compound(functor={self[0]!r}, args={self[1]!r})"
+
+    functor = property(itemgetter(0))
+    args = property(itemgetter(1))
+    ground = property(itemgetter(2))
 
 
 Term = Union[Variable, Atom, Compound]
 Subst = dict[Variable, Term]
-
-
-def is_ground(t: Term) -> bool:
-    if isinstance(t, Variable):
-        return False
-    if isinstance(t, Atom):
-        return True
-    return t.ground
 
 
 def walk(t: Term, s: Subst) -> Term:

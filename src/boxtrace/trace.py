@@ -17,8 +17,7 @@ from __future__ import annotations
 
 import enum
 import json
-from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .engine import REDO_RULES, Engine, RuleId, StepDelta
 from .parser import ParseError, parse_term_text
@@ -43,8 +42,7 @@ _PORT_OF_RULE = {
 }
 
 
-@dataclass(frozen=True)
-class TraceEvent:
+class TraceEvent(NamedTuple):
     chrono: int
     node: int
     depth: int

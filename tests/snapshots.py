@@ -63,7 +63,7 @@ def snapshot(eng: Engine) -> Snapshot:
     return Snapshot(
         frozenset(numbers), paths[eng.current], eng.last_number, numbers,
         {paths[v]: g for v, g in eng.goals.items()},
-        {paths[v]: cl for v, cl in eng.clauses.items()},
+        {paths[v]: cl[eng.next_clause[v]:] for v, cl in eng.clauses.items()},
         {paths[v]: f for v, f in eng.fresh.items()},
         eng.done, eng.failing,
     )

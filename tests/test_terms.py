@@ -1,8 +1,15 @@
+import copy
+import pickle
+
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from boxtrace import (
     Atom,
+    Port,
+    StepDelta,
+    TraceEvent,
     Clause,
     Compound,
     Variable,
@@ -221,3 +228,100 @@ def test_useful_clauses_is_subsequence(goal):
     indices = [cl.source_index for cl in kept]
     assert indices == sorted(indices)
     assert all(program.clauses[i] is kept[k] for k, i in enumerate(indices))
+
+
+# -- value semantics: what the frozen dataclasses guaranteed ------------------
+
+EVENT = TraceEvent(1, 2, 3, Port.CALL, c("p", X))
+DELTA = StepDelta(2, (3,), (4, 1, 1), a, (1, b))
+
+
+@pytest.mark.parametrize(
+    "value, fields",
+    [
+        (Variable("X", 1), ("name", "index")),
+        (a, ("name",)),
+        (c("f", X), ("functor", "args", "ground")),
+        (EVENT, ("chrono", "node", "depth", "port", "goal")),
+        (DELTA, ("current", "removed", "created", "created_goal", "updated_goal")),
+    ],
+    ids=["Variable", "Atom", "Compound", "TraceEvent", "StepDelta"],
+)
+def test_no_field_can_be_assigned(value, fields):
+    # Terms share structure (ground subterms, subtrees instantiate kept), so
+    # one assignment would change every term holding the value.
+    for name in fields:
+        with pytest.raises(AttributeError):
+            setattr(value, name, getattr(value, name))
+    with pytest.raises(AttributeError):
+        value.extra = 1
+
+
+def test_terms_of_different_classes_never_compare_equal():
+    assert Atom("a") != Variable("a")
+    assert Variable("X", 1) != Variable("X", 0)
+    assert c("a", X) != Atom("a") and c("X", a) != Variable("X")
+    for t, same in [
+        (Variable("X", 3), Variable("X", 3)),
+        (Atom("a"), Atom("a")),
+        (c("f", X, c("g", a)), c("f", Variable("X"), c("g", Atom("a")))),
+    ]:
+        assert t == same and hash(t) == hash(same)
+
+
+def test_compound_needs_an_argument():
+    with pytest.raises(ValueError):
+        Compound("f", ())
+
+
+def test_repr_keeps_the_dataclass_form():
+    assert repr(c("f", Variable("X", 2), a)) == (
+        "Compound(functor='f', args=(Variable(name='X', index=2), Atom(name='a')))"
+    )
+    assert repr(EVENT) == (
+        "TraceEvent(chrono=1, node=2, depth=3, port=<Port.CALL: 'Call'>, "
+        "goal=Compound(functor='p', args=(Variable(name='X', index=0),)))"
+    )
+    assert repr(StepDelta(5)) == (
+        "StepDelta(current=5, removed=(), created=None, created_goal=None, "
+        "updated_goal=None)"
+    )
+
+
+def test_events_and_deltas_keep_their_fields_and_defaults():
+    assert TraceEvent._fields == ("chrono", "node", "depth", "port", "goal")
+    assert StepDelta._fields == ("current", "removed", "created", "created_goal", "updated_goal")
+    assert StepDelta(7) == StepDelta(current=7, removed=(), created=None)
+    assert (EVENT.node, EVENT.goal, DELTA.created, DELTA.updated_goal) == (
+        2, c("p", X), (4, 1, 1), (1, b)
+    )
+
+
+def test_a_value_equals_its_plain_tuple():
+    # Tuple-backed: no code may compare a term, event or delta with a plain
+    # tuple and expect inequality.
+    assert X == ("X", 0) and a == ("a",) and c("f", a) == ("f", (a,), True)
+    assert EVENT == (1, 2, 3, Port.CALL, c("p", X))
+    assert StepDelta(2) == (2, (), None, None, None)
+
+
+@given(terms())
+def test_copies_keep_class_and_value(t):
+    for copied in (copy.deepcopy(t), pickle.loads(pickle.dumps(t))):
+        assert copied == t and copied.__class__ is t.__class__
+
+
+def _ground(t) -> bool:
+    """Recursive reference for the cached flag; checks every subterm's flag."""
+    if isinstance(t, Variable):
+        return False
+    if isinstance(t, Atom):
+        return True
+    ground = all([_ground(x) for x in t.args])
+    assert t.ground == ground
+    return ground
+
+
+@given(terms())
+def test_ground_flag_matches_a_recursive_check(t):
+    _ground(t)
