@@ -40,7 +40,6 @@ from .terms import (
     render_clause,
     render_program,
     render_term,
-    rename_apart,
     unify,
 )
 from .trace import (

@@ -9,7 +9,8 @@ tables: a copy taken at chrono 1, every FULL_COMPARE_EVERY steps and at a
 capped run's last compared step, and the live engine at the end of a
 completed run.  Answers are additionally compared against
 `reference_solve`, a plain recursive resolution search that shares nothing
-with the engine beyond terms and unification.
+with the engine beyond terms, unification and `functor_key`, by which its
+own loop tries a goal only against its own predicate's clauses.
 
 `gen_program` produces small random programs in the supported subset,
 deterministically from a seed.
@@ -46,8 +47,9 @@ from .terms import (
     Variable,
     alpha_equal,
     apply_subst,
+    functor_key,
     render_program,
-    rename_apart,
+    rename_term,
     unify_into,
 )
 from .trace import TraceEvent, stream_events
@@ -80,6 +82,11 @@ def reference_solve(
     """Answers of a direct recursive search: leftmost goal, textual clause
     order, depth-first.  Deliberately not built on the engine; when a cap
     is hit the answers found so far are a lower bound only.
+
+    A clause of another predicate (by `functor_key`) is skipped unrenamed,
+    yet counts as one try and uses up its rename number, so caps and
+    variable indexes are as if every clause were tried.  A passing clause's
+    body is renamed only once its head has unified.
     """
     answers: list[Term] = []
     counters = {"steps": 0, "rename": 0}
@@ -87,6 +94,7 @@ def reference_solve(
     # bindings back to the trail mark it started from.
     s: Subst = {}
     trail: list[Variable] = []
+    keyed = [(functor_key(clause.head), clause) for clause in program.clauses]
 
     def solve(goals: tuple[Term, ...], depth: int):
         if not goals:
@@ -95,15 +103,19 @@ def reference_solve(
         if depth > max_depth:
             raise _CapExceeded
         first, rest = goals[0], goals[1:]
-        for clause in program.clauses:
+        key = functor_key(first)
+        for clause_key, clause in keyed:
             counters["steps"] += 1
             if counters["steps"] > max_steps:
                 raise _CapExceeded
             counters["rename"] += 1
-            instance = rename_apart(clause, counters["rename"])
+            if clause_key != key:
+                continue
+            n = counters["rename"]
             mark = len(trail)
-            if unify_into(first, instance.head, s, trail):
-                solve(instance.body + rest, depth + 1)
+            if unify_into(first, rename_term(clause.head, n), s, trail):
+                body = tuple(rename_term(b, n) for b in clause.body)
+                solve(body + rest, depth + 1)
                 for var in trail[mark:]:
                     del s[var]
                 del trail[mark:]

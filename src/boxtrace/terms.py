@@ -278,10 +278,10 @@ class Program:
 
 
 def rename_term(term: Term, index: int) -> Term:
-    """Copy of term with every variable's rename index set to `index`, the
-    same mapping rename_apart applies to a whole clause; ground subterms
-    are shared.  Iterative: source terms can nest deeper than the recursion
-    limit."""
+    """Copy of term with every variable's rename index set to `index`;
+    renaming a clause's head and body goals with one index keeps their
+    shared variables shared.  Ground subterms are shared.  Iterative: source
+    terms can nest deeper than the recursion limit."""
     if isinstance(term, Variable):
         return Variable(term.name, index)
     if isinstance(term, Atom) or term.ground:
@@ -304,20 +304,6 @@ def rename_term(term: Term, index: int) -> Term:
             if not stack:
                 return built
             stack[-1][1].append(built)
-
-
-def rename_apart(clause: Clause, counter: int) -> Clause:
-    """Fresh copy of a clause with every variable retagged to `counter`.
-
-    Sharing between head and body is preserved (same source name, same
-    renamed variable).  `counter` must not be in use by any live variable.
-    A ground clause is returned as-is.
-    """
-    head = rename_term(clause.head, counter)
-    body = tuple(rename_term(b, counter) for b in clause.body)
-    if head is clause.head and all(a is b for a, b in zip(body, clause.body)):
-        return clause
-    return Clause(head=head, body=body, source_index=clause.source_index)
 
 
 # Rename index reserved for throwaway filtering copies; live variables get

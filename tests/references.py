@@ -4,7 +4,10 @@ because nothing in it uses them.
 `useful_clauses` is the plain clause filter the engine's first-argument
 index must agree with; `match`/`is_instance_of` check that an Exit goal
 instantiates its Call goal; `events_alpha_equal` compares event streams up
-to variable renaming; `write_trace_text` renders a whole trace at once.
+to variable renaming; `write_trace_text` renders a whole trace at once;
+`unguarded_reference_solve` is the oracle that renames and tries every
+clause for every goal, which the head-functor guard of `reference_solve`
+must agree with exactly.
 """
 
 from __future__ import annotations
@@ -12,8 +15,66 @@ from __future__ import annotations
 from typing import Iterable, Optional
 
 from boxtrace import Clause, Program, Subst, Term, TraceEvent, alpha_equal, apply_subst, unify
-from boxtrace.terms import Atom, Compound, Variable, trial_heads, walk
+from boxtrace.harness import ORACLE_MAX_DEPTH, ORACLE_MIN_TRIES, RefResult, _CapExceeded
+from boxtrace.terms import Atom, Compound, Variable, rename_term, trial_heads, unify_into, walk
 from boxtrace.trace import render_event
+
+
+def rename_apart(clause: Clause, counter: int) -> Clause:
+    """Fresh copy of a clause with every variable retagged to `counter`.
+
+    Sharing between head and body is preserved (same source name, same
+    renamed variable).  `counter` must not be in use by any live variable.
+    A ground clause is returned as-is.
+    """
+    head = rename_term(clause.head, counter)
+    body = tuple(rename_term(b, counter) for b in clause.body)
+    if head is clause.head and all(a is b for a, b in zip(body, clause.body)):
+        return clause
+    return Clause(head=head, body=body, source_index=clause.source_index)
+
+
+def unguarded_reference_solve(
+    program: Program,
+    max_depth: int = ORACLE_MAX_DEPTH,
+    max_steps: int = ORACLE_MIN_TRIES,
+) -> RefResult:
+    """Answers of a direct recursive search: leftmost goal, textual clause
+    order, depth-first.  Deliberately not built on the engine; when a cap
+    is hit the answers found so far are a lower bound only.
+    """
+    answers: list[Term] = []
+    counters = {"steps": 0, "rename": 0}
+    # One substitution, bound in place; each clause tried undoes its
+    # bindings back to the trail mark it started from.
+    s: Subst = {}
+    trail: list[Variable] = []
+
+    def solve(goals: tuple[Term, ...], depth: int):
+        if not goals:
+            answers.append(apply_subst(program.goal, s))
+            return
+        if depth > max_depth:
+            raise _CapExceeded
+        first, rest = goals[0], goals[1:]
+        for clause in program.clauses:
+            counters["steps"] += 1
+            if counters["steps"] > max_steps:
+                raise _CapExceeded
+            counters["rename"] += 1
+            instance = rename_apart(clause, counters["rename"])
+            mark = len(trail)
+            if unify_into(first, instance.head, s, trail):
+                solve(instance.body + rest, depth + 1)
+                for var in trail[mark:]:
+                    del s[var]
+                del trail[mark:]
+
+    try:
+        solve((program.goal,), 0)
+    except _CapExceeded:
+        return RefResult(tuple(answers), capped=True)
+    return RefResult(tuple(answers), capped=False)
 
 
 def match(pattern: Term, t: Term, s: Optional[Subst] = None) -> Optional[Subst]:

@@ -22,6 +22,7 @@ from boxtrace import (
 )
 from boxtrace.harness import program_digest
 from tests.conftest import CHOICE_PROGRAM, events_of
+from tests.references import unguarded_reference_solve
 
 
 # -- reference oracle ---------------------------------------------------------
@@ -47,6 +48,29 @@ def test_reference_cap_marker():
     looping = parse_program("loop :- loop.\n:- loop.")
     ref = reference_solve(looping, max_depth=20, max_steps=1000)
     assert ref.capped
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000), st.sampled_from([0.0, 0.15]))
+def test_guarded_oracle_equals_unguarded(seed, recursion_prob):
+    # Small caps, so that both capped and completed searches occur (about
+    # one seed in five caps at recursion_prob 0.15).  Exact equality: the
+    # guard must keep every answer's variable indexes, not only its shape.
+    program = gen_program(GenParams(seed=seed, recursion_prob=recursion_prob))
+    guarded = reference_solve(program, max_depth=30, max_steps=2000)
+    assert guarded == unguarded_reference_solve(program, max_depth=30, max_steps=2000)
+
+
+def test_guarded_oracle_counts_a_skipped_clause_as_a_try():
+    # Tries: p(Y) skips q(a) (1) and takes p(X) (2); q(X) takes q(a) (3),
+    # an answer; the 4th try, p(X) against q(X), is of another predicate
+    # and exceeds the budget.  Not counting skipped clauses would finish
+    # with a second answer, p(b).
+    program = parse_program("q(a).\np(X) :- q(X).\np(b).\n:- p(Y).")
+    guarded = reference_solve(program, max_depth=30, max_steps=3)
+    assert guarded.capped
+    assert [render_term(t) for t in guarded.answers] == ["p(a)"]
+    assert guarded == unguarded_reference_solve(program, max_depth=30, max_steps=3)
 
 
 def test_multiset_alpha_equal():

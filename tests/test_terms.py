@@ -17,11 +17,10 @@ from boxtrace import (
     apply_subst,
     parse_program,
     render_term,
-    rename_apart,
     unify,
 )
 from boxtrace.terms import rename_term, unify_into
-from tests.references import is_instance_of, useful_clauses
+from tests.references import is_instance_of, rename_apart, useful_clauses
 
 X, Y, Z = Variable("X"), Variable("Y"), Variable("Z")
 a, b = Atom("a"), Atom("b")
