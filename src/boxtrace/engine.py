@@ -22,12 +22,19 @@ rules applies at every non-terminal state:
     Redo1  jump back to the latest choice point; its next clause is a fact
     Redo2  same jump, next clause is a rule; create its first body child
 
-The visible state per node is: its place in the tree, predication, untried
-clauses, and first-visit flag; plus the current node, the creation counter,
-and the global `done` and `failing` bits.  Unification lives behind
-the scenes: bindings go into one mutable store with an undo trail, and each
-clause consumption records a trail mark so a jump back to a choice point
-restores the bindings it started from.
+The visible state per node is its place in the tree, predication and
+untried clauses; plus the current node, the creation counter, the global
+`done` and `failing` bits, and the first-visit flag.  That flag is one bit,
+`fresh`: only the box the last step created can be fresh, and its next step
+is its Call.  Unification lives behind the scenes: bindings go into one
+mutable store with an undo trail.  The hidden per-node tables are four:
+`clauses` (the matching clauses), `next_clause` (the position of the next
+untried one), `call_goal` (the call-time predication) and `running` (the
+clause instance the node consumed last, with the trail mark its head was
+bound from, so a jump back to a choice point restores that node's
+bindings).  `has_choice_point(v)` is only asked of the current node or the
+root: for those, the live nodes numbered v or more are exactly v's
+subtree, so the test compares creation numbers instead of climbing it.
 """
 
 from __future__ import annotations
@@ -207,36 +214,31 @@ class Engine(RestrictedState):
 
     def __init__(self, program: Program):
         super().__init__(program.goal)
-        self.program = program
         self._predicates = _clause_index(program)
         goal = program.goal
         self.last_number = 1
         # A node's matching clauses, kept whole; the untried ones are
         # clauses[v][next_clause[v]:], so consuming one is O(1).
-        self.clauses: dict[int, tuple[Clause, ...]] = {
-            ROOT: self._matching_clauses(goal)
-        }
+        self.clauses: dict[int, tuple[Clause, ...]] = {ROOT: self._matching_clauses(goal)}
         self.next_clause: dict[int, int] = {ROOT: 0}
-        self.fresh: dict[int, bool] = {ROOT: True}
+        # The first-visit flag of the current node; no other node is fresh.
+        self.fresh = True
         self.done = False
         self.failing = False
         self.chrono = 0
         self.answers: list[Term] = []
-        # Bookkeeping hidden from the visible state: the substitution store,
-        # per-node call-time predication (never overwritten), the clause
-        # instance a node is currently running, and the trail mark each node
-        # saw just before it last consumed a clause (the undo point).
+        # The hidden store and tables (module docstring); `call_goal` is
+        # never overwritten, `running[v]` is (clause, rename instance, trail
+        # mark just before the head was bound).
         self.subst: Subst = {}
         self.trail: list[Variable] = []
-        # Expansion cache for instantiating goals; valid only while the
-        # substitution is untouched (version bumps on bind and undo).
+        # Expansion cache for instantiating goals; cleared wherever the
+        # store changes (the bind in `_consume_clause`, the undo in
+        # `_prune_after`).
         self._inst_memo: dict[Variable, Term] = {}
-        self._subst_version = 0
-        self._memo_version = -1
         self.rename_counter = 0
         self.call_goal: dict[int, Term] = {ROOT: goal}
-        self.active_clause: dict[int, tuple[Clause, int]] = {}
-        self.saved_mark: dict[int, int] = {}
+        self.running: dict[int, tuple[Clause, int, int]] = {}
         # Creation-ordered list of the live nodes with untried clauses (a
         # subsequence of `order`).
         self._cp_order: list[int] = [ROOT] if self.clauses[ROOT] else []
@@ -280,38 +282,19 @@ class Engine(RestrictedState):
         clause body, i.e. solving v must spawn a sibling."""
         if v == ROOT:
             return False
-        return self.index[v] < len(self.active_clause[self.parent[v]][0].body)
+        return self.index[v] < len(self.running[self.parent[v]][0].body)
 
     def has_choice_point(self, v: int) -> bool:
-        # The current node's subtree holds the Dewey-greatest live node, so
-        # the greatest choice point overall is in v's subtree or nowhere.
-        # Membership is checked by climbing the choice point's parent chain
-        # to v's depth (usually zero or a few hops).
-        if not self._cp_order:
-            return False
-        node = self._cp_order[-1]
-        depth, parent = self.depth, self.parent
-        k = depth[v]
-        if depth[node] < k:
-            return False
-        while depth[node] > k:
-            node = parent[node]
-        return node == v
+        """True iff v's subtree holds a node with untried clauses; v must be
+        the current node or the root.  The current node's subtree holds the
+        greatest live node and creation order is Dewey order, so the live
+        nodes numbered v or more are exactly v's subtree."""
+        return bool(self._cp_order) and self._cp_order[-1] >= v
 
     def greatest_choice_point(self, v: int) -> int:
         if not self.has_choice_point(v):
             raise EngineError(f"no choice point below node {v}")
         return self._cp_order[-1]
-
-    def instantiated_goal(self, v: int) -> Term:
-        """The node's call-time predication under the current bindings."""
-        return self._instantiate(self.call_goal[v])
-
-    def _instantiate(self, term: Term) -> Term:
-        if self._memo_version != self._subst_version:
-            self._inst_memo.clear()
-            self._memo_version = self._subst_version
-        return instantiate(term, self.subst, self._inst_memo)
 
     # -- rule selection -----------------------------------------------------
 
@@ -322,7 +305,7 @@ class Engine(RestrictedState):
         one holds; the exclusivity claim is checked on every step.
         """
         u = self.current
-        fresh = self.fresh[u]
+        fresh = self.fresh
         leaf = self.child_count[u] == 0
         cl = self.clauses[u]
         k = self.next_clause[u]
@@ -334,14 +317,9 @@ class Engine(RestrictedState):
         # under not-failing right after its last child exited, which makes
         # its subtree a finished proof.  A leaf that never consumed and has
         # no clause is the box nothing can serve: the failure origin.
-        consumed = u in self.active_clause
+        consumed = u in self.running
         failed_leaf = leaf and not untried and not consumed
-        # hcp only decides the Fail2 and Redo guards, whose other conjuncts
-        # are known first; skipping it elsewhere changes no guard's truth.
-        if not fresh and (failed_leaf or failing or done):
-            hcp = self.has_choice_point(u)
-        else:
-            hcp = False
+        hcp = self.has_choice_point(u)
 
         applicable = []
         # The empty-clause alternative on Call1 is the degenerate call of a
@@ -376,14 +354,13 @@ class Engine(RestrictedState):
 
     # -- state updates ------------------------------------------------------
 
-    def _consume_clause(self, v: int) -> Clause:
+    def _consume_clause(self, v: int) -> None:
         """Take the next untried clause at v and unify its renamed head with
         v's call predication.  Filtering guarantees this cannot fail."""
         cl = self.clauses[v]
         k = self.next_clause[v]
         if k >= len(cl):
             raise EngineError(f"no clause left to consume at node {v}")
-        head_clause = cl[k]
         self.next_clause[v] = k + 1
         if k + 1 == len(cl):
             # Consumption happens at the newest box or at the greatest
@@ -392,21 +369,20 @@ class Engine(RestrictedState):
                 raise EngineError(f"node {v} emptied but is not the last choice point")
             self._cp_order.pop()
         self.rename_counter += 1
-        head = rename_term(head_clause.head, self.rename_counter)
-        self.saved_mark[v] = len(self.trail)
-        self._subst_version += 1
+        head = rename_term(cl[k].head, self.rename_counter)
+        self.running[v] = (cl[k], self.rename_counter, len(self.trail))
+        self._inst_memo.clear()
         if not unify_into(self.call_goal[v], head, self.subst, self.trail):
             raise EngineError(f"head of a filtered clause failed to unify at node {v}")
-        self.active_clause[v] = (head_clause, self.rename_counter)
-        return head_clause
 
     def _create_child(self, parent: int) -> tuple[tuple[int, int, int], Term]:
-        """Make the next child box of `parent`: number it, call the matching
-        body goal under the current bindings, and fill it with the clauses
-        that can serve the call.  Returns (node, parent, index) and the goal."""
-        clause, instance = self.active_clause[parent]
+        """Make the next child box of `parent` and make it current: number
+        it, call the matching body goal under the current bindings, and fill
+        it with the clauses that can serve the call.  Returns (node, parent,
+        index) and the goal."""
+        clause, instance, _ = self.running[parent]
         body_goal = clause.body[self.child_count[parent]]
-        goal = self._instantiate(rename_term(body_goal, instance))
+        goal = instantiate(rename_term(body_goal, instance), self.subst, self._inst_memo)
         self.last_number += 1
         v = self.last_number
         created = self.add_child(v, parent, goal)
@@ -416,7 +392,8 @@ class Engine(RestrictedState):
         self.next_clause[v] = 0
         if cl:
             self._cp_order.append(v)
-        self.fresh[v] = True
+        self.current = v
+        self.fresh = True
         return created, goal
 
     def _prune_after(self, v: int) -> tuple[int, ...]:
@@ -429,12 +406,10 @@ class Engine(RestrictedState):
         for y in removed:
             del self.clauses[y]
             del self.next_clause[y]
-            del self.fresh[y]
             del self.call_goal[y]
-            self.active_clause.pop(y, None)
-            self.saved_mark.pop(y, None)
-        mark = self.saved_mark[v]
-        self._subst_version += 1
+            self.running.pop(y, None)
+        mark = self.running[v][2]
+        self._inst_memo.clear()
         for var in self.trail[mark:]:
             del self.subst[var]
         del self.trail[mark:]
@@ -442,72 +417,49 @@ class Engine(RestrictedState):
 
     def apply_rule(self, rule: RuleId) -> StepDelta:
         """Apply `rule` (which select_rule just returned) and report what
-        changed in the visible tree-shaped state."""
+        changed in the visible tree-shaped state: one switch over the port
+        pairs, as replay's `Rebuilder._finish_one` decides an event."""
         u = self.current
         self.chrono += 1
-        if rule is RuleId.CALL1:
-            if self.next_clause[u] < len(self.clauses[u]):
+        removed: tuple[int, ...] = ()
+        created = created_goal = updated_goal = None
+        if rule is RuleId.CALL1 or rule is RuleId.CALL2:
+            # Call1 on a box no clause can serve consumes nothing.
+            if rule is RuleId.CALL2 or self.next_clause[u] < len(self.clauses[u]):
                 self._consume_clause(u)
-            self.fresh[u] = False
-            self.failing = False
-            return StepDelta(current=u)
-        if rule is RuleId.CALL2:
-            self._consume_clause(u)
-            self.fresh[u] = False
-            self.failing = False
-            created, goal = self._create_child(u)
-            self.current = created[0]
-            return StepDelta(current=self.current, created=created, created_goal=goal)
-        if rule is RuleId.EXIT1:
-            solved = self.instantiated_goal(u)
+            self.fresh = self.failing = False
+            if rule is RuleId.CALL2:
+                created, created_goal = self._create_child(u)
+        elif rule is RuleId.EXIT1 or rule is RuleId.EXIT2:
+            solved = instantiate(self.call_goal[u], self.subst, self._inst_memo)
             self.goals[u] = solved
-            self.current = self.parent[u]
-            if u == ROOT:
-                self.done = True
-                self.answers.append(solved)
-            return StepDelta(current=self.current, updated_goal=(u, solved))
-        if rule is RuleId.EXIT2:
-            solved = self.instantiated_goal(u)
-            self.goals[u] = solved
-            created, goal = self._create_child(self.parent[u])
-            if created[2] != self.index[u] + 1:
-                raise EngineError(f"sibling mismatch: {created!r} after node {u}")
-            self.current = created[0]
-            return StepDelta(
-                current=self.current,
-                created=created,
-                created_goal=goal,
-                updated_goal=(u, solved),
-            )
-        if rule is RuleId.FAIL2:
+            updated_goal = (u, solved)
+            if rule is RuleId.EXIT1:
+                self.current = self.parent[u]
+                if u == ROOT:
+                    self.done = True
+                    self.answers.append(solved)
+            else:
+                created, created_goal = self._create_child(self.parent[u])
+                if created[2] != self.index[u] + 1:
+                    raise EngineError(f"sibling mismatch: {created!r} after node {u}")
+        elif rule is RuleId.FAIL2:
             self.current = self.parent[u]
             if u == ROOT:
                 self.done = True
             self.failing = True
-            return StepDelta(current=self.current)
-        if rule is RuleId.REDO1:
-            v = self.greatest_choice_point(u)
+        elif rule in REDO_RULES:
+            # Back to the greatest choice point, which select_rule found.
+            v = self._cp_order[-1]
             removed = self._prune_after(v)
             self._consume_clause(v)
             self.current = v
-            self.done = False
-            self.failing = False
-            return StepDelta(current=v, removed=removed)
-        if rule is RuleId.REDO2:
-            v = self.greatest_choice_point(u)
-            removed = self._prune_after(v)
-            self._consume_clause(v)
-            created, goal = self._create_child(v)
-            self.current = created[0]
-            self.done = False
-            self.failing = False
-            return StepDelta(
-                current=self.current,
-                removed=removed,
-                created=created,
-                created_goal=goal,
-            )
-        raise EngineError(f"unknown rule {rule!r}")
+            self.done = self.failing = False
+            if rule is RuleId.REDO2:
+                created, created_goal = self._create_child(v)
+        else:
+            raise EngineError(f"unknown rule {rule!r}")
+        return StepDelta(self.current, removed, created, created_goal, updated_goal)
 
     def step(self) -> Optional[tuple[RuleId, StepDelta]]:
         rule = self.select_rule()

@@ -250,9 +250,13 @@ class Divergence:
     rebuilt_state: Optional[RestrictedState] = None
 
 
+def program_digest(program: Program) -> str:
+    return hashlib.sha256(render_program(program).encode()).hexdigest()[:12]
+
+
 @dataclass
 class FaithfulnessReport:
-    program_digest: str
+    program: Program
     steps_checked: int
     verdict: str  # "pass" | "fail" | "limit-hit"
     first_divergence: Optional[Divergence] = None
@@ -262,9 +266,11 @@ class FaithfulnessReport:
     def passed(self) -> bool:
         return self.verdict == "pass"
 
-
-def program_digest(program: Program) -> str:
-    return hashlib.sha256(render_program(program).encode()).hexdigest()[:12]
+    @property
+    def program_digest(self) -> str:
+        """The module-level `program_digest` of the checked program, computed
+        when read: most reports never show it."""
+        return program_digest(self.program)
 
 
 def _deltas_match(a: StepDelta, b: StepDelta) -> bool:
@@ -321,7 +327,6 @@ def check_faithfulness(
     run's last compared step), and against the live engine at the end of a
     completed run.
     """
-    digest = program_digest(program)
     eng = Engine(program)
     run = stream_events(eng, max_steps=max_steps)
     feed = None if events is None else iter(events)
@@ -400,7 +405,7 @@ def check_faithfulness(
             if divergence is not None:
                 reb.finish()
     except (DeterminismError, EngineError) as err:
-        return FaithfulnessReport(digest, checked, "fail", detail=str(err))
+        return FaithfulnessReport(program, checked, "fail", detail=str(err))
     except (TraceTruncatedError, CorruptTraceError) as err:
         divergence = Divergence(err.chrono, f"replay rejected the stream: {err}")
 
@@ -422,7 +427,7 @@ def check_faithfulness(
 
     if divergence is not None:
         divergence.engine_state = _engine_state_at(program, divergence.chrono)
-        return FaithfulnessReport(digest, checked, "fail", first_divergence=divergence)
+        return FaithfulnessReport(program, checked, "fail", first_divergence=divergence)
 
     detail = ""
     if completed:
@@ -432,7 +437,7 @@ def check_faithfulness(
             detail = "oracle hit its cap; answers not compared"
         elif not multiset_alpha_equal(eng.answers, ref.answers):
             return FaithfulnessReport(
-                digest,
+                program,
                 checked,
                 "fail",
                 detail=(
@@ -440,7 +445,7 @@ def check_faithfulness(
                     f"{len(eng.answers)} vs oracle {len(ref.answers)}"
                 ),
             )
-        return FaithfulnessReport(digest, checked, "pass", detail=detail)
+        return FaithfulnessReport(program, checked, "pass", detail=detail)
     return FaithfulnessReport(
-        digest, checked, "limit-hit", detail="step cap hit; prefix checked only"
+        program, checked, "limit-hit", detail="step cap hit; prefix checked only"
     )

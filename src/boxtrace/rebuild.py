@@ -40,6 +40,19 @@ class TraceTruncatedError(CorruptTraceError):
     """The stream stopped where a completed run could not have."""
 
 
+# The box model's port order, as the ports the next event may have after
+# each kind of event, with the reason a message gives: the box the previous
+# event created (the root before any event: the engine's one first-visit
+# bit) is called next and no other box is; after a Fail comes a Fail or a
+# Redo; nothing comes after a Fail at the root, and only a Redo after an
+# Exit there.
+_NEW_BOX = ((Port.CALL,), "before the Call of the box the previous event created")
+_NO_NEW_BOX = ((Port.EXIT, Port.FAIL, Port.REDO), "where the previous event created no box")
+_AFTER_FAIL = ((Port.FAIL, Port.REDO), "after a Fail")
+_AFTER_ROOT_FAIL = ((), "after a Fail at the root")
+_AFTER_ROOT_EXIT = ((Port.REDO,), "after an Exit at the root")
+
+
 def states_match(a: RestrictedState, b: RestrictedState) -> bool:
     """Equality of two box trees on {tree, current, numbers, predications},
     predications compared up to renaming."""
@@ -61,7 +74,8 @@ class Rebuilder:
     finishes the previous one, returning its (rule, delta); finish() flushes
     the last event once the stream ends.  Finishing an event is one switch
     on its port that rejects a corrupt event, picks the port's rule from the
-    next event's node number and applies that rule's visible effect.
+    next event's node number and applies that rule's visible effect; then
+    the event's port is checked against the order the box model allows.
     `state` is the live accumulator, of the engine's own tree class; copy()
     it to keep a snapshot.  After finish(), `truncated` tells whether the
     stream stopped where a completed run could not have, and status() how
@@ -76,6 +90,9 @@ class Rebuilder:
         self._expected_chrono = 1
         self.truncated = False
         self.last_event: Optional[TraceEvent] = None
+        # The ports the next event may have, and why: the root box is new
+        # before any event.
+        self._next_ports = _NEW_BOX
         self.depth_mismatches: list[tuple[int, int, int]] = []
 
     # -- incremental API -----------------------------------------------------
@@ -136,6 +153,7 @@ class Rebuilder:
 
         removed: tuple[int, ...] = ()
         created = updated_goal = None
+        follows = _NO_NEW_BOX
         if port is Port.CALL:
             if nxt is not None and nxt.node < v:
                 raise CorruptTraceError("Call followed by an older node", chrono)
@@ -153,12 +171,15 @@ class Rebuilder:
             if v == ROOT or nxt is None or nxt.node < v:
                 rule = RuleId.EXIT1
                 st.current = st.parent[v]
+                if v == ROOT:
+                    follows = _AFTER_ROOT_EXIT
             else:
                 # v is the last child of its parent: the new sibling follows it.
                 rule, created = RuleId.EXIT2, self._add_child(st.parent[v], nxt, chrono)
         elif port is Port.FAIL:
             rule = RuleId.FAIL2
             st.current = st.parent[v]
+            follows = _AFTER_ROOT_FAIL if v == ROOT else _AFTER_FAIL
         else:  # Redo: back to the choice point v, dropping every node after it.
             if nxt is None:
                 raise TraceTruncatedError("stream ends on a Redo event", chrono)
@@ -170,6 +191,10 @@ class Rebuilder:
                 st.current = v
             else:
                 rule, created = RuleId.REDO2, self._add_child(v, nxt, chrono)
+        ports, reason = self._next_ports
+        if port not in ports:
+            raise CorruptTraceError(f"{port.value} event {reason}", chrono)
+        self._next_ports = _NEW_BOX if created is not None else follows
         self.last_event = event
         created_goal = None if created is None else nxt.goal
         return rule, StepDelta(st.current, removed, created, created_goal, updated_goal)

@@ -7,7 +7,8 @@ instantiates its Call goal; `events_alpha_equal` compares event streams up
 to variable renaming; `write_trace_text` renders a whole trace at once;
 `unguarded_reference_solve` is the oracle that renames and tries every
 clause for every goal, which the head-functor guard of `reference_solve`
-must agree with exactly.
+must agree with exactly; `climbing_has_choice_point` is the tree climb that
+the engine's creation-number test `has_choice_point` must agree with.
 """
 
 from __future__ import annotations
@@ -138,3 +139,21 @@ def events_alpha_equal(a: Iterable[TraceEvent], b: Iterable[TraceEvent]) -> bool
         and alpha_equal(x.goal, y.goal)
         for x, y in zip(xs, ys)
     )
+
+
+def climbing_has_choice_point(eng, v: int) -> bool:
+    """True iff the greatest live node with untried clauses lies in v's
+    subtree, found by climbing its parent chain to v's depth (usually zero
+    or a few hops).  The choice point is found by scanning the clause
+    tables, not read off the engine's choice-point list."""
+    points = [y for y in eng.goals if eng.next_clause[y] < len(eng.clauses[y])]
+    if not points:
+        return False
+    node = max(points)
+    depth, parent = eng.depth, eng.parent
+    k = depth[v]
+    if depth[node] < k:
+        return False
+    while depth[node] > k:
+        node = parent[node]
+    return node == v

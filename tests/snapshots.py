@@ -64,7 +64,8 @@ def snapshot(eng: Engine) -> Snapshot:
         frozenset(numbers), paths[eng.current], eng.last_number, numbers,
         {paths[v]: g for v, g in eng.goals.items()},
         {paths[v]: cl[eng.next_clause[v]:] for v, cl in eng.clauses.items()},
-        {paths[v]: f for v, f in eng.fresh.items()},
+        # One first-visit bit: only the current node can be fresh.
+        {p: eng.fresh and v == eng.current for v, p in paths.items()},
         eng.done, eng.failing,
     )
 

@@ -74,6 +74,18 @@ def test_rebuild_corrupt_trace_exits_1(tmp_path, capsys):
     assert "corrupt" in capsys.readouterr().err
 
 
+def test_rebuild_port_order_the_box_model_forbids_exits_1(tmp_path, capsys):
+    # A Redo after a Fail at the root: the run was over.
+    trace_file = tmp_path / "after-fail.trace"
+    trace_file.write_text("1 1 1 Call p\n2 1 1 Fail p\n3 1 1 Redo p\n4 1 1 Exit p\n")
+    assert main(["rebuild", str(trace_file)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "    1  Call1\n    2  Fail2\n"
+    assert captured.err == (
+        "error: corrupt trace: Redo event after a Fail at the root (chrono 3)\n"
+    )
+
+
 def test_rebuild_truncated_trace_exits_1(tmp_path, capsys):
     trace_file = tmp_path / "cut.trace"
     trace_file.write_text("1 1 1 Call p(X)\n2 1 1 Exit p(a)\n3 1 1 Redo p(a)\n")

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,8 +21,9 @@ from boxtrace import (
     render_term,
     stream_events,
 )
+from boxtrace.engine import ROOT
 from boxtrace.terms import functor_key
-from tests.references import useful_clauses
+from tests.references import climbing_has_choice_point, useful_clauses
 from tests.snapshots import dewey, record
 
 X = Variable("X")
@@ -291,6 +294,36 @@ def assert_state_invariants(state):
             assert v[:-1] in state.tree
         if state.fresh[v]:
             assert not any(y[: len(v)] == v for y in state.tree if y != v)
+
+
+PROGRAM_FILES = sorted((Path(__file__).resolve().parents[1] / "programs").glob("*.pl"))
+
+
+def assert_choice_point_test_matches_the_climb(program, max_steps=500):
+    """At every state of a run: the creation-number test equals the climb at
+    the current node and at the root, and the current node's subtree holds
+    the greatest live node (what makes the number test sound)."""
+    eng = Engine(program)
+    while True:
+        for v in (eng.current, ROOT):
+            assert eng.has_choice_point(v) == climbing_has_choice_point(eng, v)
+        current = path_of(eng, eng.current)
+        assert path_of(eng, eng.order[-1])[: len(current)] == current
+        if eng.chrono >= max_steps or eng.step() is None:
+            return
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000), st.sampled_from([0.0, 0.15]))
+def test_choice_point_test_matches_the_climb(seed, recursion_prob):
+    assert_choice_point_test_matches_the_climb(
+        gen_program(GenParams(seed=seed, recursion_prob=recursion_prob))
+    )
+
+
+@pytest.mark.parametrize("path", PROGRAM_FILES, ids=lambda p: p.name)
+def test_choice_point_test_matches_the_climb_on_program_files(path):
+    assert_choice_point_test_matches_the_climb(parse_program(path.read_text()))
 
 
 @pytest.mark.parametrize(

@@ -170,6 +170,12 @@ def test_digest_is_stable(choice_program):
     assert len(program_digest(choice_program)) == 12
 
 
+def test_report_digest_is_the_programs(choice_program):
+    report = check_faithfulness(choice_program)
+    assert report.program is choice_program
+    assert report.program_digest == program_digest(choice_program)
+
+
 def test_small_seed_batch_passes():
     for seed in range(1, 40):
         program = gen_program(GenParams(seed=seed, recursion_prob=0.1))
@@ -284,11 +290,20 @@ def test_stream_one_event_short_fails(choice_program):
 
 def test_stream_one_event_long_fails(choice_program):
     events = events_of(choice_program)
-    events.append(TraceEvent(11, 1, 1, Port.EXIT, events[-1].goal))  # replays fine
+    events.append(TraceEvent(11, 1, 1, Port.EXIT, events[-1].goal))
     report = check_faithfulness(choice_program, events=events)
     assert report.verdict == "fail"
     assert report.first_divergence.chrono == 11
-    assert report.first_divergence.note == "the stream has 11 events, the run 10 steps"
+    assert report.first_divergence.note == (
+        "replay rejected the stream: Exit event after an Exit at the root (chrono 11)"
+    )
+
+
+def test_stream_longer_than_a_capped_run_fails(choice_program):
+    report = check_faithfulness(choice_program, max_steps=5, events=events_of(choice_program))
+    assert report.verdict == "fail"
+    assert report.first_divergence.chrono == 6
+    assert report.first_divergence.note == "the stream has 10 events, the run 5 steps"
 
 
 # -- answers against the oracle -------------------------------------------------------

@@ -353,6 +353,61 @@ def _stream(*events):
             "creation number 3 is older than a live node",
             5,
         ),
+        # Port order: the checks after the ones above, on the same event.
+        (
+            _stream((1, "Call"), (1, "Fail"), (1, "Redo"), (1, "Exit")),
+            CorruptTraceError,
+            "Redo event after a Fail at the root",
+            3,
+        ),
+        (
+            _stream((1, "Call"), (1, "Fail"), (1, "Fail")),
+            CorruptTraceError,
+            "Fail event after a Fail at the root",
+            3,
+        ),
+        (
+            _stream((1, "Call"), (2, "Exit"), (1, "Exit")),
+            CorruptTraceError,
+            "Exit event before the Call of the box the previous event created",
+            2,
+        ),
+        (
+            _stream((1, "Call"), (2, "Redo"), (2, "Exit"), (1, "Exit")),
+            CorruptTraceError,
+            "Redo event before the Call of the box the previous event created",
+            2,
+        ),
+        (
+            _stream((1, "Call"), (2, "Call"), (2, "Fail"), (1, "Call"), (1, "Exit")),
+            CorruptTraceError,
+            "Call event after a Fail",
+            4,
+        ),
+        (
+            _stream((1, "Call"), (1, "Call"), (1, "Exit")),
+            CorruptTraceError,
+            "Call event where the previous event created no box",
+            2,
+        ),
+        (
+            _stream((1, "Call"), (2, "Call"), (3, "Call"), (3, "Fail"), (2, "Exit"), (1, "Exit")),
+            CorruptTraceError,
+            "Exit event after a Fail",
+            5,
+        ),
+        (
+            _stream((1, "Call"), (1, "Exit"), (1, "Exit")),
+            CorruptTraceError,
+            "Exit event after an Exit at the root",
+            3,
+        ),
+        (
+            _stream((1, "Call"), (1, "Exit"), (1, "Fail")),
+            CorruptTraceError,
+            "Fail event after an Exit at the root",
+            3,
+        ),
     ],
 )
 def test_rejection_message_and_chrono(events, error, message, chrono):

@@ -8,6 +8,7 @@ from boxtrace import (
     Atom,
     Compound,
     Engine,
+    GenParams,
     ParseError,
     Port,
     TraceEvent,
@@ -15,6 +16,7 @@ from boxtrace import (
     alpha_equal,
     event_from_json,
     event_to_json,
+    gen_program,
     parse_event,
     parse_program,
     path_of,
@@ -22,6 +24,7 @@ from boxtrace import (
     render_event,
     stream_events,
 )
+from boxtrace.engine import ROOT
 from boxtrace.trace import render_events_pretty
 from tests.conftest import events_of
 from tests.references import events_alpha_equal, is_instance_of, write_trace_text
@@ -125,8 +128,6 @@ def test_redo_subject_is_the_choice_point(choice_program):
 
 
 def test_trace_invariants_on_generated_programs():
-    from boxtrace import GenParams, gen_program
-
     for seed in range(40):
         program = gen_program(GenParams(seed=seed, recursion_prob=0.05))
         recording = record(program, max_steps=500)
@@ -144,6 +145,18 @@ def test_trace_invariants_on_generated_programs():
             elif event.port is Port.EXIT and event.node in calls:
                 assert is_instance_of(event.goal, calls[event.node])
             pre = post
+
+
+def test_every_call_names_the_box_the_previous_step_created():
+    # The engine's one first-visit bit: only the box the last step created
+    # (the root at chrono 1) is fresh, and its next event is its Call.
+    for seed in range(40):
+        program = gen_program(GenParams(seed=seed, recursion_prob=0.15))
+        created = ROOT
+        for _, event, delta in stream_events(Engine(program), max_steps=500):
+            if event.port is Port.CALL or created is not None:
+                assert (event.port, event.node) == (Port.CALL, created), seed
+            created = None if delta.created is None else delta.created[0]
 
 
 # -- text form ------------------------------------------------------------------
