@@ -124,9 +124,8 @@ def cmd_rebuild(args: argparse.Namespace) -> int:
             if done is not None:
                 chrono += 1
                 emit(chrono, done[0])
-        except TraceTruncatedError as err:
-            print(f"error: truncated trace: {err}", file=sys.stderr)
-            return 1
+        except TraceTruncatedError:
+            pass  # a prefix that ends on a Redo, reported as any other prefix
         except CorruptTraceError as err:
             print(f"error: corrupt trace: {err}", file=sys.stderr)
             return 1

@@ -13,12 +13,21 @@ Grammar:
 
 `%` starts a comment running to end of line.  No operators, lists, strings
 or numbers.  A program must contain exactly one `:- goal.` directive.
+
+One reader serves programs and trace goals.  Tokenizing is one `findall`:
+a token is a plain string, and its kind is read off its first character.
+Line and column are worked out from a token's index only when an error is
+raised.  A token that is neither punctuation nor letter- or `_`-initial is
+an unexpected character, reported before any other error in the text, as a
+tokenizer that stopped there would: the reader classifies every token it
+consumes, so it looks for one only when it is about to raise.
 """
 
 from __future__ import annotations
 
+import itertools
 import re
-from typing import NamedTuple
+import string
 
 from .terms import Atom, Clause, Compound, Program, Term, Variable
 
@@ -31,166 +40,142 @@ class ParseError(Exception):
         self.column = column
 
 
-class _Token(NamedTuple):  # a tuple: one is built per token read
-    kind: str  # "atom" | "var" | "punct" | "end"
-    text: str
-    line: int
-    column: int
+# Whitespace and comments are matched outside the group, so findall returns
+# "" for them.  Each alternative is tried only at a token's start: a prefix
+# such as `(?:\s|%[^\n]*)*` would backtrack into comments and whitespace,
+# and its possessive form needs Python 3.11.
+_TOKEN = re.compile(r"\s+|%[^\n]*|([A-Za-z0-9_]+|:-|.)", re.DOTALL)
+_ATOM_START = frozenset(string.ascii_lowercase)
+_VAR_START = frozenset(string.ascii_uppercase + "_")
+_WORD_START = _ATOM_START | _VAR_START
+_PUNCT = frozenset(("(", ")", ",", ".", ":-"))
 
 
-# One alternative per token kind, matched at the current offset: skipped
-# whitespace and comments, punctuation, variables, atoms.
-_TOKEN = re.compile(
-    r"(?P<skip>(?:\s|%[^\n]*)+)"
-    r"|(?P<punct>:-|[(),.])"
-    r"|(?P<var>[A-Z_][A-Za-z0-9_]*)"
-    r"|(?P<atom>[a-z][A-Za-z0-9_]*)"
-)
-_RENAMED = re.compile(r"^(.+)_([0-9]+)$")
-
-
-def _tokenize(text: str) -> list[_Token]:
-    tokens = []
-    line, line_start = 1, 0  # line_start: offset of the current line's first character
-    pos, n = 0, len(text)
-    match = _TOKEN.match
-    while pos < n:
-        m = match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", line, pos - line_start + 1)
-        end = m.end()
-        if m.lastgroup == "skip":
-            # Only skipped text holds newlines.
-            last = text.rfind("\n", pos, end)
-            if last >= 0:
-                line += text.count("\n", pos, end)
-                line_start = last + 1
-        else:
-            tokens.append(_Token(m.lastgroup, m.group(), line, pos - line_start + 1))
-        pos = end
-    tokens.append(_Token("end", "", line, pos - line_start + 1))
+def _tokenize(text: str) -> list[str]:
+    """The tokens of `text`, then "" for the end of input."""
+    tokens = list(filter(None, _TOKEN.findall(text)))
+    tokens.append("")
     return tokens
 
 
-class _Parser:
-    def __init__(self, tokens: list[_Token], decode_renamed: bool = False):
-        self.tokens = tokens
-        self.pos = 0
-        # When reading trace goals, a trailing _k on a variable name is the
-        # rename index the canonical renderer attached; source programs keep
-        # names as written.
-        self.decode_renamed = decode_renamed
+def _error(text: str, tokens: list[str], i: int, message: str) -> ParseError:
+    """The error at token i, or at the text's first unexpected character if
+    it has one.  The position is the token's offset in `text`."""
+    for j, tok in enumerate(tokens):
+        if tok and tok[0] not in _WORD_START and tok not in _PUNCT:
+            i, message = j, f"unexpected character {tok[0]!r}"
+            break
+    starts = (m.start() for m in _TOKEN.finditer(text) if m.group(1))
+    pos = next(itertools.islice(starts, i, None), len(text))
+    line = text.count("\n", 0, pos) + 1
+    return ParseError(message, line, pos - text.rfind("\n", 0, pos))
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
 
-    def take(self) -> _Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
+def _found(tok: str) -> str:
+    return repr(tok) if tok else "end of input"
 
-    def expect(self, text: str) -> _Token:
-        tok = self.take()
-        if tok.kind == "end" or tok.text != text:
-            got = "end of input" if tok.kind == "end" else repr(tok.text)
-            raise ParseError(f"expected {text!r}, found {got}", tok.line, tok.column)
-        return tok
 
-    def variable(self, tok: _Token) -> Variable:
-        if self.decode_renamed:
-            m = _RENAMED.match(tok.text)
-            if m:
-                return Variable(m.group(1), int(m.group(2)))
-        return Variable(tok.text)
+def _variable(name: str) -> Variable:
+    """A trace goal's variable: a trailing _k is the rename index the
+    canonical renderer attached."""
+    stem, _, k = name.rpartition("_")
+    if stem and k.isdigit():
+        return Variable(stem, int(k))
+    return Variable(name)
 
-    def term(self) -> Term:
-        """One term.  Iterative: trace goals can nest far deeper than the
-        recursion limit (the engine builds them one answer at a time)."""
-        # Compounds still reading their arguments: (functor token, args).
-        open_compounds: list[tuple[_Token, list[Term]]] = []
-        while True:
-            tok = self.take()
-            if tok.kind == "var":
-                t: Term = self.variable(tok)
-            elif tok.kind == "atom":
-                if self.peek().text == "(" and self.peek().kind == "punct":
-                    self.take()
-                    open_compounds.append((tok, []))
-                    continue
-                t = Atom(tok.text)
-            else:
-                got = "end of input" if tok.kind == "end" else repr(tok.text)
-                raise ParseError(f"expected a term, found {got}", tok.line, tok.column)
-            # t is complete: hand it to the innermost open compound, closing
-            # compounds until one expects another argument.
-            while open_compounds:
-                functor, args = open_compounds[-1]
-                args.append(t)
-                if self.peek().text == "," and self.peek().kind == "punct":
-                    self.take()
-                    break
-                self.expect(")")
-                open_compounds.pop()
-                t = Compound(functor.text, tuple(args))
-            else:
-                return t
 
-    def predication(self) -> Term:
-        tok = self.peek()
-        if tok.kind != "atom":
-            got = "end of input" if tok.kind == "end" else repr(tok.text)
-            raise ParseError(
-                f"expected a predication (atom-initial), found {got}",
-                tok.line,
-                tok.column,
-            )
-        return self.term()
+def _term(text: str, tokens: list[str], i: int, decode_renamed: bool) -> tuple[Term, int]:
+    """The term at tokens[i], and the index after it.  Iterative: trace
+    goals can nest far deeper than the recursion limit (the engine builds
+    them one answer at a time).  Source programs keep variable names as
+    written; trace goals decode the rename index (`decode_renamed`)."""
+    # Compounds still reading their arguments: (functor, args).
+    open_compounds: list[tuple[str, list[Term]]] = []
+    while True:
+        tok = tokens[i]
+        i += 1
+        if tok[:1] in _VAR_START:
+            t: Term = _variable(tok) if decode_renamed else Variable(tok)
+        elif tok[:1] in _ATOM_START:
+            if tokens[i] == "(":
+                i += 1
+                open_compounds.append((tok, []))
+                continue
+            t = Atom(tok)
+        else:
+            raise _error(text, tokens, i - 1, f"expected a term, found {_found(tok)}")
+        # t is complete: hand it to the innermost open compound, closing
+        # compounds until one expects another argument.
+        while open_compounds:
+            open_compounds[-1][1].append(t)
+            tok = tokens[i]
+            i += 1
+            if tok == ",":
+                break
+            if tok != ")":
+                raise _error(text, tokens, i - 1, f"expected ')', found {_found(tok)}")
+            functor, args = open_compounds.pop()
+            t = Compound(functor, tuple(args))
+        else:
+            return t, i
+
+
+def _predication(text: str, tokens: list[str], i: int) -> tuple[Term, int]:
+    if tokens[i][:1] not in _ATOM_START:
+        raise _error(
+            text, tokens, i, f"expected a predication (atom-initial), found {_found(tokens[i])}"
+        )
+    return _term(text, tokens, i, False)
+
+
+def _expect(text: str, tokens: list[str], i: int, want: str) -> int:
+    if tokens[i] != want:
+        raise _error(text, tokens, i, f"expected {want!r}, found {_found(tokens[i])}")
+    return i + 1
 
 
 def parse_term_text(text: str, decode_renamed: bool = False) -> Term:
     """Parse a single standalone term (used for trace goals)."""
-    parser = _Parser(_tokenize(text), decode_renamed=decode_renamed)
-    t = parser.term()
-    tok = parser.take()
-    if tok.kind != "end":
-        raise ParseError(f"trailing input {tok.text!r}", tok.line, tok.column)
+    tokens = _tokenize(text)
+    t, i = _term(text, tokens, 0, decode_renamed)
+    if tokens[i]:
+        raise _error(text, tokens, i, f"trailing input {tokens[i]!r}")
     return t
 
 
 def parse_program(text: str) -> Program:
     """Parse program text into clauses (source order) plus the goal."""
-    parser = _Parser(_tokenize(text))
+    tokens = _tokenize(text)
+    if not tokens[0]:
+        raise _error(text, tokens, 0, "empty program")
     clauses: list[Clause] = []
     goal: Term | None = None
-    if parser.peek().kind == "end":
-        tok = parser.peek()
-        raise ParseError("empty program", tok.line, tok.column)
-    while parser.peek().kind != "end":
-        tok = parser.peek()
-        if tok.kind == "punct" and tok.text == ":-":
-            parser.take()
-            g = parser.predication()
-            parser.expect(".")
+    i = 0
+    while tokens[i]:
+        if tokens[i] == ":-":
+            directive = i
+            g, i = _predication(text, tokens, i + 1)
+            i = _expect(text, tokens, i, ".")
             if goal is not None:
-                raise ParseError("duplicate goal directive", tok.line, tok.column)
+                raise _error(text, tokens, directive, "duplicate goal directive")
             goal = g
             continue
-        head = parser.predication()
-        nxt = parser.take()
-        if nxt.kind == "punct" and nxt.text == ".":
+        head, i = _predication(text, tokens, i)
+        tok = tokens[i]
+        i += 1
+        if tok == ".":
             clauses.append(Clause(head, (), len(clauses)))
             continue
-        if nxt.kind == "punct" and nxt.text == ":-":
-            body = [parser.predication()]
-            while parser.peek().text == "," and parser.peek().kind == "punct":
-                parser.take()
-                body.append(parser.predication())
-            parser.expect(".")
+        if tok == ":-":
+            subgoal, i = _predication(text, tokens, i)
+            body = [subgoal]
+            while tokens[i] == ",":
+                subgoal, i = _predication(text, tokens, i + 1)
+                body.append(subgoal)
+            i = _expect(text, tokens, i, ".")
             clauses.append(Clause(head, tuple(body), len(clauses)))
             continue
-        got = "end of input" if nxt.kind == "end" else repr(nxt.text)
-        raise ParseError(f"expected '.' or ':-', found {got}", nxt.line, nxt.column)
+        raise _error(text, tokens, i - 1, f"expected '.' or ':-', found {_found(tok)}")
     if goal is None:
-        last = parser.tokens[-1]
-        raise ParseError("missing goal directive", last.line, last.column)
+        raise _error(text, tokens, len(tokens) - 1, "missing goal directive")
     return Program(tuple(clauses), goal)

@@ -37,7 +37,8 @@ class CorruptTraceError(Exception):
 
 
 class TraceTruncatedError(CorruptTraceError):
-    """The stream stopped where a completed run could not have."""
+    """The stream ends on a Redo the port order allows: a prefix of a longer
+    run, whose last event's rule only the next event would decide."""
 
 
 # The box model's port order, as the ports the next event may have after
@@ -51,6 +52,9 @@ _NO_NEW_BOX = ((Port.EXIT, Port.FAIL, Port.REDO), "where the previous event crea
 _AFTER_FAIL = ((Port.FAIL, Port.REDO), "after a Fail")
 _AFTER_ROOT_FAIL = ((), "after a Fail at the root")
 _AFTER_ROOT_EXIT = ((Port.REDO,), "after an Exit at the root")
+# The ports whose event carries the predication its box already holds (an
+# Exit carries the solved one).
+_HOLDS_BOX_GOAL = (Port.CALL, Port.FAIL, Port.REDO)
 
 
 def states_match(a: RestrictedState, b: RestrictedState) -> bool:
@@ -120,11 +124,9 @@ class Rebuilder:
         prev, self._pending = self._pending, None
         if prev is None:
             return None
-        out = self._finish_one(prev, None)
         # A completed run can only stop on an Exit or Fail at the root.
-        if prev.port is Port.CALL or prev.node != ROOT:
-            self.truncated = True
-        return out
+        self.truncated = prev.node != ROOT or prev.port in (Port.CALL, Port.REDO)
+        return self._finish_one(prev, None)
 
     def _finish_one(
         self, event: TraceEvent, nxt: Optional[TraceEvent]
@@ -132,8 +134,14 @@ class Rebuilder:
         """Classify and apply one event, given the next one (None at stream
         end).  At stream end an Exit at the root and any Fail close a run
         legally; a final Call or below-root Exit can only come from a cut-off
-        stream and classifies best-effort; a final Redo is rejected, since a
-        completed run never stops on one."""
+        stream and classifies best-effort; a final Redo, once its port order
+        is checked, raises TraceTruncatedError, since only the next event
+        decides its rule.
+
+        A Call, Fail or Redo carries the predication its box holds, and is
+        rejected if its goal differs from it up to renaming.  The trace
+        reader hands a box's repeated goal text back as the same term, so
+        the identity test almost always decides."""
         st = self.state
         chrono, port, v = event.chrono, event.port, event.node
         # The subject is live: the current node, or the choice point a Redo
@@ -147,6 +155,12 @@ class Rebuilder:
                 f"node is numbered {st.current}",
                 chrono,
             )
+        if port in _HOLDS_BOX_GOAL:
+            goal = st.goals[v]
+            if event.goal is not goal and not alpha_equal(event.goal, goal):
+                raise CorruptTraceError(
+                    f"{port.value} event's goal differs from its box's", chrono
+                )
         depth = st.depth[v]
         if event.depth != depth:
             self.depth_mismatches.append((chrono, depth, event.depth))
@@ -180,9 +194,9 @@ class Rebuilder:
             rule = RuleId.FAIL2
             st.current = st.parent[v]
             follows = _AFTER_ROOT_FAIL if v == ROOT else _AFTER_FAIL
+        elif nxt is None:  # a final Redo: its rule needs the next event
+            rule = None
         else:  # Redo: back to the choice point v, dropping every node after it.
-            if nxt is None:
-                raise TraceTruncatedError("stream ends on a Redo event", chrono)
             if nxt.node < v:
                 raise CorruptTraceError("Redo followed by an older node", chrono)
             removed = st.prune_after(v)
@@ -194,6 +208,8 @@ class Rebuilder:
         ports, reason = self._next_ports
         if port not in ports:
             raise CorruptTraceError(f"{port.value} event {reason}", chrono)
+        if rule is None:
+            raise TraceTruncatedError("stream ends on a Redo event", chrono)
         self._next_ports = _NEW_BOX if created is not None else follows
         self.last_event = event
         created_goal = None if created is None else nxt.goal

@@ -85,9 +85,13 @@ def render_event(e: TraceEvent) -> str:
     return f"{e.chrono} {e.node} {e.depth} {e.port.value} {render_term(e.goal)}"
 
 
-def _event(line: str, chrono, node, depth, port, goal) -> TraceEvent:
-    """One event from its five fields, as text or as JSON values: the one
-    validator of both trace forms.  `line` is the raw line, for messages."""
+_PORTS = {port.value: port for port in Port}
+
+
+def _fields(line: str, chrono, node, depth, port, goal) -> tuple[int, int, int, Port, str]:
+    """An event's five fields, from text or JSON values, checked: the one
+    validator of both trace forms.  The goal stays text.  `line` is the raw
+    line, for messages."""
     try:
         # Through str, so that a JSON float or boolean is no integer either.
         chrono, node, depth = int(str(chrono)), int(str(node)), int(str(depth))
@@ -96,19 +100,28 @@ def _event(line: str, chrono, node, depth, port, goal) -> TraceEvent:
     if chrono < 1 or node < 1 or depth < 1:
         raise ParseError(f"event fields must be positive in {line!r}", 1, 1)
     try:
-        port = Port(port)
-    except ValueError:
+        port = _PORTS[port]
+    except (KeyError, TypeError):  # TypeError: a JSON list or object
         raise ParseError(f"unknown port {port!r}", 1, 1) from None
     if not isinstance(goal, str):
         raise ParseError(f"goal is not term text in {line!r}", 1, 1)
+    return chrono, node, depth, port, goal
+
+
+def _text_fields(line: str) -> tuple[int, int, int, Port, str]:
+    fields = line.split()
+    if len(fields) != 5:
+        raise ParseError(f"expected 5 fields, found {len(fields)}", 1, 1)
+    return _fields(line, *fields)
+
+
+def _event(fields: tuple[int, int, int, Port, str]) -> TraceEvent:
+    chrono, node, depth, port, goal = fields
     return TraceEvent(chrono, node, depth, port, parse_term_text(goal, decode_renamed=True))
 
 
 def parse_event(line: str) -> TraceEvent:
-    fields = line.split()
-    if len(fields) != 5:
-        raise ParseError(f"expected 5 fields, found {len(fields)}", 1, 1)
-    return _event(line, *fields)
+    return _event(_text_fields(line))
 
 
 def render_events_pretty(events: Iterable[TraceEvent]) -> list[str]:
@@ -138,28 +151,53 @@ def event_to_json(e: TraceEvent) -> str:
     )
 
 
-def event_from_json(line: str) -> TraceEvent:
+def _json_fields(line: str) -> tuple[int, int, int, Port, str]:
     try:
         obj = json.loads(line)
         fields = [obj[key] for key in ("chrono", "node", "depth", "port", "goal")]
     except (json.JSONDecodeError, KeyError, TypeError):
         raise ParseError(f"malformed JSON event {line!r}", 1, 1) from None
-    return _event(line, *fields)
+    return _fields(line, *fields)
+
+
+def event_from_json(line: str) -> TraceEvent:
+    return _event(_json_fields(line))
 
 
 def parse_trace_text(lines: str | Iterable[str], fmt: str = "text") -> Iterator[TraceEvent]:
     """Parse a trace (``text`` or ``jsonl``) lazily, one event per line read;
     blank lines are skipped.  `lines` is the whole text or any iterable of
-    lines, such as an open file, so a trace streams in constant memory."""
+    lines, such as an open file, so a trace streams in constant memory.
+
+    A box's goal text is parsed once per change: per node number the reader
+    holds the text and term of the node's last goal, and an event whose goal
+    text equals it gets that same term (terms are immutable, so sharing one
+    is safe).  A Fail or Redo carries the predication its box already
+    holds, so about two events in five are not parsed again.  A Redo of
+    node v drops the entries of the nodes after v: node numbers are given in
+    creation order, so these are the last entries, and the map holds no
+    more nodes than the replayed tree.
+    """
     if isinstance(lines, str):
         lines = lines.splitlines()
-    parse = event_from_json if fmt == "jsonl" else parse_event
+    read_fields = _json_fields if fmt == "jsonl" else _text_fields
+    held: dict[int, tuple[str, Term]] = {}
+    redo = Port.REDO
     for lineno, line in enumerate(lines, start=1):
         line = line.rstrip("\r\n")
         if not line.strip():
             continue
         try:
-            event = parse(line)
+            chrono, node, depth, port, text = read_fields(line)
+            if port is redo:
+                while held and next(reversed(held)) > node:
+                    held.popitem()
+            last = held.get(node)
+            if last is not None and last[0] == text:
+                goal = last[1]
+            else:
+                goal = parse_term_text(text, decode_renamed=True)
+                held[node] = (text, goal)
         except ParseError as err:
             raise ParseError(f"bad trace line: {err.message}", lineno, 1) from None
-        yield event
+        yield TraceEvent(chrono, node, depth, port, goal)

@@ -3,6 +3,7 @@ import io
 import json
 import os
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -86,11 +87,51 @@ def test_rebuild_port_order_the_box_model_forbids_exits_1(tmp_path, capsys):
     )
 
 
-def test_rebuild_truncated_trace_exits_1(tmp_path, capsys):
+def test_rebuild_trace_cut_on_a_redo_is_a_prefix(tmp_path, capsys):
+    # The Redo's rule needs the next event: nothing is printed for it, and
+    # the tree is the one before it.
     trace_file = tmp_path / "cut.trace"
     trace_file.write_text("1 1 1 Call p(X)\n2 1 1 Exit p(a)\n3 1 1 Redo p(a)\n")
+    assert main(["rebuild", str(trace_file)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == (
+        "    1  Call1\n    2  Exit1\nfinal tree:\nε #1 p(a)\nstatus: unknown\n"
+    )
+    assert captured.err == "note: trace is a prefix of a longer run\n"
+
+
+@pytest.mark.parametrize("fmt", ["text", "jsonl"])
+def test_rebuild_of_a_capped_trace_that_ends_on_a_redo(tmp_path, capsys, fmt):
+    # The cap of 3,000 steps lands on a Redo of counter.pl's enumeration,
+    # 75 boxes deep.
+    program = str(Path(__file__).resolve().parents[1] / "programs" / "counter.pl")
+    assert main(["trace", program, "--max-steps", "3000", "--format", fmt]) == 0
+    trace_text = capsys.readouterr().out
+    last = trace_text.splitlines()[-1]
+    assert (last.split()[3] if fmt == "text" else json.loads(last)["port"]) == "Redo"
+    trace_file = tmp_path / "counter.trace"
+    trace_file.write_text(trace_text)
+    assert main(["rebuild", str(trace_file), "--format", fmt]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == "note: trace is a prefix of a longer run\n"
+    lines = captured.out.splitlines()
+    if fmt == "text":  # 2,999 rules, the tree's heading and boxes, its status
+        assert len(lines) == 2999 + 1 + 75 + 1 and lines[-1] == "status: unknown"
+    else:
+        assert len(lines) == 2999 + 1 and json.loads(lines[-1])["status"] == "unknown"
+
+
+def test_rebuild_goal_that_differs_from_its_box_exits_1(choice_file, tmp_path, capsys):
+    main(["trace", choice_file])
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[4] == "5 3 2 Fail eq(a,b)"
+    lines[4] = "5 3 2 Fail eq(z,z)"
+    trace_file = tmp_path / "tampered.trace"
+    trace_file.write_text("\n".join(lines) + "\n")
     assert main(["rebuild", str(trace_file)]) == 1
-    assert "truncated" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "error: corrupt trace: Fail event's goal differs from its box's (chrono 5)\n"
+    )
 
 
 def test_check_pass_exits_0(choice_file, capsys):
@@ -235,20 +276,27 @@ def _rebuild_peak(path: str) -> int:
 
 
 def test_rebuild_streams_in_constant_memory(tmp_path):
-    # A flat trace (Call, then Exit and Redo at the root per fact): replay
-    # holds one box whatever the length, so twice the events may not need
-    # noticeably more memory.
-    paths = []
-    for facts in (1000, 2000):
-        program = parse_program("".join(f"p(c{i}).\n" for i in range(facts)) + ":- p(X).\n")
-        path = tmp_path / f"flat{facts}.trace"
-        with path.open("w") as handle:
-            for _, event, _ in stream_events(Engine(program)):
-                handle.write(render_event(event) + "\n")
-        paths.append(str(path))
-    _rebuild_peak(paths[0])  # warm-up: first-use allocations are not replay's
-    short, long = _rebuild_peak(paths[0]), _rebuild_peak(paths[1])
-    assert long <= 1.3 * short, (short, long)
+    # A flat trace (Call, then Exit and Redo at the root per fact) and one
+    # that backtracks across a new box per fact (each r(c_i) box fails, and
+    # the Redo of q(X) drops it): replay holds a few boxes whatever the
+    # length, so twice the events may not need noticeably more memory.
+    programs = {
+        "flat": lambda facts: "".join(f"p(c{i}).\n" for i in range(facts)) + ":- p(X).\n",
+        "backtracking": lambda facts: "".join(f"q(c{i}).\n" for i in range(facts))
+        + f"r(c{facts - 1}).\np :- q(X), r(X).\n:- p.\n",
+    }
+    for name, text in programs.items():
+        paths = []
+        for facts in (1000, 2000):
+            program = parse_program(text(facts))
+            path = tmp_path / f"{name}{facts}.trace"
+            with path.open("w") as handle:
+                for _, event, _ in stream_events(Engine(program)):
+                    handle.write(render_event(event) + "\n")
+            paths.append(str(path))
+        _rebuild_peak(paths[0])  # warm-up: first-use allocations are not replay's
+        short, long = _rebuild_peak(paths[0]), _rebuild_peak(paths[1])
+        assert long <= 1.3 * short, (name, short, long)
 
 
 @pytest.mark.parametrize("command", ["trace", "check", "rebuild"])

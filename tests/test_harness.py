@@ -5,6 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from boxtrace import (
+    Atom,
+    Compound,
     Engine,
     GenParams,
     Port,
@@ -221,6 +223,25 @@ def test_mutated_node_number_fails(choice_program):
         eng.step()
     for table in ("current", "goals", "parent", "index", "depth", "child_count", "order"):
         assert getattr(divergence.engine_state, table) == getattr(eng, table), table
+
+
+@pytest.mark.parametrize("at", range(10))
+def test_any_single_corrupted_goal_fails(choice_program, at):
+    # The root's Call (0), the Fail (4) and the Redo (5) carry the goal their
+    # box holds, which replay checks; every other goal changes a box, which
+    # the step's delta shows.
+    events = events_of(choice_program)
+    e = events[at]
+    events[at] = TraceEvent(e.chrono, e.node, e.depth, e.port, Compound("zzz", (Atom("q"),)))
+    report = check_faithfulness(choice_program, events=events)
+    assert report.verdict == "fail"
+    if at in (0, 4, 5):
+        divergence = report.first_divergence
+        assert (divergence.chrono, divergence.note) == (
+            at + 1,
+            f"replay rejected the stream: {e.port.value} event's goal differs "
+            f"from its box's (chrono {at + 1})",
+        )
 
 
 def test_check_reports_a_misclassified_rule(choice_program):

@@ -1,8 +1,25 @@
-import pytest
+from pathlib import Path
 
-from boxtrace import Atom, Compound, ParseError, Variable, parse_program, render_program
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from boxtrace import (
+    Atom,
+    Compound,
+    Engine,
+    GenParams,
+    ParseError,
+    Variable,
+    gen_program,
+    parse_program,
+    render_program,
+    render_term,
+    stream_events,
+)
 from boxtrace.parser import parse_term_text
 from tests.conftest import CHOICE_PROGRAM
+from tests.references import token_list_parse_program, token_list_parse_term_text
 
 
 def test_choice_program_shape(choice_program):
@@ -123,3 +140,55 @@ def test_parse_error_position(text, message, line, column):
         parse_program(text)
     assert (err.value.line, err.value.column) == (line, column)
     assert str(err.value) == f"{message} (line {line}, column {column})"
+
+
+# -- the one-pass reader against the token-list reader -------------------------
+
+_PROGRAM_FILES = sorted((Path(__file__).resolve().parents[1] / "programs").glob("*.pl"))
+_PROGRAM_TEXTS = [CHOICE_PROGRAM] + [path.read_text() for path in _PROGRAM_FILES] + [
+    render_program(gen_program(GenParams(seed=seed))) for seed in range(4)
+]
+_GOAL_TEXTS = sorted(
+    {
+        render_term(event.goal)
+        for seed in range(4)
+        for _, event, _ in stream_events(Engine(gen_program(GenParams(seed=seed))), 60)
+    }
+)
+# Characters of every token kind, the comment and line breaks, whitespace
+# that is not a space, and characters no token may start with.
+_ALPHABET = "(),.:-%_ \t\n\r\x0bXYaz09?'é"
+
+
+@st.composite
+def _mutated(draw, bases):
+    """One of `bases` with a few characters inserted, deleted or replaced."""
+    text = draw(st.sampled_from(bases))
+    for _ in range(draw(st.integers(min_value=0, max_value=4))):
+        at = draw(st.integers(min_value=0, max_value=len(text)))
+        cut = draw(st.integers(min_value=0, max_value=2))
+        piece = draw(st.text(alphabet=_ALPHABET, max_size=3))
+        text = text[:at] + piece + text[at + cut:]
+    return text
+
+
+def _outcome(parse, *args):
+    """What a reader makes of its input: the value, or the error's parts."""
+    try:
+        return parse(*args)
+    except ParseError as err:
+        return ("ParseError", err.message, err.line, err.column)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_mutated(_PROGRAM_TEXTS))
+def test_program_reader_agrees_with_the_token_list_reader(text):
+    assert _outcome(parse_program, text) == _outcome(token_list_parse_program, text)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_mutated(_GOAL_TEXTS), st.booleans())
+def test_goal_reader_agrees_with_the_token_list_reader(text, decode_renamed):
+    assert _outcome(parse_term_text, text, decode_renamed) == _outcome(
+        token_list_parse_term_text, text, decode_renamed
+    )

@@ -295,10 +295,11 @@ def test_exit_below_root_repeating_its_node_rejected():
 
 
 def _stream(*events):
-    """TraceEvents over the goal g from (node, port) pairs, chronos from 1."""
+    """TraceEvents from (node, port) pairs over the goal g, or (node, port,
+    goal) triples, chronos from 1."""
     return [
-        TraceEvent(chrono, node, 1, Port(port), Atom("g"))
-        for chrono, (node, port) in enumerate(events, start=1)
+        TraceEvent(chrono, node, 1, Port(port), goal[0] if goal else Atom("g"))
+        for chrono, (node, port, *goal) in enumerate(events, start=1)
     ]
 
 
@@ -336,9 +337,11 @@ def _stream(*events):
             3,
         ),
         (
+            # A final Redo is checked for port order before it is reported
+            # as a cut stream.
             _stream((1, "Call"), (1, "Fail"), (1, "Redo")),
-            TraceTruncatedError,
-            "stream ends on a Redo event",
+            CorruptTraceError,
+            "Redo event after a Fail at the root",
             3,
         ),
         (
@@ -406,6 +409,41 @@ def _stream(*events):
             _stream((1, "Call"), (1, "Exit"), (1, "Fail")),
             CorruptTraceError,
             "Fail event after an Exit at the root",
+            3,
+        ),
+        (
+            _stream((1, "Call"), (1, "Exit"), (1, "Redo")),
+            TraceTruncatedError,
+            "stream ends on a Redo event",
+            3,
+        ),
+        # A Call, Fail or Redo carries its box's predication.
+        (
+            _stream((1, "Call", Atom("h")), (1, "Exit")),
+            CorruptTraceError,
+            "Call event's goal differs from its box's",
+            1,
+        ),
+        (
+            _stream((1, "Call"), (2, "Call"), (2, "Fail", Atom("h")), (1, "Fail")),
+            CorruptTraceError,
+            "Fail event's goal differs from its box's",
+            3,
+        ),
+        (
+            _stream(
+                (1, "Call"), (2, "Call"), (2, "Exit"), (1, "Exit"), (2, "Redo", Atom("h")),
+                (2, "Exit"),
+            ),
+            CorruptTraceError,
+            "Redo event's goal differs from its box's",
+            5,
+        ),
+        (
+            # The goal is checked before the port order.
+            _stream((1, "Call"), (1, "Fail"), (1, "Redo", Atom("h"))),
+            CorruptTraceError,
+            "Redo event's goal differs from its box's",
             3,
         ),
     ],

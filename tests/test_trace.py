@@ -1,7 +1,7 @@
 import json
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from boxtrace import (
@@ -22,6 +22,7 @@ from boxtrace import (
     path_of,
     parse_trace_text,
     render_event,
+    render_term,
     stream_events,
 )
 from boxtrace.engine import ROOT
@@ -285,3 +286,67 @@ def test_event_text_round_trip_identity(event):
 @given(events)
 def test_event_json_round_trip_identity(event):
     assert event_from_json(event_to_json(event)) == event
+
+
+# -- the reader that reuses a box's goal, against reading line by line -------------
+
+
+def _read_line_by_line(lines, parse):
+    """The events `parse` makes of each line, up to the first bad line, and
+    that line's error as parse_trace_text reports it."""
+    out = []
+    for lineno, line in enumerate(lines, start=1):
+        try:
+            out.append(parse(line))
+        except ParseError as err:
+            return out, (f"bad trace line: {err.message}", lineno)
+    return out, None
+
+
+def _read_streamed(text, fmt):
+    out = []
+    try:
+        out.extend(parse_trace_text(text, fmt=fmt))
+    except ParseError as err:
+        return out, (err.message, err.line)
+    return out, None
+
+
+_CORRUPT_GOALS = ["zzz(q)", "p(X_1", "p(X_2)", "eq(a,b)", "goal", "f(", "?"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=2_000),
+    st.sampled_from(["text", "jsonl"]),
+    st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=10**6),
+            st.sampled_from(["goal", "node"]),
+            st.integers(min_value=0, max_value=10**6),
+        ),
+        max_size=4,
+    ),
+)
+def test_reused_goals_read_as_line_by_line(seed, fmt, corruptions):
+    # Goal texts replaced by another event's text, a corrupt text or a new
+    # one, and node numbers changed (so a Redo may drop other boxes' goals):
+    # reusing a box's term never changes what a line reads as.
+    program = gen_program(GenParams(seed=seed, recursion_prob=0.1))
+    rows = [
+        [e.chrono, e.node, e.depth, e.port.value, render_term(e.goal)]
+        for e in events_of(program, max_steps=150)
+    ]
+    for where, kind, value in corruptions:
+        row = rows[where % len(rows)]
+        if kind == "goal":
+            pool = _CORRUPT_GOALS + [other[4] for other in rows]
+            row[4] = pool[value % len(pool)]
+        else:
+            row[1] = 1 + value % (max(other[1] for other in rows) + 2)
+    if fmt == "text":
+        lines, parse = [" ".join(map(str, row)) for row in rows], parse_event
+    else:
+        keys = ("chrono", "node", "depth", "port", "goal")
+        lines, parse = [json.dumps(dict(zip(keys, row))) for row in rows], event_from_json
+    assert _read_streamed("\n".join(lines), fmt) == _read_line_by_line(lines, parse)
