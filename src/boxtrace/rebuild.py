@@ -83,7 +83,9 @@ class Rebuilder:
     `state` is the live accumulator, of the engine's own tree class; copy()
     it to keep a snapshot.  After finish(), `truncated` tells whether the
     stream stopped where a completed run could not have, and status() how
-    the run ended.  The depth attribute plays no part in replay:
+    the run ended; a stream that ends on a Redo makes finish() raise
+    TraceTruncatedError with `truncated` set and the tree as before the
+    Redo.  The depth attribute plays no part in replay:
     `depth_mismatches` collects (chrono, expected, actual) for every event
     whose depth disagrees with the replayed tree.
     """

