@@ -45,9 +45,7 @@ from .terms import (
 from .trace import (
     Port,
     TraceEvent,
-    event_from_json,
     event_to_json,
-    parse_event,
     parse_trace_text,
     render_event,
     stream_events,

@@ -131,6 +131,9 @@ def cmd_rebuild(args: argparse.Namespace) -> int:
             return 1
     if reb.truncated:
         print("note: trace is a prefix of a longer run", file=sys.stderr)
+    if reb.depth_mismatches:  # replay never reads depth; a lint, not an error
+        print(f"note: {len(reb.depth_mismatches)} event depth(s) disagree with the replayed "
+              f"tree, first at chrono {reb.depth_mismatches[0][0]}", file=sys.stderr)
     _print_final_tree(reb.state, reb.status(), as_json)
     return 0
 
@@ -153,12 +156,12 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def cmd_fuzz(args: argparse.Namespace) -> int:
-    passed = limited = failed = 0
+    passing = limited = failed = 0
     for seed in range(args.seed, args.seed + args.count):
         program = gen_program(GenParams(seed=seed))
         report = check_faithfulness(program, max_steps=args.max_steps)
         if report.verdict == "pass":
-            passed += 1
+            passing += 1
         elif report.verdict == "limit-hit":
             limited += 1
         else:
@@ -169,7 +172,7 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
                       f"{report.first_divergence.note}")
             elif report.detail:
                 print(f"  {report.detail}")
-    print(f"{args.count} programs: {passed} pass, {limited} limit-hit, {failed} fail")
+    print(f"{args.count} programs: {passing} pass, {limited} limit-hit, {failed} fail")
     return 0 if failed == 0 else 1
 
 

@@ -397,12 +397,11 @@ class Engine(RestrictedState):
         return created, goal
 
     def _prune_after(self, v: int) -> tuple[int, ...]:
-        """Discard every node after v in Dewey order with its hidden
-        bookkeeping, and undo the bindings made since v last consumed a
+        """Discard every node after v, the greatest choice point, in Dewey
+        order with its hidden bookkeeping (no discarded node is in
+        `_cp_order`), and undo the bindings made since v last consumed a
         clause.  v's call-time predication stays in `call_goal`."""
         removed = self.prune_after(v)
-        while self._cp_order and self._cp_order[-1] > v:
-            self._cp_order.pop()
         for y in removed:
             del self.clauses[y]
             del self.next_clause[y]

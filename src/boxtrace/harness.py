@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .engine import (
-    DeterminismError,
     Engine,
     EngineError,
     RestrictedState,
@@ -149,25 +148,21 @@ def multiset_alpha_equal(xs, ys) -> bool:
 class GenParams:
     seed: int
     predicate_count: int = 4
-    max_clauses: int = 3
     max_body_len: int = 3
-    max_term_depth: int = 2
-    constant_pool: int = 3
     recursion_prob: float = 0.15
 
     def __post_init__(self):
-        if min(
-            self.predicate_count,
-            self.max_clauses,
-            self.max_body_len,
-            self.max_term_depth,
-            self.constant_pool,
-        ) < 1:
+        if min(self.predicate_count, self.max_body_len) < 1:
             raise ValueError("all size bounds must be >= 1")
         if not 0.0 <= self.recursion_prob <= 1.0:
             raise ValueError("recursion_prob must be in [0, 1]")
 
 
+# Fixed shape of every generated program: clauses per predicate, head term
+# depth, and the constants and variable names terms draw from.
+_MAX_CLAUSES = 3
+_MAX_TERM_DEPTH = 2
+_CONSTS = ("a", "b", "c")
 _VAR_NAMES = ("X", "Y", "Z")
 
 
@@ -178,13 +173,12 @@ def gen_program(gp: GenParams) -> Program:
     (or one with no clauses), so the call graph is acyclic.
     """
     rng = random.Random(gp.seed)
-    consts = [chr(ord("a") + i) if i < 26 else f"c{i}" for i in range(gp.constant_pool)]
     arities = [rng.randint(0, 2) for _ in range(gp.predicate_count)]
 
     def make_term(depth: int) -> Term:
         roll = rng.random()
         if roll < 0.35:
-            return Atom(rng.choice(consts))
+            return Atom(rng.choice(_CONSTS))
         if roll < 0.7 or depth <= 0:
             return Variable(rng.choice(_VAR_NAMES))
         functor = rng.choice(("f", "g"))
@@ -201,9 +195,9 @@ def gen_program(gp: GenParams) -> Program:
 
     clauses: list[Clause] = []
     for idx in range(gp.predicate_count):
-        n_clauses = rng.randint(1, gp.max_clauses)
+        n_clauses = rng.randint(1, _MAX_CLAUSES)
         for _ in range(n_clauses):
-            head = predication(idx, gp.max_term_depth - 1)
+            head = predication(idx, _MAX_TERM_DEPTH - 1)
             body_len = rng.randint(0, gp.max_body_len)
             body = []
             for _ in range(body_len):
@@ -223,7 +217,7 @@ def gen_program(gp: GenParams) -> Program:
                     body.append(predication(callee, 1))
                 else:
                     body.append(Atom(f"missing{rng.randint(0, 1)}"))
-            clauses.append(Clause(head, tuple(body), len(clauses)))
+            clauses.append(Clause(head, tuple(body)))
     goal = predication(0, 1)
     return Program(tuple(clauses), goal)
 
@@ -261,10 +255,6 @@ class FaithfulnessReport:
     verdict: str  # "pass" | "fail" | "limit-hit"
     first_divergence: Optional[Divergence] = None
     detail: str = ""
-
-    @property
-    def passed(self) -> bool:
-        return self.verdict == "pass"
 
     @property
     def program_digest(self) -> str:
@@ -404,7 +394,7 @@ def check_faithfulness(
                 divergence = _length_mismatch(steps + rest, steps)
             if divergence is not None:
                 reb.finish()
-    except (DeterminismError, EngineError) as err:
+    except EngineError as err:  # DeterminismError included
         return FaithfulnessReport(program, checked, "fail", detail=str(err))
     except (TraceTruncatedError, CorruptTraceError) as err:
         divergence = Divergence(err.chrono, f"replay rejected the stream: {err}")

@@ -164,7 +164,7 @@ def parse_program(text: str) -> Program:
         tok = tokens[i]
         i += 1
         if tok == ".":
-            clauses.append(Clause(head, (), len(clauses)))
+            clauses.append(Clause(head))
             continue
         if tok == ":-":
             subgoal, i = _predication(text, tokens, i)
@@ -173,7 +173,7 @@ def parse_program(text: str) -> Program:
                 subgoal, i = _predication(text, tokens, i + 1)
                 body.append(subgoal)
             i = _expect(text, tokens, i, ".")
-            clauses.append(Clause(head, tuple(body), len(clauses)))
+            clauses.append(Clause(head, tuple(body)))
             continue
         raise _error(text, tokens, i - 1, f"expected '.' or ':-', found {_found(tok)}")
     if goal is None:

@@ -95,7 +95,6 @@ class Rebuilder:
         self._pending: Optional[TraceEvent] = None
         self._expected_chrono = 1
         self.truncated = False
-        self.last_event: Optional[TraceEvent] = None
         # The ports the next event may have, and why: the root box is new
         # before any event.
         self._next_ports = _NEW_BOX
@@ -213,7 +212,6 @@ class Rebuilder:
         if rule is None:
             raise TraceTruncatedError("stream ends on a Redo event", chrono)
         self._next_ports = _NEW_BOX if created is not None else follows
-        self.last_event = event
         created_goal = None if created is None else nxt.goal
         return rule, StepDelta(st.current, removed, created, created_goal, updated_goal)
 
@@ -234,11 +232,11 @@ class Rebuilder:
     def status(self) -> str:
         """'success' or 'failure' when the replayed run plainly finished at
         the root, else 'unknown'."""
-        e = self.last_event
-        if e is not None and not self.truncated and e.node == ROOT:
-            if e.port is Port.EXIT:
-                return "success"
-            if e.port is Port.FAIL:
-                return "failure"
+        # The port order after the last event finished tells whether it was
+        # an Exit or a Fail at the root.
+        if not self.truncated and self._next_ports is _AFTER_ROOT_EXIT:
+            return "success"
+        if not self.truncated and self._next_ports is _AFTER_ROOT_FAIL:
+            return "failure"
         return "unknown"
 

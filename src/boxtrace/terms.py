@@ -264,11 +264,6 @@ class Clause:
 
     head: Term
     body: tuple[Term, ...] = ()
-    source_index: int = 0
-
-    @property
-    def is_fact(self) -> bool:
-        return not self.body
 
 
 @dataclass(frozen=True)
@@ -343,7 +338,7 @@ def render_term(t: Term) -> str:
 
 
 def render_clause(c: Clause) -> str:
-    if c.is_fact:
+    if not c.body:
         return f"{render_term(c.head)}."
     body = ",".join(render_term(b) for b in c.body)
     return f"{render_term(c.head)} :- {body}."

@@ -21,7 +21,7 @@ from typing import Iterable, Iterator, NamedTuple
 
 from .engine import REDO_RULES, Engine, RuleId, StepDelta
 from .parser import ParseError, parse_term_text
-from .terms import Term, render_term
+from .terms import Term, Variable, render_term
 
 
 class Port(enum.Enum):
@@ -117,21 +117,10 @@ def _text_fields(line: str) -> tuple[int, int, int, Port, str]:
     return _check_fields(line, *fields)
 
 
-def _event(fields: tuple[int, int, int, Port, str]) -> TraceEvent:
-    chrono, node, depth, port, goal = fields
-    return TraceEvent(chrono, node, depth, port, parse_term_text(goal, decode_renamed=True))
-
-
-def parse_event(line: str) -> TraceEvent:
-    return _event(_text_fields(line))
-
-
 def render_events_pretty(events: Iterable[TraceEvent]) -> list[str]:
-    """Column-aligned text lines (parses back the same as the plain form)."""
-    rows = [
-        (str(e.chrono), str(e.node), str(e.depth), e.port.value, render_term(e.goal))
-        for e in events
-    ]
+    """Column-aligned text lines (parses back the same as the plain form):
+    `render_event`'s lines with their first four fields padded."""
+    rows = [render_event(e).split(" ", 4) for e in events]
     if not rows:
         return []
     widths = [max(len(row[i]) for row in rows) for i in range(4)]
@@ -157,13 +146,11 @@ def _json_fields(line: str) -> tuple[int, int, int, Port, str]:
     try:
         obj = json.loads(line)
         fields = [obj[key] for key in ("chrono", "node", "depth", "port", "goal")]
-    except (json.JSONDecodeError, KeyError, TypeError):
+    # ValueError: bad JSON, or an integer too long to convert; RecursionError:
+    # nesting deeper than the decoder's stack.
+    except (ValueError, RecursionError, KeyError, TypeError):
         raise ParseError(f"malformed JSON event {line!r}", 1, 1) from None
     return _check_fields(line, *fields)
-
-
-def event_from_json(line: str) -> TraceEvent:
-    return _event(_json_fields(line))
 
 
 def parse_trace_text(lines: str | Iterable[str], fmt: str = "text") -> Iterator[TraceEvent]:
@@ -200,6 +187,8 @@ def parse_trace_text(lines: str | Iterable[str], fmt: str = "text") -> Iterator[
                 goal = last[1]
             else:
                 goal = parse_term_text(text, decode_renamed=True)
+                if isinstance(goal, Variable):  # no box holds a variable
+                    raise ParseError(f"goal {text!r} is a variable", 1, 1)
                 held[node] = (text, goal)
         except ParseError as err:
             raise ParseError(f"bad trace line: {err.message}", lineno, 1) from None

@@ -11,7 +11,8 @@ must agree with exactly; `climbing_has_choice_point` is the tree climb that
 the engine's creation-number test `has_choice_point` must agree with;
 `token_list_parse_program` and `token_list_parse_term_text` are the reader
 that builds a list of token tuples, tracking line and column as it goes,
-which the one-pass reader must agree with exactly, errors included.
+which the one-pass reader must agree with exactly, errors included;
+`positions` names clauses by their place in the program.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ def rename_apart(clause: Clause, counter: int) -> Clause:
     body = tuple(rename_term(b, counter) for b in clause.body)
     if head is clause.head and all(a is b for a, b in zip(body, clause.body)):
         return clause
-    return Clause(head=head, body=body, source_index=clause.source_index)
+    return Clause(head=head, body=body)
 
 
 def unguarded_reference_solve(
@@ -132,6 +133,11 @@ def useful_clauses(goal: Term, program: Program, s: Subst) -> list[Clause]:
         for clause, head in zip(program.clauses, trial_heads(program))
         if unify(target, head, {}) is not None
     ]
+
+
+def positions(program: Program, clauses: Iterable[Clause]) -> list[int]:
+    """Each clause's position in `program.clauses`, found by identity."""
+    return [next(i for i, p in enumerate(program.clauses) if p is c) for c in clauses]
 
 
 def write_trace_text(events: Iterable[TraceEvent]) -> str:
@@ -322,7 +328,7 @@ def token_list_parse_program(text: str) -> Program:
         head = parser.predication()
         nxt = parser.take()
         if nxt.kind == "punct" and nxt.text == ".":
-            clauses.append(Clause(head, (), len(clauses)))
+            clauses.append(Clause(head))
             continue
         if nxt.kind == "punct" and nxt.text == ":-":
             body = [parser.predication()]
@@ -330,7 +336,7 @@ def token_list_parse_program(text: str) -> Program:
                 parser.take()
                 body.append(parser.predication())
             parser.expect(".")
-            clauses.append(Clause(head, tuple(body), len(clauses)))
+            clauses.append(Clause(head, tuple(body)))
             continue
         got = "end of input" if nxt.kind == "end" else repr(nxt.text)
         raise ParseError(f"expected '.' or ':-', found {got}", nxt.line, nxt.column)

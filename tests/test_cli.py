@@ -256,6 +256,7 @@ def test_rebuild_bad_line_exits_2_with_its_number(tmp_path, capsys, fmt):
         ((2, 1, -4, "Exit", "p(a)"), "event fields must be positive"),
         ((2, -7, 1, "Exit", "p(a)"), "event fields must be positive"),
         ((2, 1, 1, "Exit", "p(a"), "expected ')', found end of input"),
+        ((2, 1, 1, "Exit", "Y_3"), "goal 'Y_3' is a variable"),
     ]:
         trace_file.write_text(f"{good}\n\n{_event_line(fmt, *bad)}\n")
         assert main(["rebuild", str(trace_file), "--format", fmt]) == 2
@@ -263,6 +264,60 @@ def test_rebuild_bad_line_exits_2_with_its_number(tmp_path, capsys, fmt):
         assert err.startswith("error: bad trace line: ") and why in err
         # The trace line is named once, by its number in the file.
         assert err.count("(line ") == 1 and err.endswith("(line 3, column 1)\n")
+
+
+@pytest.mark.parametrize("fmt", ["text", "jsonl"])
+def test_rebuild_variable_root_goal_exits_2(tmp_path, capsys, fmt):
+    # No box holds a variable, the root's included: the program reader
+    # rejects a variable predication, and the trace reader a variable goal.
+    trace_file = tmp_path / "variable.trace"
+    trace_file.write_text(_event_line(fmt, 1, 1, 1, "Call", "X") + "\n")
+    assert main(["rebuild", str(trace_file), "--format", fmt]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: bad trace line: goal 'X' is a variable (line 1, column 1)\n"
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        "[" * 200_000,
+        '{"a":' * 200_000,
+        '{"chrono": ' + "9" * 5_000 + ', "node": 1, "depth": 1, "port": "Exit", "goal": "a"}',
+    ],
+    ids=["deep-array", "deep-object", "huge-integer"],
+)
+def test_rebuild_json_past_the_decoders_limits_exits_2(tmp_path, capsys, bad):
+    # Nesting deeper than the JSON decoder's stack, and an integer too long
+    # to convert, are malformed lines like any other.
+    trace_file = tmp_path / "deep.jsonl"
+    trace_file.write_text(_event_line("jsonl", 1, 1, 1, "Call", "p(X)") + "\n" + bad + "\n")
+    assert main(["rebuild", str(trace_file), "--format", "jsonl"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: bad trace line: malformed JSON event ")
+    assert captured.err.count("\n") == 1 and captured.err.endswith("(line 2, column 1)\n")
+
+
+def test_rebuild_notes_depths_the_tree_does_not_give(choice_file, tmp_path, capsys):
+    # Replay never reads the depth: a wrong one keeps the output and the
+    # exit code, and adds a note with the count and the first chrono.
+    main(["trace", choice_file])
+    lines = capsys.readouterr().out.splitlines()
+    trace_file = tmp_path / "choice.trace"
+    trace_file.write_text("\n".join(lines) + "\n")
+    assert main(["rebuild", str(trace_file)]) == 0
+    clean = capsys.readouterr()
+    assert clean.err == ""
+    assert lines[3] == "4 3 2 Call eq(a,b)" and lines[4] == "5 3 2 Fail eq(a,b)"
+    lines[3], lines[4] = "4 3 7 Call eq(a,b)", "5 3 1 Fail eq(a,b)"
+    trace_file.write_text("\n".join(lines) + "\n")
+    assert main(["rebuild", str(trace_file)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == clean.out
+    assert captured.err == (
+        "note: 2 event depth(s) disagree with the replayed tree, first at chrono 4\n"
+    )
 
 
 def _rebuild_peak(path: str) -> int:

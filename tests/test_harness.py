@@ -4,15 +4,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import boxtrace.harness as harness_module
 from boxtrace import (
     Atom,
     Compound,
+    DeterminismError,
     Engine,
     GenParams,
     Port,
     Rebuilder,
+    RefResult,
     RuleId,
+    StepDelta,
     TraceEvent,
+    Variable,
     check_faithfulness,
     gen_program,
     multiset_alpha_equal,
@@ -22,7 +27,7 @@ from boxtrace import (
     render_term,
     stream_events,
 )
-from boxtrace.harness import program_digest
+from boxtrace.harness import _deltas_match, program_digest
 from tests.conftest import CHOICE_PROGRAM, events_of
 from tests.references import unguarded_reference_solve
 
@@ -136,7 +141,6 @@ def test_check_choice_program_passes(choice_program):
     assert report.verdict == "pass"
     assert report.steps_checked == 10
     assert report.first_divergence is None
-    assert report.passed
 
 
 def test_check_reports_limit_hit():
@@ -364,3 +368,87 @@ def test_check_memory_grows_linearly_with_depth():
     )
     short, long = _check_peak(program, 2000), _check_peak(program, 4000)
     assert long <= 2.5 * short, (short, long)
+
+
+# -- check's own verdicts and comparisons ------------------------------------------
+
+TWO_CHOICES = "goal :- p(X), q(Y), eq(Y,b).\np(a).\np(b).\nq(a).\nq(b).\neq(X,X).\n:- goal.\n"
+
+
+def test_redo_to_an_older_choice_point_differs_in_tree_size():
+    # At chrono 8 the run retries q(Y), box 3.  The foreign stream retries
+    # p(X), box 2, an older live choice point, with the goal box 2 holds;
+    # both are Redo1, but replay drops box 3 as well.  The stream stops at
+    # chrono 9, so that nothing after it is rejected instead.
+    program = parse_program(TWO_CHOICES)
+    events = events_of(program)[:9]
+    redo, exit_ = events[7], events[8]
+    assert (redo.node, redo.port, exit_.node) == (3, Port.REDO, 3)
+    box2 = events[2]
+    assert (box2.node, box2.port, render_term(box2.goal)) == (2, Port.EXIT, "p(a)")
+    events[7] = TraceEvent(8, 2, 2, Port.REDO, box2.goal)
+    events[8] = TraceEvent(9, 2, 2, Port.EXIT, Compound("p", (Atom("b"),)))
+    report = check_faithfulness(program, events=events)
+    assert report.verdict == "fail"
+    divergence = report.first_divergence
+    assert (divergence.chrono, divergence.note) == (
+        8,
+        "replayed tree size differs from the engine's",
+    )
+    assert divergence.applied_rule is divergence.classified_rule is RuleId.REDO1
+
+
+def test_answers_that_differ_from_the_oracles_fail(choice_program, monkeypatch):
+    monkeypatch.setattr(
+        harness_module, "reference_solve", lambda *args: RefResult((), capped=False)
+    )
+    report = check_faithfulness(choice_program)
+    assert report.verdict == "fail"
+    assert report.steps_checked == 10 and report.first_divergence is None
+    assert report.detail == "answer multisets differ: engine 1 vs oracle 0"
+
+
+def test_an_engine_error_fails_the_check(choice_program, monkeypatch):
+    select_rule = Engine.select_rule
+
+    def overlapping(self):
+        if self.chrono == 3:
+            raise DeterminismError("rules ['Exit1', 'Exit2'] all apply at chrono 4")
+        return select_rule(self)
+
+    monkeypatch.setattr(Engine, "select_rule", overlapping)
+    report = check_faithfulness(choice_program)
+    assert report.verdict == "fail" and report.first_divergence is None
+    assert report.steps_checked == 2  # replay finishes an event on the next one
+    assert report.detail == "rules ['Exit1', 'Exit2'] all apply at chrono 4"
+
+
+_DELTA = StepDelta(
+    3, (4, 5), (6, 3, 2), Compound("p", (Variable("X"),)), (3, Compound("q", (Atom("a"),)))
+)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("current", 2),
+        ("removed", (4,)),
+        ("removed", ()),
+        ("created", (6, 3, 1)),
+        ("created", (7, 3, 2)),
+        ("created", None),
+        ("created_goal", Compound("p", (Atom("a"),))),
+        ("created_goal", None),
+        ("updated_goal", (2, Compound("q", (Atom("a"),)))),
+        ("updated_goal", (3, Compound("q", (Atom("b"),)))),
+        ("updated_goal", None),
+    ],
+)
+def test_deltas_that_differ_in_one_field_do_not_match(field, value):
+    other = _DELTA._replace(**{field: value})
+    assert not _deltas_match(_DELTA, other) and not _deltas_match(other, _DELTA)
+
+
+def test_deltas_match_up_to_renaming():
+    renamed = _DELTA._replace(created_goal=Compound("p", (Variable("X", 7),)))
+    assert _deltas_match(_DELTA, _DELTA) and _deltas_match(_DELTA, renamed)

@@ -31,14 +31,13 @@ def test_choice_program_shape(choice_program):
         Compound("p", (Variable("X"),)),
         Compound("eq", (Variable("X"), Atom("b"))),
     )
-    assert [cl.source_index for cl in choice_program.clauses] == [0, 1, 2, 3]
-    assert [cl.is_fact for cl in choice_program.clauses] == [False, True, True, True]
+    assert [not cl.body for cl in choice_program.clauses] == [False, True, True, True]
 
 
 def test_minimal_program():
     program = parse_program("a.\n:- a.")
     assert len(program.clauses) == 1
-    assert program.clauses[0].is_fact
+    assert program.clauses[0].body == ()
     assert program.goal == Atom("a")
 
 

@@ -20,7 +20,7 @@ from boxtrace import (
     unify,
 )
 from boxtrace.terms import rename_term, unify_into
-from tests.references import is_instance_of, rename_apart, useful_clauses
+from tests.references import is_instance_of, positions, rename_apart, useful_clauses
 
 X, Y, Z = Variable("X"), Variable("Y"), Variable("Z")
 a, b = Atom("a"), Atom("b")
@@ -103,11 +103,11 @@ def test_apply_subst_transitive_chain():
 
 
 def test_rename_apart_preserves_sharing():
-    clause = Clause(c("eq", X, X), (), 3)
+    clause = Clause(c("eq", X, X))
     renamed = rename_apart(clause, 7)
     arg1, arg2 = renamed.head.args
     assert arg1 == arg2 == Variable("X", 7)
-    assert renamed.source_index == 3
+    assert renamed.body == ()
 
 
 def test_rename_term_deep_term():
@@ -119,12 +119,12 @@ def test_rename_term_deep_term():
 
 
 def test_rename_apart_ground_clause_unchanged():
-    clause = Clause(c("p", a), (), 0)
+    clause = Clause(c("p", a))
     assert rename_apart(clause, 3) is clause
 
 
 def test_rename_apart_distinct_counters_give_distinct_variables():
-    clause = Clause(c("q", X), (), 0)
+    clause = Clause(c("q", X))
     one = rename_apart(clause, 1).head.args[0]
     two = rename_apart(clause, 2).head.args[0]
     assert one != two
@@ -136,7 +136,7 @@ def test_rename_apart_distinct_counters_give_distinct_variables():
 
 def test_useful_clauses_on_choice_program(choice_program):
     kept = useful_clauses(c("p", X), choice_program, {})
-    assert [cl.source_index for cl in kept] == [1, 2]
+    assert positions(choice_program, kept) == [1, 2]
 
 
 def test_useful_clauses_failing_goal(choice_program):
@@ -152,7 +152,7 @@ def test_useful_clauses_applies_substitution(choice_program):
     assert useful_clauses(c("eq", X, b), choice_program, {X: a}) == []
     # unbound X: eq(X,b) matches eq(Y,Y)
     kept = useful_clauses(c("eq", X, b), choice_program, {})
-    assert [cl.source_index for cl in kept] == [3]
+    assert positions(choice_program, kept) == [3]
 
 
 # -- rendering and comparison -------------------------------------------------
@@ -224,9 +224,8 @@ def test_apply_subst_idempotent_after_unify(t1, t2):
 def test_useful_clauses_is_subsequence(goal):
     program = parse_program("f(a).\ng(a,b) :- f(X).\nf(g(a,b)).\n:- f(a).")
     kept = useful_clauses(goal, program, {}) if not isinstance(goal, Variable) else []
-    indices = [cl.source_index for cl in kept]
+    indices = positions(program, kept)
     assert indices == sorted(indices)
-    assert all(program.clauses[i] is kept[k] for k, i in enumerate(indices))
 
 
 # -- value semantics: what the frozen dataclasses guaranteed ------------------
