@@ -13,6 +13,12 @@ Four workload shapes:
     step should not grow with the number of clauses, so the bands should
     agree too.
 
+Two deterministic lines are printed too: for `check_faithfulness` on a
+deep-shaped runaway program (the bench's deep workload: a binding chain as
+long as the tree is deep), the `unify_into` calls and the goals
+`alpha_equal` walks (it returns at once on a term compared with itself)
+per step at 2.5k and 40k steps, counted under cProfile.
+
 Each line is the median of RUNS fresh runs, with their min-max: single
 runs on a small shared machine can differ by 2x, so no absolute rate is
 judged.  The advisory check is relative instead: a depth band or a
@@ -22,13 +28,15 @@ not fail.  Run from the repository root:
 `python3 scripts/bench_engine.py`.
 """
 
+import cProfile
+import pstats
 import statistics
 import sys
 import time
 
 sys.path.insert(0, "src")
 
-from boxtrace import parse_program
+from boxtrace import check_faithfulness, parse_program
 from boxtrace.engine import Engine
 
 BACKTRACKING = """
@@ -50,7 +58,17 @@ loop :- loop.
 loop.
 :- loop.
 """
+# Every step is a Call2 one box deeper, whose head binds the caller's
+# fresh first argument; the second argument is passed down unchanged.
+DEEP_CHECK = """
+r0(f(a,Z),Y) :- r1(X,Y).
+r0(a,b).
+r1(g(b,Z),Y) :- r0(X,Y).
+r1(c,d).
+:- r0(A,B).
+"""
 DEPTH_BANDS = (1_000, 10_000, 40_000)
+CALL_COUNT_STEPS = (2_500, 40_000)
 BAND_WIDTH = 1_000
 FACT_TABLE_SIZES = (5_000, 10_000, 20_000, 40_000)
 RUNS = 5
@@ -85,6 +103,18 @@ def depth_bands(text: str) -> list[tuple[int, float]]:
     return bands
 
 
+def calls_per_step(text: str, steps: int) -> dict[str, float]:
+    """`unify_into` calls and `alpha_equal` walks (`_alpha_walk` calls) per
+    step of one `check_faithfulness` run, counted under cProfile."""
+    profile = cProfile.Profile()
+    profile.runcall(check_faithfulness, parse_program(text), max_steps=steps)
+    calls = {"unify_into": 0, "_alpha_walk": 0}
+    for (_, _, name), (_, ncalls, *_) in pstats.Stats(profile).stats.items():
+        if name in calls:
+            calls[name] += ncalls
+    return {name: n / steps for name, n in calls.items()}
+
+
 def spread(rates: list[float]) -> str:
     return (
         f"{statistics.median(rates):>10,.0f} steps/s"
@@ -111,6 +141,13 @@ def main() -> int:
     for i, depth in enumerate(DEPTH_BANDS):
         rates = [run[i][1] for run in bands]
         print(f"runaway at depth {depth:>6,} : {spread(rates)}  [{band_flag(rates, smallest)}]")
+
+    for steps in CALL_COUNT_STEPS:
+        calls = calls_per_step(DEEP_CHECK, steps)
+        print(
+            f"check calls per step at {steps:>6,} steps :"
+            f" unify_into {calls['unify_into']:.3f}, alpha_equal walks {calls['_alpha_walk']:.3f}"
+        )
 
     smallest = []
     for size in FACT_TABLE_SIZES:

@@ -30,11 +30,13 @@ is its Call.  Unification lives behind the scenes: bindings go into one
 mutable store with an undo trail.  The hidden per-node tables are four:
 `clauses` (the matching clauses), `next_clause` (the position of the next
 untried one), `call_goal` (the call-time predication) and `running` (the
-clause instance the node consumed last, with the trail mark its head was
+clause instance whose head the node bound last, with the trail mark it was
 bound from, so a jump back to a choice point restores that node's
-bindings).  `has_choice_point(v)` is only asked of the current node or the
-root: for those, the live nodes numbered v or more are exactly v's
-subtree, so the test compares creation numbers instead of climbing it.
+bindings).  A box binds its first clause when it is filtered, at creation
+(its Call is the next step), and each Redo the next.  `has_choice_point(v)`
+is only asked of the current node or the root: for those, the live nodes
+numbered v or more are exactly v's subtree, so the test compares creation
+numbers instead of climbing it.
 """
 
 from __future__ import annotations
@@ -217,10 +219,6 @@ class Engine(RestrictedState):
         self._predicates = _clause_index(program)
         goal = program.goal
         self.last_number = 1
-        # A node's matching clauses, kept whole; the untried ones are
-        # clauses[v][next_clause[v]:], so consuming one is O(1).
-        self.clauses: dict[int, tuple[Clause, ...]] = {ROOT: self._matching_clauses(goal)}
-        self.next_clause: dict[int, int] = {ROOT: 0}
         # The first-visit flag of the current node; no other node is fresh.
         self.fresh = True
         self.done = False
@@ -232,32 +230,35 @@ class Engine(RestrictedState):
         # mark just before the head was bound).
         self.subst: Subst = {}
         self.trail: list[Variable] = []
-        # Expansion cache for instantiating goals; cleared wherever the
-        # store changes (the bind in `_consume_clause`, the undo in
-        # `_prune_after`).
+        # Expansion cache for instantiating goals; cleared wherever the store
+        # changes (binds in `_bind`, the undo in `_prune_after`).
         self._inst_memo: dict[Variable, Term] = {}
         self.rename_counter = 0
         self.call_goal: dict[int, Term] = {ROOT: goal}
         self.running: dict[int, tuple[Clause, int, int]] = {}
+        # A node's matching clauses, kept whole; the untried ones are
+        # clauses[v][next_clause[v]:], so consuming one is O(1).
+        self.clauses: dict[int, tuple[Clause, ...]] = {}
+        self.next_clause: dict[int, int] = {}
         # Creation-ordered list of the live nodes with untried clauses (a
         # subsequence of `order`).
-        self._cp_order: list[int] = [ROOT] if self.clauses[ROOT] else []
+        self._cp_order: list[int] = []
+        self._fill_box(ROOT, goal)
 
-    def _matching_clauses(self, goal: Term) -> tuple[Clause, ...]:
-        """Clauses whose renamed head unifies with the instantiated goal, in order.
+    def _fill_box(self, v: int, goal: Term) -> None:
+        """Give box v the clauses whose renamed head unifies with its
+        instantiated goal, in order, and bind the first of them.
 
         Candidates come from first-argument indexing (the abstract machine's
         `switch_on_term`): a bound first argument selects the clauses whose
         first head argument has its principal functor, merged with those
         whose first head argument is a variable; an unbound first argument,
-        or a goal of arity 0, takes every clause of the predicate.  Only
-        clauses that cannot unify are skipped: each candidate is still
-        trial-unified, so the result equals a filter over the whole program.
+        or a goal of arity 0, takes every clause of the predicate.  Each
+        candidate is tried once, so the result equals a filter over the whole
+        program: until one binds for real (`_bind`, as v's Call, the next
+        step, would), and after that by the trial `unify` the guards read.
         """
-        predicate = self._predicates.get(functor_key(goal))
-        if predicate is None:
-            return ()
-        candidates, by_first, var_first = predicate
+        candidates, by_first, var_first = self._predicates.get(functor_key(goal), ((), {}, ()))
         # An instantiated goal has no bound variables: a Variable is unbound.
         if isinstance(goal, Compound) and not isinstance(goal.args[0], Variable):
             keyed = by_first.get(functor_key(goal.args[0]))
@@ -271,9 +272,27 @@ class Engine(RestrictedState):
                 candidates = keyed
         kept = []
         for _, clause, head in candidates:
-            if unify(goal, head, {}) is not None:
+            if kept:
+                if unify(goal, head, {}) is not None:
+                    kept.append(clause)
+            elif self._bind(v, clause):
                 kept.append(clause)
-        return tuple(kept)
+        self.clauses[v] = tuple(kept)
+        self.next_clause[v] = 0
+        if kept:
+            self._cp_order.append(v)
+
+    def _bind(self, v: int, clause: Clause) -> bool:
+        """Bind clause's head, renamed with the next instance number, to v's
+        call predication and make it v's running clause; a clash changes nothing."""
+        instance, mark = self.rename_counter + 1, len(self.trail)
+        head = rename_term(clause.head, instance)
+        if not unify_into(self.call_goal[v], head, self.subst, self.trail):
+            return False
+        self.rename_counter = instance
+        self.running[v] = (clause, instance, mark)
+        self._inst_memo.clear()
+        return True
 
     # -- predicates over the current state ---------------------------------
 
@@ -312,11 +331,11 @@ class Engine(RestrictedState):
         untried = k < len(cl)
         fact_next = untried and not cl[k].body
         done, failing = self.done, self.failing
-        # A leaf solved its call iff it consumed a clause (consumption only
-        # happens after its head unified); a non-leaf is only ever current
+        # A called leaf solved its call iff a clause head bound (`running`;
+        # only guards of called boxes read it); a non-leaf is only current
         # under not-failing right after its last child exited, which makes
-        # its subtree a finished proof.  A leaf that never consumed and has
-        # no clause is the box nothing can serve: the failure origin.
+        # its subtree a finished proof.  A leaf that never bound and has no
+        # clause is the box nothing can serve: the failure origin.
         consumed = u in self.running
         failed_leaf = leaf and not untried and not consumed
         hcp = self.has_choice_point(u)
@@ -355,8 +374,9 @@ class Engine(RestrictedState):
     # -- state updates ------------------------------------------------------
 
     def _consume_clause(self, v: int) -> None:
-        """Take the next untried clause at v and unify its renamed head with
-        v's call predication.  Filtering guarantees this cannot fail."""
+        """Take the next untried clause at v.  The first was bound when v was
+        filtered; at a Redo (position 1 or more) bind the clause's renamed
+        head to v's call predication, which filtering guarantees succeeds."""
         cl = self.clauses[v]
         k = self.next_clause[v]
         if k >= len(cl):
@@ -368,11 +388,7 @@ class Engine(RestrictedState):
             if not self._cp_order or self._cp_order[-1] != v:
                 raise EngineError(f"node {v} emptied but is not the last choice point")
             self._cp_order.pop()
-        self.rename_counter += 1
-        head = rename_term(cl[k].head, self.rename_counter)
-        self.running[v] = (cl[k], self.rename_counter, len(self.trail))
-        self._inst_memo.clear()
-        if not unify_into(self.call_goal[v], head, self.subst, self.trail):
+        if k and not self._bind(v, cl[k]):
             raise EngineError(f"head of a filtered clause failed to unify at node {v}")
 
     def _create_child(self, parent: int) -> tuple[tuple[int, int, int], Term]:
@@ -387,11 +403,7 @@ class Engine(RestrictedState):
         v = self.last_number
         created = self.add_child(v, parent, goal)
         self.call_goal[v] = goal
-        cl = self._matching_clauses(goal)
-        self.clauses[v] = cl
-        self.next_clause[v] = 0
-        if cl:
-            self._cp_order.append(v)
+        self._fill_box(v, goal)
         self.current = v
         self.fresh = True
         return created, goal

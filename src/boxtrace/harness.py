@@ -12,6 +12,10 @@ completed run.  Answers are additionally compared against
 with the engine beyond terms, unification and `functor_key`, by which its
 own loop tries a goal only against its own predicate's clauses.
 
+`alpha_equal` compares identity first, so replaying the run's own stream,
+whose goals are the engine's objects, walks no goal; a stream read back
+from text, or a mutated one, carries other objects and is walked.
+
 `gen_program` produces small random programs in the supported subset,
 deterministically from a seed.
 """
@@ -268,18 +272,13 @@ def _deltas_match(a: StepDelta, b: StepDelta) -> bool:
     # its parent and child index, so equal deltas place every box alike.
     if a.current != b.current or a.removed != b.removed or a.created != b.created:
         return False
-    if (a.created_goal is None) != (b.created_goal is None):
+    x, y = a.created_goal, b.created_goal
+    if (x is None) != (y is None) or (x is not None and not alpha_equal(x, y)):
         return False
-    if a.created_goal is not None and not alpha_equal(a.created_goal, b.created_goal):
+    x, y = a.updated_goal, b.updated_goal
+    if (x is None) != (y is None):
         return False
-    if (a.updated_goal is None) != (b.updated_goal is None):
-        return False
-    if a.updated_goal is not None:
-        if a.updated_goal[0] != b.updated_goal[0]:
-            return False
-        if not alpha_equal(a.updated_goal[1], b.updated_goal[1]):
-            return False
-    return True
+    return x is None or (x[0] == y[0] and alpha_equal(x[1], y[1]))
 
 
 def _length_mismatch(streamed: int, ran: int) -> Divergence:

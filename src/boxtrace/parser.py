@@ -80,7 +80,10 @@ def _variable(name: str) -> Variable:
     canonical renderer attached."""
     stem, _, k = name.rpartition("_")
     if stem and k.isdigit():
-        return Variable(stem, int(k))
+        try:
+            return Variable(stem, int(k))
+        except ValueError:  # more digits than int() converts: no run's index
+            pass
     return Variable(name)
 
 

@@ -225,7 +225,12 @@ def instantiate(term: Term, s: Subst, memo: dict[Variable, Term]) -> Term:
 
 
 def alpha_equal(t1: Term, t2: Term) -> bool:
-    """Structural equality up to a consistent bijective renaming of variables."""
+    """Structural equality up to a consistent bijective renaming of variables;
+    a term is its own variant (the identity renaming), so it is not walked."""
+    return t1 is t2 or _alpha_walk(t1, t2)
+
+
+def _alpha_walk(t1: Term, t2: Term) -> bool:
     fwd: dict[Variable, Variable] = {}
     bwd: dict[Variable, Variable] = {}
     stack = [(t1, t2)]

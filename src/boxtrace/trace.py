@@ -86,6 +86,7 @@ def render_event(e: TraceEvent) -> str:
 
 
 _PORTS = {port.value: port for port in Port}
+_MESSAGE_MAX = 120  # the most characters of a bad line's message
 
 
 def _check_fields(
@@ -191,5 +192,8 @@ def parse_trace_text(lines: str | Iterable[str], fmt: str = "text") -> Iterator[
                     raise ParseError(f"goal {text!r} is a variable", 1, 1)
                 held[node] = (text, goal)
         except ParseError as err:
-            raise ParseError(f"bad trace line: {err.message}", lineno, 1) from None
+            message = err.message
+            if len(message) > _MESSAGE_MAX:  # it may quote a line of any length
+                message = message[:_MESSAGE_MAX] + "..."
+            raise ParseError(f"bad trace line: {message}", lineno, 1) from None
         yield TraceEvent(chrono, node, depth, port, goal)

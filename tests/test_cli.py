@@ -299,6 +299,36 @@ def test_rebuild_json_past_the_decoders_limits_exits_2(tmp_path, capsys, bad):
     assert captured.err.count("\n") == 1 and captured.err.endswith("(line 2, column 1)\n")
 
 
+@pytest.mark.parametrize(
+    "fmt, bad",
+    [("jsonl", "[" * 200_000), ("text", "1 1 1 " + "J" * 200_000 + " p(a)")],
+    ids=["deep-array", "long-port"],
+)
+def test_rebuild_quotes_a_bounded_part_of_a_bad_line(tmp_path, capsys, fmt, bad):
+    trace_file = tmp_path / "long.trace"
+    trace_file.write_text(bad + "\n")
+    assert main(["rebuild", str(trace_file), "--format", fmt]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad trace line: ") and "..." in err
+    assert err.endswith("(line 1, column 1)\n") and len(err.encode()) < 300
+
+
+def test_rebuild_reused_creation_number_exits_1(choice_file, tmp_path, capsys):
+    # The Redo at chrono 6 prunes box 3; the run numbers its next box 4,
+    # and no run hands out a number twice.
+    main(["trace", choice_file])
+    lines = capsys.readouterr().out.splitlines()
+    for i in (7, 8):  # events 8 and 9
+        chrono, node, rest = lines[i].split(" ", 2)
+        assert node == "4"
+        lines[i] = f"{chrono} 3 {rest}"
+    trace_file = tmp_path / "reused.trace"
+    trace_file.write_text("\n".join(lines) + "\n")
+    assert main(["rebuild", str(trace_file)]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: corrupt trace: creation number 3 was used before (chrono 7)\n"
+
+
 def test_rebuild_notes_depths_the_tree_does_not_give(choice_file, tmp_path, capsys):
     # Replay never reads the depth: a wrong one keeps the output and the
     # exit code, and adds a note with the count and the first chrono.

@@ -10,6 +10,7 @@ from boxtrace import (
     Compound,
     Engine,
     GenParams,
+    Program,
     Rebuilder,
     RuleId,
     Variable,
@@ -379,7 +380,8 @@ r :- q(b).
 
 
 def _filtered(program, goal):
-    return Engine(program)._matching_clauses(goal)
+    """The clauses the engine keeps for `goal`: filtered as a root box."""
+    return Engine(Program(program.clauses, goal)).clauses[ROOT]
 
 
 @pytest.mark.parametrize(
@@ -436,20 +438,43 @@ def test_index_matches_useful_clauses(program, data):
     assert _filtered(program, goal) == tuple(useful_clauses(goal, program, {}))
 
 
+def _heads_tried(monkeypatch):
+    """The list of clause heads the engine unifies from now on: the bound
+    ones (`unify_into`) and the trial ones (`unify`)."""
+    tried = []
+    for name in ("unify", "unify_into"):
+
+        def counting(goal, head, *rest, _unify=getattr(engine_module, name)):
+            tried.append(head)
+            return _unify(goal, head, *rest)
+
+        monkeypatch.setattr(engine_module, name, counting)
+    return tried
+
+
 def test_bound_first_argument_tries_only_its_bucket(monkeypatch):
     facts = "".join(f"e(n{i},n{(i + k) % 20}).\n" for i in range(20) for k in (1, 2))
     program = parse_program(facts + ":- e(n3,Y).")
-    eng = Engine(program)
-    tried = []
-    unify = engine_module.unify
-
-    def counting_unify(goal, head, s):
-        tried.append(head)
-        return unify(goal, head, s)
-
-    monkeypatch.setattr(engine_module, "unify", counting_unify)
-    assert len(eng._matching_clauses(program.goal)) == 2
+    tried = _heads_tried(monkeypatch)
+    assert len(_filtered(program, program.goal)) == 2
     assert len(tried) == 2  # the two e(n3,_) facts, not all forty
     tried.clear()
-    assert len(eng._matching_clauses(parse_term_text("e(Y,n3)"))) == 2
+    assert len(_filtered(program, parse_term_text("e(Y,n3)"))) == 2
     assert len(tried) == 40  # unbound first argument: every clause is tried
+
+
+def test_a_new_box_unifies_at_most_two_heads(monkeypatch):
+    # Each box of this runaway recursion has two candidate clauses.  The
+    # first is bound while the box is filtered and its Call binds nothing
+    # again; the second gets only the trial unification.
+    tried = _heads_tried(monkeypatch)
+    eng = Engine(
+        parse_program(
+            "r0(f(a,Z),Y) :- r1(X,Y).\nr0(a,b).\n"
+            "r1(g(c,Z),Y) :- r0(X,Y).\nr1(c,d).\n:- r0(A,B).\n"
+        )
+    )
+    for _ in range(1000):
+        eng.step()
+    assert eng.last_number == 1001  # one new box per step, and the root
+    assert len(tried) <= 2 * eng.last_number

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import boxtrace.harness as harness_module
+import boxtrace.terms as terms_module
 from boxtrace import (
     Atom,
     Compound,
@@ -20,14 +21,18 @@ from boxtrace import (
     Variable,
     check_faithfulness,
     gen_program,
+    alpha_equal,
     multiset_alpha_equal,
     parse_program,
+    parse_trace_text,
     reference_solve,
+    render_event,
     render_program,
     render_term,
     stream_events,
 )
 from boxtrace.harness import _deltas_match, program_digest
+from boxtrace.terms import rename_term
 from tests.conftest import CHOICE_PROGRAM, events_of
 from tests.references import unguarded_reference_solve
 
@@ -358,16 +363,100 @@ def _check_peak(program, steps: int) -> int:
         tracemalloc.stop()
 
 
+# A runaway two-predicate recursion one box deeper per step, passing a
+# binding chain down as long as the tree is deep.
+DEEP_RUNAWAY = (
+    "r0(f(a,Z),Y) :- r1(X,Y).\nr0(a,b).\n"
+    "r1(g(c,Z),Y) :- r0(X,Y).\nr1(c,d).\n:- r0(A,B).\n"
+)
+
+
 def test_check_memory_grows_linearly_with_depth():
-    # A runaway two-predicate recursion one box deeper per step, passing a
-    # binding chain down as long as the tree is deep.  Memory per box must
-    # not grow with its depth: double the steps, about double the peak.
-    program = parse_program(
-        "r0(f(a,Z),Y) :- r1(X,Y).\nr0(a,b).\n"
-        "r1(g(c,Z),Y) :- r0(X,Y).\nr1(c,d).\n:- r0(A,B).\n"
-    )
+    # Memory per box must not grow with its depth: double the steps, about
+    # double the peak.
+    program = parse_program(DEEP_RUNAWAY)
     short, long = _check_peak(program, 2000), _check_peak(program, 4000)
     assert long <= 2.5 * short, (short, long)
+
+
+def test_self_check_walks_no_more_goals_per_step_as_the_tree_grows(monkeypatch):
+    # Replay holds the engine's own goal objects, so identity decides every
+    # goal comparison, the whole-state checkpoints over all live boxes
+    # included: the goals walked per step stay the same.
+    walks = []
+
+    def counting(a, b, _walk=terms_module._alpha_walk):
+        walks.append(a)
+        return _walk(a, b)
+
+    monkeypatch.setattr(terms_module, "_alpha_walk", counting)
+    program = parse_program(DEEP_RUNAWAY)
+    per_step = []
+    for steps in (500, 4000):
+        walks.clear()
+        assert check_faithfulness(program, max_steps=steps).verdict == "limit-hit"
+        per_step.append(len(walks) / steps)
+    assert per_step[0] == per_step[1]
+
+
+# -- the identity fast path skips no comparison -------------------------------------
+
+
+# A goal nested 10,000 deep: read back from text, it is compared with the
+# engine's at the checkpoints, and no comparison may recurse per level.
+DEEP_GOAL = "p(X) :- q(X).\nq({}).\n:- p({}).\n".format(
+    "f(" * 10_000 + "Z" + ")" * 10_000, "f(" * 10_000 + "W" + ")" * 10_000
+)
+
+
+@pytest.mark.parametrize(
+    "text, steps, verdict",
+    [(CHOICE_PROGRAM, 10_000, "pass"), (DEEP_RUNAWAY, 300, "limit-hit"), (DEEP_GOAL, 10, "pass")],
+    ids=["choice", "deep-runaway", "deep-goal"],
+)
+def test_a_stream_read_back_from_text_passes(text, steps, verdict):
+    # Every goal read back is another object than the engine's.
+    program = parse_program(text)
+    ran = events_of(program, steps)
+    events = list(parse_trace_text("\n".join(render_event(e) for e in ran)))
+    assert all(a.goal is not b.goal for a, b in zip(events, ran))
+    report = check_faithfulness(program, max_steps=steps, events=events)
+    assert report.verdict == verdict and report.first_divergence is None
+
+
+def _with_goal(events, at, goal):
+    events = list(events)
+    events[at] = events[at]._replace(goal=goal)
+    return events
+
+
+def test_a_goal_swapped_for_a_variant_passes():
+    # Box 5's Call goal r0(X_4,Y_4) becomes r0(X_1000000,Y_1000000): the
+    # created goal and the checkpoint at step 39 reach `alpha_equal`.
+    program = parse_program(DEEP_RUNAWAY)
+    events = events_of(program, 40)
+    goal = events[4].goal
+    variant = rename_term(goal, 10**6)
+    assert variant != goal and alpha_equal(variant, goal)
+    report = check_faithfulness(program, max_steps=40, events=_with_goal(events, 4, variant))
+    assert report.verdict == "limit-hit" and report.first_divergence is None
+
+
+def test_a_goal_swapped_for_a_non_variant_fails():
+    # r0(B,B) is no renaming of r0(X_4,Y_4): the Call2 at chrono 4 that
+    # creates box 5 differs, as it did before goals were compared
+    # identity first.
+    program = parse_program(DEEP_RUNAWAY)
+    events = events_of(program, 40)
+    goal = events[4].goal
+    other = Compound(goal.functor, (Variable("B"), Variable("B")))
+    report = check_faithfulness(program, max_steps=40, events=_with_goal(events, 4, other))
+    assert report.verdict == "fail"
+    divergence = report.first_divergence
+    assert (divergence.chrono, divergence.note) == (
+        4,
+        "state change differs between engine and replay",
+    )
 
 
 # -- check's own verdicts and comparisons ------------------------------------------

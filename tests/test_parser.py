@@ -106,6 +106,9 @@ def test_parse_term_text_decodes_rename_suffix():
     assert parse_term_text("p(X_3)") == Compound("p", (Variable("X_3"),))
     # underscore-initial names without a numeric tail stay whole
     assert parse_term_text("_1", decode_renamed=True) == Variable("_1")
+    # a tail too long for int() stays in the name instead of raising
+    name = "X_" + "9" * 5_000
+    assert parse_term_text(f"p({name})", decode_renamed=True) == Compound("p", (Variable(name),))
 
 
 def test_deep_term_round_trip():

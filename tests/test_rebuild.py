@@ -455,6 +455,16 @@ def _stream(*events):
             "Redo event's goal differs from its box's",
             3,
         ),
+        (
+            # Box 3 was pruned by the Redo; its number is not handed out again.
+            _stream(
+                (1, "Call"), (2, "Call"), (2, "Exit"), (3, "Call"), (3, "Fail"), (2, "Redo"),
+                (2, "Exit"), (3, "Call"), (3, "Exit"), (1, "Exit"),
+            ),
+            CorruptTraceError,
+            "creation number 3 was used before",
+            7,
+        ),
     ],
 )
 def test_rejection_message_and_chrono(events, error, message, chrono):
