@@ -71,8 +71,14 @@ def _error(text: str, tokens: list[str], i: int, message: str) -> ParseError:
     return ParseError(message, line, pos - text.rfind("\n", 0, pos))
 
 
+_QUOTE_MAX = 120  # the most characters of a token an error message quotes
+
+
 def _found(tok: str) -> str:
-    return repr(tok) if tok else "end of input"
+    if not tok:
+        return "end of input"
+    quoted = repr(tok)
+    return quoted[:_QUOTE_MAX] + "..." if len(quoted) > _QUOTE_MAX else quoted
 
 
 def _variable(name: str) -> Variable:
@@ -142,7 +148,7 @@ def parse_term_text(text: str, decode_renamed: bool = False) -> Term:
     tokens = _tokenize(text)
     t, i = _term(text, tokens, 0, decode_renamed)
     if tokens[i]:
-        raise _error(text, tokens, i, f"trailing input {tokens[i]!r}")
+        raise _error(text, tokens, i, f"trailing input {_found(tokens[i])}")
     return t
 
 

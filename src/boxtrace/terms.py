@@ -16,6 +16,23 @@ differ), but a term does compare equal to the plain tuple of its fields.
 Substitutions are plain dicts from Variable to Term.  `unify_into` binds
 in place and records each binding on a trail, so callers undo back to a
 mark; `unify` returns an extended copy and leaves its input as it was.
+
+The term kernels (`walk`, `occurs`, `unify_into`, `instantiate`,
+`rename_term`, `render_term`) run on every engine step, so they dispatch on
+exact class (`t.__class__ is Variable`) and read fields by index.  That is
+sound only because the three term classes are final: subclassing one
+raises TypeError.  Two rules spare the kernels redundant work:
+
+- `unify_into` binds an unbound variable to the other side with an occurs
+  check only when that side is a non-ground compound.  An atom, a ground
+  compound or a distinct unbound variable cannot contain the variable.
+- A flat compound is done in one pass over its arguments; only a
+  non-ground compound argument opens a frame on the kernel's stack.  For
+  `instantiate` that is a compound whose arguments walk to atoms, ground
+  compounds or unbound variables: it is rebuilt, or returned as is when no
+  argument changed.  `rename_term` copies a compound whose arguments are
+  atoms, ground compounds or variables the same way, and `render_term`
+  renders a compound of atoms and variables with one `','.join`.
 """
 
 from __future__ import annotations
@@ -25,10 +42,17 @@ from operator import itemgetter
 from typing import Optional, Union
 
 
+def _final(cls, **kwargs):
+    """`__init_subclass__` of the term classes: the kernels dispatch on
+    exact class, so a subclass would be misread."""
+    raise TypeError(f"{cls.__name__}: Variable, Atom and Compound are final")
+
+
 class Variable(tuple):
     """(name, rename index)."""
 
     __slots__ = ()
+    __init_subclass__ = _final
 
     def __new__(cls, name: str, index: int = 0):
         return tuple.__new__(cls, (name, index))
@@ -47,6 +71,7 @@ class Atom(tuple):
     """(name,)."""
 
     __slots__ = ()
+    __init_subclass__ = _final
 
     def __new__(cls, name: str):
         return tuple.__new__(cls, (name,))
@@ -65,6 +90,7 @@ class Compound(tuple):
     cached, so instantiate and rename skip whole ground subtrees in O(1)."""
 
     __slots__ = ()
+    __init_subclass__ = _final
 
     def __new__(cls, functor: str, args: tuple["Term", ...]):
         if len(args) < 1:
@@ -93,7 +119,7 @@ Subst = dict[Variable, Term]
 
 def walk(t: Term, s: Subst) -> Term:
     """Follow variable bindings until an unbound variable or non-variable."""
-    while isinstance(t, Variable):
+    while t.__class__ is Variable:
         bound = s.get(t)
         if bound is None:
             return t
@@ -103,14 +129,20 @@ def walk(t: Term, s: Subst) -> Term:
 
 def occurs(v: Variable, t: Term, s: Subst) -> bool:
     """True iff v occurs in t under s (iterative; terms can be deep)."""
+    get = s.get
     stack = [t]
     while stack:
-        x = walk(stack.pop(), s)
-        if isinstance(x, Variable):
-            if x == v:
-                return True
-        elif isinstance(x, Compound):
-            stack.extend(x.args)
+        x = stack.pop()
+        while x.__class__ is Variable:
+            bound = get(x)
+            if bound is None:
+                if x == v:
+                    return True
+                break
+            x = bound
+        else:
+            if x.__class__ is Compound and not x[2]:
+                stack.extend(x[1])
     return False
 
 
@@ -131,35 +163,56 @@ def unify_into(t1: Term, t2: Term, s: Subst, trail: list[Variable]) -> bool:
     On failure the bindings made so far are already undone.  Occurs-check
     is on: unify_into(X, f(X)) fails.
     """
+    get = s.get
     mark = len(trail)
-    stack = [(t1, t2)]
+    # Pairs still to unify, taken last first.  Two compounds (a goal and a
+    # head, as the engine calls it) put their argument pairs on directly.
+    if t1.__class__ is Compound and t2.__class__ is Compound:
+        if t1[0] != t2[0] or len(t1[1]) != len(t2[1]):
+            return False
+        stack = list(zip(t1[1], t2[1]))
+    else:
+        stack = [(t1, t2)]
+    pop, push = stack.pop, stack.extend
     while stack:
-        a, b = stack.pop()
-        a = walk(a, s)
-        b = walk(b, s)
+        a, b = pop()
+        ca = a.__class__
+        while ca is Variable:
+            bound = get(a)
+            if bound is None:
+                break
+            a = bound
+            ca = a.__class__
+        cb = b.__class__
+        while cb is Variable:
+            bound = get(b)
+            if bound is None:
+                break
+            b = bound
+            cb = b.__class__
         if a is b:
             continue
-        if isinstance(a, Variable):
-            if isinstance(b, Variable) and a == b:
-                continue
-            if occurs(a, b, s):
+        # Only a non-ground compound can contain an unbound variable.
+        if ca is Variable:
+            if cb is Variable:
+                if a == b:
+                    continue
+            elif cb is Compound and not b[2] and occurs(a, b, s):
                 break
             s[a] = b
             trail.append(a)
-        elif isinstance(b, Variable):
-            if occurs(b, a, s):
+        elif cb is Variable:
+            if ca is Compound and not a[2] and occurs(b, a, s):
                 break
             s[b] = a
             trail.append(b)
-        elif isinstance(a, Atom) and isinstance(b, Atom):
-            if a.name != b.name:
-                break
-        elif isinstance(a, Compound) and isinstance(b, Compound):
-            if a.functor != b.functor or len(a.args) != len(b.args):
-                break
-            stack.extend(zip(a.args, b.args))
-        else:
+        elif ca is not cb or a[0] != b[0]:
             break
+        elif ca is Compound:
+            xs, ys = a[1], b[1]
+            if len(xs) != len(ys):
+                break
+            push(zip(xs, ys))
     else:
         return True
     for var in trail[mark:]:
@@ -185,43 +238,64 @@ def instantiate(term: Term, s: Subst, memo: dict[Variable, Term]) -> Term:
     """
     if not s:
         return term
-    results: list[Term] = []
-    # ops: 0 = visit, 1 = build compound, 2 = memoize the built value
-    ops: list[tuple[int, Term]] = [(0, term)]
-    while ops:
-        op, node = ops.pop()
-        if op == 0:
-            finished = None
-            while isinstance(node, Variable):
-                hit = memo.get(node)
+    get, mget = s.get, memo.get
+    if term.__class__ is Compound:
+        if term[2]:
+            return term
+        frame = [term, iter(term[1]), [], None]
+    elif term.__class__ is Variable:
+        frame = [None, iter((term,)), [], None]
+    else:
+        return term
+    # Frames: [compound, iterator over its arguments, their instances so
+    # far, the bound variables that walked to it (memoized once it is
+    # built)].  A variable at the top gets a frame with no compound.  A flat
+    # compound is done in one pass of the loop below.
+    stack = [frame]
+    while True:
+        out = frame[2]
+        for a in frame[1]:
+            chain = None
+            while a.__class__ is Variable:
+                hit = mget(a)
                 if hit is not None:
-                    finished = hit  # memo values are already fully applied
+                    a = hit  # memo values are already fully applied
                     break
-                bound = s.get(node)
+                bound = get(a)
                 if bound is None:
-                    finished = node
                     break
-                ops.append((2, node))
-                node = bound
-            if finished is not None:
-                results.append(finished)
-            elif isinstance(node, Compound) and not node.ground:
-                ops.append((1, node))
-                ops.extend((0, a) for a in reversed(node.args))
+                if chain is None:
+                    chain = [a]
+                else:
+                    chain.append(a)
+                a = bound
             else:
-                results.append(node)
-        elif op == 1:
-            assert isinstance(node, Compound)
-            n = len(node.args)
-            new_args = tuple(results[-n:])
-            del results[-n:]
-            if all(x is y for x, y in zip(new_args, node.args)):
-                results.append(node)
-            else:
-                results.append(Compound(node.functor, new_args))
+                if a.__class__ is Compound and not a[2]:
+                    frame = [a, iter(a[1]), [], chain]
+                    stack.append(frame)
+                    break
+            if chain is not None:
+                for var in chain:
+                    memo[var] = a
+            out.append(a)
         else:
-            memo[node] = results[-1]
-    return results[0]
+            stack.pop()
+            node = frame[0]
+            if node is None:
+                return out[0]
+            args = node[1]
+            for x, y in zip(out, args):
+                if x is not y:
+                    node = Compound(node[0], tuple(out))
+                    break
+            chain = frame[3]
+            if chain is not None:
+                for var in chain:
+                    memo[var] = node
+            if not stack:
+                return node
+            frame = stack[-1]
+            frame[2].append(node)
 
 
 def alpha_equal(t1: Term, t2: Term) -> bool:
@@ -282,28 +356,34 @@ def rename_term(term: Term, index: int) -> Term:
     renaming a clause's head and body goals with one index keeps their
     shared variables shared.  Ground subterms are shared.  Iterative: source
     terms can nest deeper than the recursion limit."""
-    if isinstance(term, Variable):
-        return Variable(term.name, index)
-    if isinstance(term, Atom) or term.ground:
+    new = tuple.__new__
+    if term.__class__ is Variable:
+        return new(Variable, (term[0], index))
+    if term.__class__ is Atom or term[2]:
         return term
-    # Frames: a compound being copied and its arguments copied so far.
-    stack: list[tuple[Compound, list[Term]]] = [(term, [])]
+    # Frames: a compound being copied, an iterator over its arguments, and
+    # the arguments copied so far.
+    frame = (term[0], iter(term[1]), [])
+    stack = [frame]
     while True:
-        node, done = stack[-1]
-        for a in node.args[len(done):]:
-            if isinstance(a, Variable):
-                done.append(Variable(a.name, index))
-            elif isinstance(a, Atom) or a.ground:
+        done = frame[2]
+        for a in frame[1]:
+            if a.__class__ is Variable:
+                done.append(new(Variable, (a[0], index)))
+            elif a.__class__ is Atom or a[2]:
                 done.append(a)
             else:
-                stack.append((a, []))
+                frame = (a[0], iter(a[1]), [])
+                stack.append(frame)
                 break
         else:
             stack.pop()
-            built = Compound(node.functor, tuple(done))
+            # A variable renames to a variable: the copy is not ground.
+            built = new(Compound, (frame[0], tuple(done), False))
             if not stack:
                 return built
-            stack[-1][1].append(built)
+            frame = stack[-1]
+            frame[2].append(built)
 
 
 # Rename index reserved for throwaway filtering copies; live variables get
@@ -319,26 +399,43 @@ def trial_heads(program: Program) -> list[Term]:
 
 def render_term(t: Term) -> str:
     """Canonical text form, no internal spaces; renamed vars print Name_k."""
-    parts: list[str] = []
-    stack: list[Union[str, Term]] = [t]
-    while stack:
-        x = stack.pop()
-        if isinstance(x, str):
-            parts.append(x)
-        elif isinstance(x, Variable):
-            parts.append(x.name if x.index == 0 else f"{x.name}_{x.index}")
-        elif isinstance(x, Atom):
-            parts.append(x.name)
+    if t.__class__ is Variable:
+        return f"{t[0]}_{t[1]}" if t[1] else t[0]
+    if t.__class__ is Atom:
+        return t[0]
+    # A compound of atoms and variables: one join.
+    texts = []
+    for a in t[1]:
+        if a.__class__ is Atom:
+            texts.append(a[0])
+        elif a.__class__ is Variable:
+            texts.append(f"{a[0]}_{a[1]}" if a[1] else a[0])
         else:
-            parts.append(x.functor)
-            parts.append("(")
-            tail: list[Union[str, Term]] = []
-            for j, a in enumerate(x.args):
-                if j:
-                    tail.append(",")
-                tail.append(a)
-            tail.append(")")
-            stack.extend(reversed(tail))
+            break
+    else:
+        return f"{t[0]}({','.join(texts)})"
+    # Otherwise one list of parts: each argument is followed by a comma,
+    # and a compound's last comma becomes its closing parenthesis.
+    parts = [t[0], "("]
+    push = parts.append
+    stack = [iter(t[1])]
+    while stack:
+        for a in stack[-1]:
+            if a.__class__ is Atom:
+                push(a[0])
+            elif a.__class__ is Variable:
+                push(f"{a[0]}_{a[1]}" if a[1] else a[0])
+            else:
+                push(a[0])
+                push("(")
+                stack.append(iter(a[1]))
+                break
+            push(",")
+        else:
+            stack.pop()
+            parts[-1] = ")"
+            if stack:
+                push(",")
     return "".join(parts)
 
 

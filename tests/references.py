@@ -11,14 +11,18 @@ must agree with exactly; `climbing_has_choice_point` is the tree climb that
 the engine's creation-number test `has_choice_point` must agree with;
 `token_list_parse_program` and `token_list_parse_term_text` are the reader
 that builds a list of token tuples, tracking line and column as it goes,
-which the one-pass reader must agree with exactly, errors included;
-`positions` names clauses by their place in the program.
+which the one-pass reader must agree with exactly, errors included (it
+quotes a token whole; the package cuts a quote after 120 characters);
+the `isinstance_*` kernels are `walk`, `occurs`, `unify_into`,
+`instantiate`, `rename_term` and `render_term` before exact-class dispatch,
+which the package's kernels must agree with exactly; `positions` names
+clauses by their place in the program.
 """
 
 from __future__ import annotations
 
 import re
-from typing import Iterable, NamedTuple, Optional
+from typing import Iterable, NamedTuple, Optional, Union
 
 from boxtrace import Clause, Program, Subst, Term, TraceEvent, alpha_equal, apply_subst, unify
 from boxtrace.harness import ORACLE_MAX_DEPTH, ORACLE_MIN_TRIES, RefResult, _CapExceeded
@@ -176,6 +180,186 @@ def climbing_has_choice_point(eng, v: int) -> bool:
     while depth[node] > k:
         node = parent[node]
     return node == v
+
+
+# -- the isinstance kernels ---------------------------------------------------
+#
+# The term kernels as they were before they dispatched on exact class:
+# isinstance chains, named field reads, a walk call per side of every pair,
+# an occurs check on every binding and an ops stack for every instantiated
+# compound.  The package's kernels must agree with them exactly.
+
+
+def isinstance_walk(t: Term, s: Subst) -> Term:
+    """Follow variable bindings until an unbound variable or non-variable."""
+    while isinstance(t, Variable):
+        bound = s.get(t)
+        if bound is None:
+            return t
+        t = bound
+    return t
+
+
+def isinstance_occurs(v: Variable, t: Term, s: Subst) -> bool:
+    """True iff v occurs in t under s (iterative; terms can be deep)."""
+    stack = [t]
+    while stack:
+        x = isinstance_walk(stack.pop(), s)
+        if isinstance(x, Variable):
+            if x == v:
+                return True
+        elif isinstance(x, Compound):
+            stack.extend(x.args)
+    return False
+
+
+def isinstance_unify_into(t1: Term, t2: Term, s: Subst, trail: list[Variable]) -> bool:
+    """Unify in place: bind into s directly, recording each bound variable
+    on the trail so callers can undo back to a mark.
+
+    On failure the bindings made so far are already undone.  Occurs-check
+    is on: unify_into(X, f(X)) fails.
+    """
+    mark = len(trail)
+    stack = [(t1, t2)]
+    while stack:
+        a, b = stack.pop()
+        a = isinstance_walk(a, s)
+        b = isinstance_walk(b, s)
+        if a is b:
+            continue
+        if isinstance(a, Variable):
+            if isinstance(b, Variable) and a == b:
+                continue
+            if isinstance_occurs(a, b, s):
+                break
+            s[a] = b
+            trail.append(a)
+        elif isinstance(b, Variable):
+            if isinstance_occurs(b, a, s):
+                break
+            s[b] = a
+            trail.append(b)
+        elif isinstance(a, Atom) and isinstance(b, Atom):
+            if a.name != b.name:
+                break
+        elif isinstance(a, Compound) and isinstance(b, Compound):
+            if a.functor != b.functor or len(a.args) != len(b.args):
+                break
+            stack.extend(zip(a.args, b.args))
+        else:
+            break
+    else:
+        return True
+    for var in trail[mark:]:
+        del s[var]
+    del trail[mark:]
+    return False
+
+
+def isinstance_instantiate(term: Term, s: Subst, memo: dict[Variable, Term]) -> Term:
+    """Replace every bound variable transitively; unbound variables stay.
+
+    Unchanged subtrees are shared with the input, so repeated application
+    over growing terms does not blow up memory.  Iterative: substituted
+    terms can be arbitrarily deep.  `memo` holds already-expanded bound
+    variables, so successive instantiations against one unchanged
+    substitution (an exit cascade up a deep proof) share their work; the
+    caller must drop the memo whenever s gains or loses a binding.
+    """
+    if not s:
+        return term
+    results: list[Term] = []
+    # ops: 0 = visit, 1 = build compound, 2 = memoize the built value
+    ops: list[tuple[int, Term]] = [(0, term)]
+    while ops:
+        op, node = ops.pop()
+        if op == 0:
+            finished = None
+            while isinstance(node, Variable):
+                hit = memo.get(node)
+                if hit is not None:
+                    finished = hit  # memo values are already fully applied
+                    break
+                bound = s.get(node)
+                if bound is None:
+                    finished = node
+                    break
+                ops.append((2, node))
+                node = bound
+            if finished is not None:
+                results.append(finished)
+            elif isinstance(node, Compound) and not node.ground:
+                ops.append((1, node))
+                ops.extend((0, a) for a in reversed(node.args))
+            else:
+                results.append(node)
+        elif op == 1:
+            assert isinstance(node, Compound)
+            n = len(node.args)
+            new_args = tuple(results[-n:])
+            del results[-n:]
+            if all(x is y for x, y in zip(new_args, node.args)):
+                results.append(node)
+            else:
+                results.append(Compound(node.functor, new_args))
+        else:
+            memo[node] = results[-1]
+    return results[0]
+
+
+def isinstance_rename_term(term: Term, index: int) -> Term:
+    """Copy of term with every variable's rename index set to `index`;
+    renaming a clause's head and body goals with one index keeps their
+    shared variables shared.  Ground subterms are shared.  Iterative: source
+    terms can nest deeper than the recursion limit."""
+    if isinstance(term, Variable):
+        return Variable(term.name, index)
+    if isinstance(term, Atom) or term.ground:
+        return term
+    # Frames: a compound being copied and its arguments copied so far.
+    stack: list[tuple[Compound, list[Term]]] = [(term, [])]
+    while True:
+        node, done = stack[-1]
+        for a in node.args[len(done):]:
+            if isinstance(a, Variable):
+                done.append(Variable(a.name, index))
+            elif isinstance(a, Atom) or a.ground:
+                done.append(a)
+            else:
+                stack.append((a, []))
+                break
+        else:
+            stack.pop()
+            built = Compound(node.functor, tuple(done))
+            if not stack:
+                return built
+            stack[-1][1].append(built)
+
+
+def isinstance_render_term(t: Term) -> str:
+    """Canonical text form, no internal spaces; renamed vars print Name_k."""
+    parts: list[str] = []
+    stack: list[Union[str, Term]] = [t]
+    while stack:
+        x = stack.pop()
+        if isinstance(x, str):
+            parts.append(x)
+        elif isinstance(x, Variable):
+            parts.append(x.name if x.index == 0 else f"{x.name}_{x.index}")
+        elif isinstance(x, Atom):
+            parts.append(x.name)
+        else:
+            parts.append(x.functor)
+            parts.append("(")
+            tail: list[Union[str, Term]] = []
+            for j, a in enumerate(x.args):
+                if j:
+                    tail.append(",")
+                tail.append(a)
+            tail.append(")")
+            stack.extend(reversed(tail))
+    return "".join(parts)
 
 
 # -- the token-list reader ----------------------------------------------------

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -159,6 +160,15 @@ def test_parse_error_exits_2(tmp_path, capsys):
     path.write_text("p(a.\n:- p(a).")
     assert main(["trace", str(path)]) == 2
     assert "error" in capsys.readouterr().err
+
+
+def test_parse_error_quotes_a_bounded_part_of_a_long_token(tmp_path, capsys):
+    path = tmp_path / "long.pl"
+    path.write_text("p(a) " + "a" * 200_000 + ".\n:- p(a).\n")
+    assert main(["trace", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: expected '.' or ':-', found 'aaa") and "a... " in err
+    assert err.endswith("(line 1, column 6)\n") and len(err.encode()) < 300
 
 
 def test_usage_error_exits_2(capsys):
@@ -411,3 +421,40 @@ def test_out_of_range_counts_are_usage_errors(choice_file, capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"argument {argv[-2]}: " in captured.err
+
+
+# sha256 of `boxtrace trace PROGRAM --max-steps 3000` stdout (text, jsonl)
+# for each file under programs/, taken before the term kernels dispatched
+# on exact class.  The golden trace compares goals up to renaming; these
+# pin every byte, the printed name of every variable included.
+_PROGRAMS = Path(__file__).resolve().parents[1] / "programs"
+_TRACE_SHA256 = {
+    "choice.pl": (
+        "e194735f50316c81dee373fd8e6dbd75f3aec7c94cc73220030779ca83dd26a8",
+        "f50a0d7f1227265ea22e10374fc24793294dd3044ea0bc32e97057cffb0eb690",
+    ),
+    "counter.pl": (
+        "218859aeab5e51d115bc53a7c97dd645fba681ba252acb0fa3ef04db0918b71f",
+        "339253b98cb061951e291a27f297857abc1247d6fc6fda8fc9d7e258eb4b315d",
+    ),
+    "no_match.pl": (
+        "05993ce819c07e0a28c6fdad2c854a613cea5e06692b207917a5a6055227e4c0",
+        "1374c5ca6ce2654a8cda484c6bf8e976920b670906d56abc54fb297730368d02",
+    ),
+    "two_facts.pl": (
+        "e92ee25bea645a351c9ba5862e859a7305e4d1c2220af69f8c9478f3c1f248a4",
+        "739aa055f639c7d2859cc6cf24a7ea4a443fbf89a34ddae71340e3c2ba524e61",
+    ),
+}
+
+
+def test_every_program_has_a_pinned_trace():
+    assert sorted(p.name for p in _PROGRAMS.glob("*.pl")) == sorted(_TRACE_SHA256)
+
+
+@pytest.mark.parametrize("fmt", ["text", "jsonl"])
+@pytest.mark.parametrize("name", sorted(_TRACE_SHA256))
+def test_trace_output_is_byte_identical(name, fmt, capsys):
+    assert main(["trace", str(_PROGRAMS / name), "--max-steps", "3000", "--format", fmt]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == _TRACE_SHA256[name][fmt == "jsonl"]

@@ -82,6 +82,27 @@ def test_unexpected_character():
     assert err.value.line == 1
 
 
+@pytest.mark.parametrize(
+    "parse, text, message",
+    [
+        (parse_program, "p(a) " + "b" * 1000 + ".\n:- p(a).", "expected '.' or ':-', found '"),
+        (parse_term_text, "p(a) " + "b" * 1000, "trailing input '"),
+    ],
+    ids=["program", "goal"],
+)
+def test_a_long_token_is_quoted_in_part(parse, text, message):
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    # The quote is cut after 120 characters, its opening quote included.
+    assert err.value.message == message + "b" * 119 + "..."
+
+
+def test_a_token_quoted_in_120_characters_is_quoted_whole():
+    with pytest.raises(ParseError) as err:
+        parse_term_text("p(a) " + "b" * 118)
+    assert err.value.message == "trailing input '" + "b" * 118 + "'"
+
+
 def test_variable_cannot_head_a_clause():
     with pytest.raises(ParseError, match="predication"):
         parse_program("X.\n:- a.")

@@ -2,7 +2,7 @@ import copy
 import pickle
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from boxtrace import (
@@ -19,8 +19,19 @@ from boxtrace import (
     render_term,
     unify,
 )
-from boxtrace.terms import rename_term, unify_into
-from tests.references import is_instance_of, positions, rename_apart, useful_clauses
+from boxtrace.terms import instantiate, occurs, rename_term, unify_into, walk
+from tests.references import (
+    is_instance_of,
+    isinstance_instantiate,
+    isinstance_occurs,
+    isinstance_render_term,
+    isinstance_rename_term,
+    isinstance_unify_into,
+    isinstance_walk,
+    positions,
+    rename_apart,
+    useful_clauses,
+)
 
 X, Y, Z = Variable("X"), Variable("Y"), Variable("Z")
 a, b = Atom("a"), Atom("b")
@@ -180,18 +191,19 @@ def test_is_instance_of():
 # -- property tests -----------------------------------------------------------
 
 atoms = st.sampled_from([Atom("a"), Atom("b"), Atom("c")])
-variables = st.sampled_from([X, Y, Z])
+# Renamed variables too, so that a head and a goal can share a name.
+variables = st.builds(Variable, st.sampled_from(["X", "Y", "Z"]), st.integers(0, 2))
 
 
-def terms(depth=3):
+def terms():
     return st.recursive(
         atoms | variables,
         lambda sub: st.builds(
             lambda f, args: Compound(f, tuple(args)),
             st.sampled_from(["f", "g"]),
-            st.lists(sub, min_size=1, max_size=2),
+            st.lists(sub, min_size=1, max_size=3),
         ),
-        max_leaves=6,
+        max_leaves=10,
     )
 
 
@@ -323,3 +335,133 @@ def _ground(t) -> bool:
 @given(terms())
 def test_ground_flag_matches_a_recursive_check(t):
     _ground(t)
+
+
+@pytest.mark.parametrize("cls", [Variable, Atom, Compound])
+def test_term_classes_are_final(cls):
+    # The kernels dispatch on exact class: a subclass would be misread.
+    with pytest.raises(TypeError, match="final"):
+        type("Sub", (cls,), {})
+
+
+# -- the kernels against the isinstance kernels -------------------------------
+
+@st.composite
+def term_pairs(draw):
+    """A term and one on its skeleton, where any subterm may be swapped for
+    a variable, one of its own included, and any leaf for another: most
+    such pairs get past the outermost functor, and some variable meets a
+    term that contains it."""
+    t = draw(terms())
+
+    def other(x):
+        swap = draw(st.integers(min_value=0, max_value=4))
+        if swap == 0:
+            return draw(variables)
+        if swap == 4 and isinstance(x, Compound) and not x.ground:
+            return draw(st.sampled_from(sorted(_variables(x))))
+        if isinstance(x, Compound):
+            return Compound(x.functor, tuple(other(y) for y in x.args))
+        return draw(atoms | variables) if swap == 1 else x
+
+    pair = (t, other(t))
+    return pair if draw(st.booleans()) else pair[::-1]
+
+
+@st.composite
+def stores(draw):
+    """A substitution as the engine holds one: what a few unifications made
+    in turn left bound, chains of bound variables included."""
+    s, trail = {}, []
+    for t1, t2 in draw(st.lists(term_pairs(), max_size=3)):
+        isinstance_unify_into(t1, t2, s, trail)
+    return s
+
+
+def _variables(t):
+    stack, found = [t], set()
+    while stack:
+        x = stack.pop()
+        if isinstance(x, Variable):
+            found.add(x)
+        elif isinstance(x, Compound):
+            stack.extend(x.args)
+    return found
+
+
+@settings(max_examples=200, deadline=None)
+@given(term_pairs() | st.tuples(terms(), terms()), stores())
+def test_unify_into_agrees_with_the_isinstance_kernel(pair, store):
+    t1, t2 = pair
+    before = Variable("W", 9)  # a binding made before the mark
+    s, trail = {**store, before: a}, [before]
+    ref_s, ref_trail = dict(s), list(trail)
+    ok = unify_into(t1, t2, s, trail)
+    assert ok == isinstance_unify_into(t1, t2, ref_s, ref_trail)
+    # Equal dicts: the same variables bound, each to the same term.
+    assert s == ref_s
+    assert set(trail) == set(ref_trail) and len(trail) == len(ref_trail)
+    if not ok:
+        assert s == {**store, before: a} and trail == [before]
+
+
+@settings(deadline=None)
+@given(terms(), stores())
+def test_walk_and_occurs_agree_with_the_isinstance_kernels(t, store):
+    assert walk(t, store) is isinstance_walk(t, store)
+    for v in _variables(t) | store.keys():
+        assert occurs(v, t, store) == isinstance_occurs(v, t, store)
+
+
+@settings(deadline=None)
+@given(terms(), terms(), stores())
+def test_instantiate_agrees_with_the_isinstance_kernel(t, earlier, store):
+    # A memo warmed by an earlier instantiation against the same store.
+    ref_memo: dict = {}
+    isinstance_instantiate(earlier, store, ref_memo)
+    memo = dict(ref_memo)
+    got = instantiate(t, store, memo)
+    want = isinstance_instantiate(t, store, ref_memo)
+    assert got == want and memo == ref_memo
+    assert (got is t) == (want is t)
+    if not _variables(t) & store.keys():
+        assert got is t
+
+
+@given(terms(), st.integers(min_value=0, max_value=3))
+def test_rename_and_render_agree_with_the_isinstance_kernels(t, index):
+    renamed = rename_term(t, index)
+    want = isinstance_rename_term(t, index)
+    assert renamed == want  # the cached ground flag included
+    assert (renamed is t) == (want is t)
+    assert render_term(renamed) == isinstance_render_term(want)
+    assert render_term(t) == isinstance_render_term(t)
+
+
+def test_kernels_agree_on_a_term_nested_10000_deep():
+    # No kernel recurses: a goal can nest far deeper than the recursion
+    # limit.  Deep terms are compared by their text, since == recurses.
+    deep = X
+    for i in range(10_000):
+        deep = c("f", deep, Variable("Y", i % 3)) if i % 2 else c("g", deep)
+    text = isinstance_render_term(deep)
+    assert render_term(deep) == text
+
+    renamed = rename_term(deep, 7)
+    assert render_term(renamed) == isinstance_render_term(isinstance_rename_term(deep, 7))
+
+    s, ref_s = {}, {}
+    assert unify_into(deep, renamed, s, []) == isinstance_unify_into(deep, renamed, ref_s, [])
+    assert s == ref_s and len(s) == 4  # X and the three Y, each bound to a variable
+
+    store = {X: c("h", a), Variable("Y", 1): b}
+    memo, ref_memo = {}, {}
+    got = instantiate(deep, store, memo)
+    assert render_term(got) == isinstance_render_term(isinstance_instantiate(deep, store, ref_memo))
+    assert memo == ref_memo
+    assert instantiate(deep, {Z: a}, {}) is deep
+
+    # The occurs check walks the whole term.
+    assert not unify_into(X, deep, {}, []) and not isinstance_unify_into(X, deep, {}, [])
+    s, trail = {}, []
+    assert unify_into(Z, deep, s, trail) and s[Z] is deep and trail == [Z]
