@@ -21,7 +21,7 @@ import json
 import sys
 from typing import Optional
 
-from .engine import Engine, RestrictedState, path_of
+from .engine import Engine, RestrictedState, RuleId, path_of
 from .harness import GenParams, check_faithfulness, gen_program
 from .parser import ParseError, parse_program
 from .rebuild import CorruptTraceError, Rebuilder, TraceTruncatedError
@@ -99,12 +99,16 @@ def _open_trace(path: str):
 
 def cmd_rebuild(args: argparse.Namespace) -> int:
     as_json = args.format == "jsonl"
+    # One write per rule line: the line's text after its chrono, made once
+    # per rule.
+    if as_json:
+        labels = {rule: f', "rule": {json.dumps(rule.value)}}}\n' for rule in RuleId}
+    else:
+        labels = {rule: f"  {rule.value}\n" for rule in RuleId}
+    write = sys.stdout.write
 
-    def emit(chrono: int, rule) -> None:
-        if as_json:
-            print(json.dumps({"chrono": chrono, "rule": rule.value}))
-        else:
-            print(f"{chrono:>5}  {rule.value}")
+    def emit(chrono: int, rule: RuleId) -> None:
+        write(f'{{"chrono": {chrono}{labels[rule]}' if as_json else f"{chrono:>5}{labels[rule]}")
 
     with _open_trace(args.trace) as lines:
         events = parse_trace_text(lines, fmt=args.format)

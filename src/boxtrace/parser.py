@@ -21,6 +21,11 @@ raised.  A token that is neither punctuation nor letter- or `_`-initial is
 an unexpected character, reported before any other error in the text, as a
 tokenizer that stopped there would: the reader classifies every token it
 consumes, so it looks for one only when it is about to raise.
+
+A flat compound as `render_term` writes it (a lowercase-initial functor,
+`(`, atom and variable names joined by commas, `)`) is read in one match
+and one split; every other text, every malformed one included, goes
+through the general reader, the one that reports errors.
 """
 
 from __future__ import annotations
@@ -143,8 +148,18 @@ def _expect(text: str, tokens: list[str], i: int, want: str) -> int:
     return i + 1
 
 
+_FLAT = re.compile(r"[a-z][A-Za-z0-9_]*\((?:[A-Za-z_][A-Za-z0-9_]*,)*[A-Za-z_][A-Za-z0-9_]*\)")
+
+
 def parse_term_text(text: str, decode_renamed: bool = False) -> Term:
     """Parse a single standalone term (used for trace goals)."""
+    if _FLAT.fullmatch(text):
+        functor, _, rest = text.partition("(")
+        make_variable = _variable if decode_renamed else Variable
+        return Compound(functor, tuple([
+            Atom(name) if name[0] in _ATOM_START else make_variable(name)
+            for name in rest[:-1].split(",")
+        ]))
     tokens = _tokenize(text)
     t, i = _term(text, tokens, 0, decode_renamed)
     if tokens[i]:

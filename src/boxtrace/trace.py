@@ -168,6 +168,9 @@ def parse_trace_text(lines: str | Iterable[str], fmt: str = "text") -> Iterator[
     the entries of the nodes after v: node numbers are given in creation
     order, so these are the last entries, and the map holds no more nodes
     than the replayed tree.
+
+    A flat goal such as `e(n23,V2_17)` is read in one pass; any other goal
+    text, a malformed one included, goes through the one general reader.
     """
     if isinstance(lines, str):
         lines = lines.splitlines()

@@ -310,16 +310,21 @@ def test_rebuild_json_past_the_decoders_limits_exits_2(tmp_path, capsys, bad):
 
 
 @pytest.mark.parametrize(
-    "fmt, bad",
-    [("jsonl", "[" * 200_000), ("text", "1 1 1 " + "J" * 200_000 + " p(a)")],
-    ids=["deep-array", "long-port"],
+    "fmt, bad, message",
+    [
+        ("jsonl", "[" * 200_000, "malformed JSON event"),
+        ("text", "1 1 1 " + "J" * 200_000 + " p(a)", "unknown port"),
+        # A field too long for int() is no integer, in text as in JSON.
+        ("text", "9" * 5_000 + " 1 1 Call p(a)", "non-integer event field"),
+    ],
+    ids=["deep-array", "long-port", "huge-integer"],
 )
-def test_rebuild_quotes_a_bounded_part_of_a_bad_line(tmp_path, capsys, fmt, bad):
+def test_rebuild_quotes_a_bounded_part_of_a_bad_line(tmp_path, capsys, fmt, bad, message):
     trace_file = tmp_path / "long.trace"
     trace_file.write_text(bad + "\n")
     assert main(["rebuild", str(trace_file), "--format", fmt]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: bad trace line: ") and "..." in err
+    assert err.startswith(f"error: bad trace line: {message} ") and "..." in err
     assert err.endswith("(line 1, column 1)\n") and len(err.encode()) < 300
 
 
@@ -458,3 +463,42 @@ def test_trace_output_is_byte_identical(name, fmt, capsys):
     assert main(["trace", str(_PROGRAMS / name), "--max-steps", "3000", "--format", fmt]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == _TRACE_SHA256[name][fmt == "jsonl"]
+
+
+# sha256 of `boxtrace rebuild` stdout (text, jsonl) on the trace of each
+# file under programs/ at `--max-steps 3000`, in the same format, taken
+# before the reader had its flat-goal path and `rebuild` wrote each rule
+# line with one call.
+_REBUILD_SHA256 = {
+    "choice.pl": (
+        "078452ff227a82067e31724f1dfaa770adc7430e0aae4b4d5fe78f6b940ac420",
+        "034002de44f0ecea5f992c5442c484d963aa070333e58672690acd5264415bb7",
+    ),
+    "counter.pl": (
+        "b54c2018bc73f267126daaef4f995ef00d5f8e95f444e6c6710598ce2461c188",
+        "a88531ef5c2e6612d97c9c186cc15b6f7881ca3084661b095c55af0e52cda9c0",
+    ),
+    "no_match.pl": (
+        "a780ec9b416e134f77e640f2ce36eea1fc7f1dfa997f52571bd52367c6328396",
+        "0a70dcd46d9b60acfd2c0a5b528eaefd2cb0d05b8f3bc3dbed6358195c8bd8b4",
+    ),
+    "two_facts.pl": (
+        "1a354543c7ac5e68b5b5121841c2c37f38ae2ba1db13f5db9f12b3f64e9cb0fe",
+        "defaf2fe1f69fb86638be812e0aaf0c74f05837d4d17282727cfc2df4ec928a7",
+    ),
+}
+
+
+def test_every_program_has_a_pinned_rebuild():
+    assert sorted(p.name for p in _PROGRAMS.glob("*.pl")) == sorted(_REBUILD_SHA256)
+
+
+@pytest.mark.parametrize("fmt", ["text", "jsonl"])
+@pytest.mark.parametrize("name", sorted(_REBUILD_SHA256))
+def test_rebuild_output_is_byte_identical(name, fmt, tmp_path, capsys):
+    assert main(["trace", str(_PROGRAMS / name), "--max-steps", "3000", "--format", fmt]) == 0
+    trace_file = tmp_path / f"trace.{fmt}"
+    trace_file.write_text(capsys.readouterr().out)
+    assert main(["rebuild", str(trace_file), "--format", fmt]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == _REBUILD_SHA256[name][fmt == "jsonl"]
