@@ -13,11 +13,15 @@ Four workload shapes:
     step should not grow with the number of clauses, so the bands should
     agree too.
 
-Two deterministic lines are printed too: for `check_faithfulness` on a
+Three deterministic lines are printed too: for `check_faithfulness` on a
 deep-shaped runaway program (the bench's deep workload: a binding chain as
 long as the tree is deep), the `unify_into` calls and the goals
 `alpha_equal` walks (it returns at once on a term compared with itself)
-per step at 2.5k and 40k steps, counted under cProfile.
+per step at 2.5k and 40k steps; and the `parse_term_text` calls per event
+of one read by the trace reader of two traces: the bench's join trace (seed
+11), where a goal comes back in new boxes, and a failing chain 1,000 boxes
+deep, where each box's Fail comes thousands of texts after its Call.  All
+are counted under cProfile.
 
 Each line is the median of RUNS fresh runs, with their min-max: single
 runs on a small shared machine can differ by 2x, so no absolute rate is
@@ -34,10 +38,17 @@ import statistics
 import sys
 import time
 
-sys.path.insert(0, "src")
+sys.path[:0] = ["src", "bench"]
 
-from boxtrace import check_faithfulness, parse_program
+from boxtrace import (
+    check_faithfulness,
+    parse_program,
+    parse_trace_text,
+    render_event,
+    stream_events,
+)
 from boxtrace.engine import Engine
+from workloads import join_graph, join_text
 
 BACKTRACKING = """
 p(a). p(b). p(c). p(d).
@@ -69,6 +80,10 @@ r1(c,d).
 """
 DEPTH_BANDS = (1_000, 10_000, 40_000)
 CALL_COUNT_STEPS = (2_500, 40_000)
+JOIN_SEED = 11
+FAILING_CHAIN = "".join(f"e(n{i},n{i + 1}).\n" for i in range(1_000)) + (
+    "path(X) :- e(X,Y), path(Y).\n:- path(n0).\n"
+)
 BAND_WIDTH = 1_000
 FACT_TABLE_SIZES = (5_000, 10_000, 20_000, 40_000)
 RUNS = 5
@@ -115,6 +130,21 @@ def calls_per_step(text: str, steps: int) -> dict[str, float]:
     return {name: n / steps for name, n in calls.items()}
 
 
+def parse_calls(text: str) -> tuple[int, int]:
+    """`parse_term_text` calls, and events, of one read of the trace of
+    program `text`, counted under cProfile."""
+    engine = Engine(parse_program(text))
+    lines = [render_event(event) for _, event, _ in stream_events(engine)]
+    profile = cProfile.Profile()
+    events = profile.runcall(lambda: sum(1 for _ in parse_trace_text(lines)))
+    calls = sum(
+        ncalls
+        for (_, _, name), (_, ncalls, *_) in pstats.Stats(profile).stats.items()
+        if name == "parse_term_text"
+    )
+    return calls, events
+
+
 def spread(rates: list[float]) -> str:
     return (
         f"{statistics.median(rates):>10,.0f} steps/s"
@@ -148,6 +178,12 @@ def main() -> int:
             f"check calls per step at {steps:>6,} steps :"
             f" unify_into {calls['unify_into']:.3f}, alpha_equal walks {calls['_alpha_walk']:.3f}"
         )
+    for name, text in [
+        (f"join trace (seed {JOIN_SEED})", join_text(*join_graph(JOIN_SEED))),
+        ("failing chain trace", FAILING_CHAIN),
+    ]:
+        parsed, events = parse_calls(text)
+        print(f"{name} read : parse_term_text calls {parsed:,} / {events:,} events")
 
     smallest = []
     for size in FACT_TABLE_SIZES:

@@ -91,6 +91,8 @@ class RuleId(enum.Enum):
     REDO1 = "Redo1"
     REDO2 = "Redo2"
 
+    __hash__ = object.__hash__  # members compare by identity; hashed in C
+
 
 REDO_RULES = (RuleId.REDO1, RuleId.REDO2)
 

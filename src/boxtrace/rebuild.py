@@ -146,7 +146,7 @@ class Rebuilder:
 
         A Call, Fail or Redo carries the predication its box holds, and is
         rejected if its goal differs from it up to renaming.  The trace
-        reader hands a box's repeated goal text back as the same term, so
+        reader hands a goal text it holds back as the same term, so
         the identity test almost always decides."""
         st = self.state
         chrono, port, v = event.chrono, event.port, event.node

