@@ -13,15 +13,21 @@ Four workload shapes:
     step should not grow with the number of clauses, so the bands should
     agree too.
 
-Three deterministic lines are printed too: for `check_faithfulness` on a
+Deterministic lines are printed too: for `check_faithfulness` on a
 deep-shaped runaway program (the bench's deep workload: a binding chain as
 long as the tree is deep), the `unify_into` calls and the goals
 `alpha_equal` walks (it returns at once on a term compared with itself)
-per step at 2.5k and 40k steps; and the `parse_term_text` calls per event
-of one read by the trace reader of two traces: the bench's join trace (seed
+per step at 2.5k and 40k steps; the `parse_term_text` calls per event of
+one read by the trace reader of two traces: the bench's join trace (seed
 11), where a goal comes back in new boxes, and a failing chain 1,000 boxes
-deep, where each box's Fail comes thousands of texts after its Call.  All
-are counted under cProfile.
+deep, where each box's Fail comes thousands of texts after its Call; and
+the trial `unify` calls the engine makes up to the first answer of the 5k
+and 40k fact tables (a later fact is tried only when a guard asks).  All
+are counted under cProfile.  Two more timed lines follow: the first
+answer's time on those tables, with building the clause index
+(`_clause_index`, linear in the program) timed apart; and `rebuild`'s time
+per event on failing chains 250 and 2,000 boxes deep, whose final tree
+lists every box (its printing timed apart).
 
 Each line is the median of RUNS fresh runs, with their min-max: single
 runs on a small shared machine can differ by 2x, so no absolute rate is
@@ -33,21 +39,26 @@ not fail.  Run from the repository root:
 """
 
 import cProfile
+import contextlib
+import gc
+import os
 import pstats
 import statistics
 import sys
+import tempfile
 import time
 
 sys.path[:0] = ["src", "bench"]
 
 from boxtrace import (
     check_faithfulness,
+    cli,
     parse_program,
     parse_trace_text,
     render_event,
     stream_events,
 )
-from boxtrace.engine import Engine
+from boxtrace.engine import Engine, _clause_index
 from workloads import join_graph, join_text
 
 BACKTRACKING = """
@@ -81,9 +92,17 @@ r1(c,d).
 DEPTH_BANDS = (1_000, 10_000, 40_000)
 CALL_COUNT_STEPS = (2_500, 40_000)
 JOIN_SEED = 11
-FAILING_CHAIN = "".join(f"e(n{i},n{i + 1}).\n" for i in range(1_000)) + (
-    "path(X) :- e(X,Y), path(Y).\n:- path(n0).\n"
-)
+
+
+def failing_chain(depth: int) -> str:
+    return "".join(f"e(n{i},n{i + 1}).\n" for i in range(depth)) + (
+        "path(X) :- e(X,Y), path(Y).\n:- path(n0).\n"
+    )
+
+
+FAILING_CHAIN = failing_chain(1_000)
+REBUILD_CHAIN_DEPTHS = (250, 2_000)
+FIRST_ANSWER_SIZES = (5_000, 40_000)
 BAND_WIDTH = 1_000
 FACT_TABLE_SIZES = (5_000, 10_000, 20_000, 40_000)
 RUNS = 5
@@ -145,6 +164,61 @@ def parse_calls(text: str) -> tuple[int, int]:
     return calls, events
 
 
+def first_answer(text: str) -> tuple[float, float]:
+    """Seconds to build the engine and step to its first answer, and
+    seconds to build its clause index alone."""
+    program = parse_program(text)
+    gc.collect()
+    started = time.perf_counter()
+    eng = Engine(program)
+    while not eng.answers:
+        eng.step()
+    answered = time.perf_counter() - started
+    del eng
+    gc.collect()
+    started = time.perf_counter()
+    _clause_index(program)
+    return answered, time.perf_counter() - started
+
+
+def first_answer_trials(text: str) -> int:
+    """Trial `unify` calls up to the first answer, counted under cProfile."""
+    eng = Engine(parse_program(text))
+    profile = cProfile.Profile()
+    profile.enable()
+    for _ in stream_events(eng):
+        if eng.answers:
+            break
+    profile.disable()
+    return sum(
+        ncalls
+        for (path, _, name), (_, ncalls, *_) in pstats.Stats(profile).stats.items()
+        if name == "unify" and path.endswith("terms.py")
+    )
+
+
+def rebuild_chain(path: str, events: int) -> tuple[float, float]:
+    """`rebuild` of a trace file, stdout discarded: microseconds per event,
+    and milliseconds spent printing the final tree."""
+    printing = []
+    print_final_tree = cli._print_final_tree
+
+    def timed(*args):
+        started = time.perf_counter()
+        print_final_tree(*args)
+        printing.append(time.perf_counter() - started)
+
+    cli._print_final_tree = timed
+    try:
+        with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+            started = time.perf_counter()
+            cli.main(["rebuild", path])
+            total = time.perf_counter() - started
+    finally:
+        cli._print_final_tree = print_final_tree
+    return total / events * 1e6, printing[0] * 1e3
+
+
 def spread(rates: list[float]) -> str:
     return (
         f"{statistics.median(rates):>10,.0f} steps/s"
@@ -184,6 +258,32 @@ def main() -> int:
     ]:
         parsed, events = parse_calls(text)
         print(f"{name} read : parse_term_text calls {parsed:,} / {events:,} events")
+
+    trials = [first_answer_trials(fact_table(size)) for size in FIRST_ANSWER_SIZES]
+    print(
+        "first answer trial unify calls : "
+        + ", ".join(f"{n:,} at {size:,} facts" for n, size in zip(trials, FIRST_ANSWER_SIZES))
+    )
+    timings = []
+    for size in FIRST_ANSWER_SIZES:
+        runs = [first_answer(fact_table(size)) for _ in range(RUNS)]
+        answer = statistics.median(t for t, _ in runs) * 1e3
+        index = statistics.median(t for _, t in runs) * 1e3
+        timings.append(f"{answer:.1f} ms at {size:,} facts (clause index {index:.1f} ms)")
+    print(f"first answer time : {', '.join(timings)}  ({RUNS} runs, medians)")
+    timings = []
+    with tempfile.TemporaryDirectory() as scratch:
+        for depth in REBUILD_CHAIN_DEPTHS:
+            engine = Engine(parse_program(failing_chain(depth)))
+            lines = [render_event(event) + "\n" for _, event, _ in stream_events(engine)]
+            path = os.path.join(scratch, f"chain{depth}.trace")
+            with open(path, "w", encoding="utf-8") as handle:
+                handle.writelines(lines)
+            runs = [rebuild_chain(path, len(lines)) for _ in range(RUNS)]
+            per_event = statistics.median(us for us, _ in runs)
+            tree = statistics.median(ms for _, ms in runs)
+            timings.append(f"{per_event:.1f} us/event at {depth:,} deep (final tree {tree:.1f} ms)")
+    print(f"rebuild of a failing chain : {', '.join(timings)}  ({RUNS} runs, medians)")
 
     smallest = []
     for size in FACT_TABLE_SIZES:

@@ -21,7 +21,7 @@ import json
 import sys
 from typing import Optional
 
-from .engine import Engine, RestrictedState, RuleId, path_of
+from .engine import ROOT, Engine, RestrictedState, RuleId
 from .harness import GenParams, check_faithfulness, gen_program
 from .parser import ParseError, parse_program
 from .rebuild import CorruptTraceError, Rebuilder, TraceTruncatedError
@@ -56,26 +56,27 @@ def cmd_trace(args: argparse.Namespace) -> int:
     if args.pretty and args.format == "text":
         for line in render_events_pretty(events):
             print(line)
-    if eng.select_rule() is not None and (
+    if (
         args.max_solutions is None or len(eng.answers) < args.max_solutions
-    ):
+    ) and eng.select_rule() is not None:
         print(f"note: stopped after {eng.chrono} steps (limit)", file=sys.stderr)
     return 0
 
 
 def _print_final_tree(state: RestrictedState, status: str, as_json: bool) -> None:
-    # Live nodes in creation order are in Dewey order.
+    # Live nodes in creation order are in Dewey order, so each node's path
+    # label extends its parent's, made before it.
     nodes = state.order
+    labels = {ROOT: ""}
+    for v in nodes[1:]:
+        above = labels[state.parent[v]]
+        labels[v] = f"{above}.{state.index[v]}" if above else str(state.index[v])
     if as_json:
         print(
             json.dumps(
                 {
                     "final": [
-                        {
-                            "path": ".".join(map(str, path_of(state, v))),
-                            "number": v,
-                            "goal": render_term(state.goals[v]),
-                        }
+                        {"path": labels[v], "number": v, "goal": render_term(state.goals[v])}
                         for v in nodes
                     ],
                     "status": status,
@@ -85,9 +86,7 @@ def _print_final_tree(state: RestrictedState, status: str, as_json: bool) -> Non
         return
     print("final tree:")
     for v in nodes:
-        path = path_of(state, v)
-        label = ".".join(map(str, path)) or "ε"
-        print(f"{'  ' * len(path)}{label} #{v} {render_term(state.goals[v])}")
+        print(f"{'  ' * (state.depth[v] - 1)}{labels[v] or 'ε'} #{v} {render_term(state.goals[v])}")
     print(f"status: {status}")
 
 

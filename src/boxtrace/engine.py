@@ -1,16 +1,11 @@
 """Resolution engine for the four-port box model.
 
-Execution is a building-visit of a partial proof tree.  A node is named by
-its creation number (the root is 1, as in the trace's `node` attribute);
-integer tables give each node's parent, its index among its parent's
-children and its depth, which place it in the Dewey-ordered tree (`path_of`
-spells out the Dewey path).  That tree, with the node predications and the
-current node, is `RestrictedState`: the part of the state the trace shows.
-`Engine` extends it with the hidden parameters, and replay (rebuild.py)
-holds one built from the events alone, so both sides grow and prune the
-tree with the same code.  Each node is a box holding the called
-predication and its not-yet-tried clauses (the clauses matching the call,
-kept whole, past a per-node position).  Exactly one of seven transition
+Execution is a building-visit of a partial proof tree of boxes, each
+holding a called predication and its untried clauses.  A box is named by
+its creation number (the root is 1, the trace's `node` attribute); integer
+tables place it in the Dewey-ordered tree, `RestrictedState`: the part of
+the state the trace shows, which replay (rebuild.py) builds from the events
+alone with the same grow and prune code.  Exactly one of seven transition
 rules applies at every non-terminal state:
 
     Call1  enter a leaf whose next clause is a fact (or that has no clause
@@ -22,21 +17,16 @@ rules applies at every non-terminal state:
     Redo1  jump back to the latest choice point; its next clause is a fact
     Redo2  same jump, next clause is a rule; create its first body child
 
-The visible state per node is its place in the tree, predication and
-untried clauses; plus the current node, the creation counter, the global
-`done` and `failing` bits, and the first-visit flag.  That flag is one bit,
-`fresh`: only the box the last step created can be fresh, and its next step
-is its Call.  Unification lives behind the scenes: bindings go into one
-mutable store with an undo trail.  The hidden per-node tables are four:
-`clauses` (the matching clauses), `next_clause` (the position of the next
-untried one), `call_goal` (the call-time predication) and `running` (the
+`Engine` adds the first-visit flag `fresh` (only the box the last step
+created can be fresh; its next step is its Call), the global `done` and
+`failing` bits, one binding store with an undo trail, and three hidden
+per-node tables: `call_goal` (the call-time predication), `running` (the
 clause instance whose head the node bound last, with the trail mark it was
-bound from, so a jump back to a choice point restores that node's
-bindings).  A box binds its first clause when it is filtered, at creation
-(its Call is the next step), and each Redo the next.  `has_choice_point(v)`
-is only asked of the current node or the root: for those, the live nodes
-numbered v or more are exactly v's subtree, so the test compares creation
-numbers instead of climbing it.
+bound from, so a jump back to a choice point restores its bindings) and
+`_scan` (its candidate clauses, a scan position and the next matching
+clause once found).  A box binds its first matching clause when it is
+filled, at creation; a later one is trial-unified only when a guard asks
+whether a choice point is left, and bound by the Redo that takes it.
 """
 
 from __future__ import annotations
@@ -139,18 +129,14 @@ class StepDelta(NamedTuple):
 
 class RestrictedState:
     """The box tree: the engine's visible state restricted to what the trace
-    shows.  The engine extends it and replay holds one, so both build the
-    tree with the same two operations.
+    shows; the engine extends it and replay holds one.
 
-    The live nodes are the keys of `goals`, named by creation number;
-    `parent` and `index` place each in the tree (the root is its own parent,
-    at index 0), which together with the numbers encodes the Dewey tree
-    one to one (`path_of` spells a node's path out).  `depth` (nodes on the
-    path from the root: the trace's depth attribute), `child_count` and the
-    creation-ordered `order` of the live nodes follow from those.  Nodes are
-    always created past everything alive, so for live nodes creation order
-    and Dewey order coincide: creation appends to `order`, and a jump back
-    to a choice point discards a suffix.
+    The live nodes are the keys of `goals`; `parent` and `index` place each
+    in the tree (the root is its own parent, at index 0), and `depth` (the
+    trace's depth attribute), `child_count` and the creation-ordered `order`
+    follow from those.  Nodes are always created past everything alive, so
+    for live nodes creation order and Dewey order coincide: creation appends
+    to `order`, and a jump back to a choice point discards a suffix.
     """
 
     def __init__(self, goal: Term):
@@ -238,27 +224,27 @@ class Engine(RestrictedState):
         self.rename_counter = 0
         self.call_goal: dict[int, Term] = {ROOT: goal}
         self.running: dict[int, tuple[Clause, int, int]] = {}
-        # A node's matching clauses, kept whole; the untried ones are
-        # clauses[v][next_clause[v]:], so consuming one is O(1).
-        self.clauses: dict[int, tuple[Clause, ...]] = {}
-        self.next_clause: dict[int, int] = {}
-        # Creation-ordered list of the live nodes with untried clauses (a
-        # subsequence of `order`).
+        # `_scan[v]`: [v's index bucket (shared, never copied), position of
+        # its first candidate not yet tried, next matching clause or None].
+        self._scan: dict[int, list] = {}
+        # Creation-ordered live nodes that may have untried clauses (a
+        # subsequence of `order`); `has_choice_point` drops those with none.
         self._cp_order: list[int] = []
         self._fill_box(ROOT, goal)
 
     def _fill_box(self, v: int, goal: Term) -> None:
-        """Give box v the clauses whose renamed head unifies with its
-        instantiated goal, in order, and bind the first of them.
+        """Give box v its candidate clauses and bind the first whose renamed
+        head unifies with its instantiated goal.
 
         Candidates come from first-argument indexing (the abstract machine's
         `switch_on_term`): a bound first argument selects the clauses whose
         first head argument has its principal functor, merged with those
         whose first head argument is a variable; an unbound first argument,
         or a goal of arity 0, takes every clause of the predicate.  Each
-        candidate is tried once, so the result equals a filter over the whole
-        program: until one binds for real (`_bind`, as v's Call, the next
-        step, would), and after that by the trial `unify` the guards read.
+        candidate is tried at most once, so the untried clauses equal a filter
+        over the whole program: until one binds for real (`_bind`, as v's
+        Call, the next step, would), and after that by the trial `unify` of
+        `has_choice_point`, only when a guard asks.
         """
         candidates, by_first, var_first = self._predicates.get(functor_key(goal), ((), {}, ()))
         # An instantiated goal has no bound variables: a Variable is unbound.
@@ -272,17 +258,12 @@ class Engine(RestrictedState):
                 candidates = sorted(keyed + var_first)
             else:
                 candidates = keyed
-        kept = []
-        for _, clause, head in candidates:
-            if kept:
-                if unify(goal, head, {}) is not None:
-                    kept.append(clause)
-            elif self._bind(v, clause):
-                kept.append(clause)
-        self.clauses[v] = tuple(kept)
-        self.next_clause[v] = 0
-        if kept:
-            self._cp_order.append(v)
+        for position, (_, clause, _) in enumerate(candidates, 1):
+            if self._bind(v, clause):
+                self._scan[v] = [candidates, position, clause]
+                self._cp_order.append(v)
+                return
+        self._scan[v] = [candidates, len(candidates), None]
 
     def _bind(self, v: int, clause: Clause) -> bool:
         """Bind clause's head, renamed with the next instance number, to v's
@@ -309,13 +290,37 @@ class Engine(RestrictedState):
         """True iff v's subtree holds a node with untried clauses; v must be
         the current node or the root.  The current node's subtree holds the
         greatest live node and creation order is Dewey order, so the live
-        nodes numbered v or more are exactly v's subtree."""
-        return bool(self._cp_order) and self._cp_order[-1] >= v
+        nodes numbered v or more are exactly v's subtree.  The newest
+        `_cp_order` entry is resolved on demand: its later candidates are
+        trial-unified until one matches, and an entry with none is dropped."""
+        cp_order = self._cp_order
+        while cp_order and cp_order[-1] >= v:
+            w = cp_order[-1]
+            scan = self._scan[w]
+            if scan[2] is not None:
+                return True
+            candidates, goal = scan[0], self.call_goal[w]
+            for position in range(scan[1], len(candidates)):
+                _, clause, head = candidates[position]
+                if unify(goal, head, {}) is not None:
+                    scan[1], scan[2] = position + 1, clause
+                    return True
+            scan[1] = len(candidates)
+            cp_order.pop()
+        return False
 
     def greatest_choice_point(self, v: int) -> int:
         if not self.has_choice_point(v):
             raise EngineError(f"no choice point below node {v}")
         return self._cp_order[-1]
+
+    def untried_clauses(self, v: int) -> tuple[Clause, ...]:
+        """v's untried matching clauses, in order, found without changing
+        the engine: for code off the step path."""
+        candidates, position, clause = self._scan[v]
+        goal = self.call_goal[v]
+        rest = tuple(c for _, c, head in candidates[position:] if unify(goal, head, {}) is not None)
+        return rest if clause is None else (clause,) + rest
 
     # -- rule selection -----------------------------------------------------
 
@@ -328,19 +333,19 @@ class Engine(RestrictedState):
         u = self.current
         fresh = self.fresh
         leaf = self.child_count[u] == 0
-        cl = self.clauses[u]
-        k = self.next_clause[u]
-        untried = k < len(cl)
-        fact_next = untried and not cl[k].body
         done, failing = self.done, self.failing
-        # A called leaf solved its call iff a clause head bound (`running`;
-        # only guards of called boxes read it); a non-leaf is only current
-        # under not-failing right after its last child exited, which makes
-        # its subtree a finished proof.  A leaf that never bound and has no
-        # clause is the box nothing can serve: the failure origin.
+        # A box binds its first matching clause when filled, so it has a
+        # clause at all iff it bound one (`running`), and a fresh box's Call
+        # takes that one.  A called leaf solved its call iff it bound; a
+        # non-leaf is only current under not-failing right after its last
+        # child exited, which makes its subtree a finished proof.  A leaf
+        # that never bound is the box nothing can serve: the failure origin.
         consumed = u in self.running
-        failed_leaf = leaf and not untried and not consumed
-        hcp = self.has_choice_point(u)
+        untried = fresh and consumed
+        fact_next = untried and not self.running[u][0].body
+        failed_leaf = leaf and not consumed
+        # Only there can Fail2 or a Redo guard hold.
+        hcp = not fresh and (failing or done or failed_leaf) and self.has_choice_point(u)
 
         applicable = []
         # The empty-clause alternative on Call1 is the degenerate call of a
@@ -357,8 +362,7 @@ class Engine(RestrictedState):
         if not fresh and not done and not hcp and (failed_leaf or failing):
             applicable.append(RuleId.FAIL2)
         if not fresh and hcp and (failing or done):
-            target = self._cp_order[-1]
-            if not self.clauses[target][self.next_clause[target]].body:
+            if not self._scan[self._cp_order[-1]][2].body:
                 applicable.append(RuleId.REDO1)
             else:
                 applicable.append(RuleId.REDO2)
@@ -375,23 +379,21 @@ class Engine(RestrictedState):
 
     # -- state updates ------------------------------------------------------
 
-    def _consume_clause(self, v: int) -> None:
-        """Take the next untried clause at v.  The first was bound when v was
-        filtered; at a Redo (position 1 or more) bind the clause's renamed
-        head to v's call predication, which filtering guarantees succeeds."""
-        cl = self.clauses[v]
-        k = self.next_clause[v]
-        if k >= len(cl):
+    def _consume_clause(self, v: int) -> Clause:
+        """Take v's next clause, found when v was filled (its Call) or by
+        the guard of a Redo, and return it."""
+        scan = self._scan[v]
+        clause = scan[2]
+        if clause is None:
             raise EngineError(f"no clause left to consume at node {v}")
-        self.next_clause[v] = k + 1
-        if k + 1 == len(cl):
+        scan[2] = None
+        if scan[1] == len(scan[0]):
             # Consumption happens at the newest box or at the greatest
             # choice point, both of which sit at the end of the order.
             if not self._cp_order or self._cp_order[-1] != v:
                 raise EngineError(f"node {v} emptied but is not the last choice point")
             self._cp_order.pop()
-        if k and not self._bind(v, cl[k]):
-            raise EngineError(f"head of a filtered clause failed to unify at node {v}")
+        return clause
 
     def _create_child(self, parent: int) -> tuple[tuple[int, int, int], Term]:
         """Make the next child box of `parent` and make it current: number
@@ -417,8 +419,7 @@ class Engine(RestrictedState):
         clause.  v's call-time predication stays in `call_goal`."""
         removed = self.prune_after(v)
         for y in removed:
-            del self.clauses[y]
-            del self.next_clause[y]
+            del self._scan[y]
             del self.call_goal[y]
             self.running.pop(y, None)
         mark = self.running[v][2]
@@ -437,8 +438,9 @@ class Engine(RestrictedState):
         removed: tuple[int, ...] = ()
         created = created_goal = updated_goal = None
         if rule is RuleId.CALL1 or rule is RuleId.CALL2:
-            # Call1 on a box no clause can serve consumes nothing.
-            if rule is RuleId.CALL2 or self.next_clause[u] < len(self.clauses[u]):
+            # The clause was bound when u was filled; Call1 on a box no
+            # clause can serve consumes nothing.
+            if u in self.running:
                 self._consume_clause(u)
             self.fresh = self.failing = False
             if rule is RuleId.CALL2:
@@ -465,7 +467,9 @@ class Engine(RestrictedState):
             # Back to the greatest choice point, which select_rule found.
             v = self._cp_order[-1]
             removed = self._prune_after(v)
-            self._consume_clause(v)
+            # The guard's trial unification guarantees the head binds.
+            if not self._bind(v, self._consume_clause(v)):
+                raise EngineError(f"head of a filtered clause failed to unify at node {v}")
             self.current = v
             self.done = self.failing = False
             if rule is RuleId.REDO2:

@@ -12,10 +12,6 @@ completed run.  Answers are additionally compared against
 with the engine beyond terms, unification and `functor_key`, by which its
 own loop tries a goal only against its own predicate's clauses.
 
-`alpha_equal` compares identity first, so replaying the run's own stream,
-whose goals are the engine's objects, walks no goal; a stream read back
-from text, or a mutated one, carries other objects and is walked.
-
 `gen_program` produces small random programs in the supported subset,
 deterministically from a seed.
 """

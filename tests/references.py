@@ -2,9 +2,11 @@
 because nothing in it uses them.
 
 `useful_clauses` is the plain clause filter the engine's first-argument
-index must agree with; `match`/`is_instance_of` check that an Exit goal
-instantiates its Call goal; `events_alpha_equal` compares event streams up
-to variable renaming; `write_trace_text` renders a whole trace at once;
+index must agree with, and `eager_untried_clauses` applies it to a live box
+the way the engine filtered before it scanned lazily; `match` and
+`is_instance_of` check that an Exit goal instantiates its Call goal;
+`events_alpha_equal` compares event streams up to variable renaming;
+`write_trace_text` renders a whole trace at once;
 `unguarded_reference_solve` is the oracle that renames and tries every
 clause for every goal, which the head-functor guard of `reference_solve`
 must agree with exactly; `climbing_has_choice_point` is the tree climb that
@@ -139,6 +141,19 @@ def useful_clauses(goal: Term, program: Program, s: Subst) -> list[Clause]:
     ]
 
 
+def eager_untried_clauses(eng, program: Program, v: int) -> tuple[Clause, ...]:
+    """Box v's untried clauses by the plain filter over the whole program:
+    the clauses matching its call after the one it runs, or from that one on
+    while it is fresh (bound when filled, not yet taken by its Call)."""
+    useful = useful_clauses(eng.call_goal[v], program, {})
+    if v not in eng.running:
+        assert not useful, "a box left a matching clause unbound"
+        return ()
+    running = next(i for i, c in enumerate(useful) if c is eng.running[v][0])
+    fresh = eng.fresh and v == eng.current
+    return tuple(useful[running if fresh else running + 1:])
+
+
 def positions(program: Program, clauses: Iterable[Clause]) -> list[int]:
     """Each clause's position in `program.clauses`, found by identity."""
     return [next(i for i, p in enumerate(program.clauses) if p is c) for c in clauses]
@@ -167,9 +182,9 @@ def events_alpha_equal(a: Iterable[TraceEvent], b: Iterable[TraceEvent]) -> bool
 def climbing_has_choice_point(eng, v: int) -> bool:
     """True iff the greatest live node with untried clauses lies in v's
     subtree, found by climbing its parent chain to v's depth (usually zero
-    or a few hops).  The choice point is found by scanning the clause
-    tables, not read off the engine's choice-point list."""
-    points = [y for y in eng.goals if eng.next_clause[y] < len(eng.clauses[y])]
+    or a few hops).  The choice point is found by asking every live node
+    for its untried clauses, not read off the engine's choice-point list."""
+    points = [y for y in eng.goals if eng.untried_clauses(y)]
     if not points:
         return False
     node = max(points)

@@ -63,7 +63,7 @@ def snapshot(eng: Engine) -> Snapshot:
     return Snapshot(
         frozenset(numbers), paths[eng.current], eng.last_number, numbers,
         {paths[v]: g for v, g in eng.goals.items()},
-        {paths[v]: cl[eng.next_clause[v]:] for v, cl in eng.clauses.items()},
+        {paths[v]: eng.untried_clauses(v) for v in eng.goals},
         # One first-visit bit: only the current node can be fresh.
         {p: eng.fresh and v == eng.current for v, p in paths.items()},
         eng.done, eng.failing,

@@ -1,4 +1,5 @@
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +16,7 @@ from boxtrace import (
     RuleId,
     Variable,
     alpha_equal,
+    cli,
     gen_program,
     parse_program,
     parse_term_text,
@@ -24,7 +26,12 @@ from boxtrace import (
 )
 from boxtrace.engine import ROOT
 from boxtrace.terms import functor_key
-from tests.references import climbing_has_choice_point, positions, useful_clauses
+from tests.references import (
+    climbing_has_choice_point,
+    eager_untried_clauses,
+    positions,
+    useful_clauses,
+)
 from tests.snapshots import dewey, record
 
 X = Variable("X")
@@ -160,7 +167,7 @@ def test_choice_point_tracking_after_failure(choice_program):
     assert eng.current == 1
     assert eng.failing
     assert eng.greatest_choice_point(1) == 2 and path_of(eng, 2) == (1,)
-    assert positions(choice_program, eng.clauses[2][eng.next_clause[2]:]) == [2]
+    assert positions(choice_program, eng.untried_clauses(2)) == [2]
 
 
 def test_redo_prunes_failed_sibling(choice_program):
@@ -169,7 +176,7 @@ def test_redo_prunes_failed_sibling(choice_program):
         eng.step()
     assert dewey(eng) == {(): 1, (1,): 2}
     assert eng.current == 2
-    assert eng.clauses[2][eng.next_clause[2]:] == ()
+    assert eng.untried_clauses(2) == ()
     assert not eng.failing
     # the exited value is kept on the node until the next Exit overwrites it
     assert render_term(eng.goals[2]) == "p(a)"
@@ -301,17 +308,36 @@ PROGRAM_FILES = sorted((Path(__file__).resolve().parents[1] / "programs").glob("
 
 
 def assert_choice_point_test_matches_the_climb(program, max_steps=500):
-    """At every state of a run: the creation-number test equals the climb at
-    the current node and at the root, and the current node's subtree holds
-    the greatest live node (what makes the number test sound)."""
+    """At every state of a run: the creation-number test, forced at the
+    current node and at the root, equals the climb; the current node's
+    subtree holds the greatest live node (what makes the number test sound);
+    every live box's untried clauses equal the eager filter's; and the run,
+    forced tests included, has made no more trial unifications than eager
+    filtering, which tried every candidate after a box's first bound one."""
+    trials = eager = 0
+
+    def counting(goal, head, s, _unify=engine_module.unify):
+        nonlocal trials
+        trials += 1
+        return _unify(goal, head, s)
+
     eng = Engine(program)
-    while True:
-        for v in (eng.current, ROOT):
-            assert eng.has_choice_point(v) == climbing_has_choice_point(eng, v)
-        current = path_of(eng, eng.current)
-        assert path_of(eng, eng.order[-1])[: len(current)] == current
-        if eng.chrono >= max_steps or eng.step() is None:
-            return
+    with mock.patch.object(engine_module, "unify", counting):
+        while True:
+            if eng.fresh:  # a new box: its bucket's candidates past the bound one
+                candidates, position, _ = eng._scan[eng.current]
+                eager += len(candidates) - position
+            forced = [eng.has_choice_point(v) for v in (eng.current, ROOT)]
+            assert trials <= eager
+            counted = trials  # the references' trials are not the run's
+            assert forced == [climbing_has_choice_point(eng, v) for v in (eng.current, ROOT)]
+            for v in eng.goals:
+                assert eng.untried_clauses(v) == eager_untried_clauses(eng, program, v)
+            trials = counted
+            current = path_of(eng, eng.current)
+            assert path_of(eng, eng.order[-1])[: len(current)] == current
+            if eng.chrono >= max_steps or eng.step() is None:
+                return
 
 
 @settings(max_examples=60, deadline=None)
@@ -381,7 +407,7 @@ r :- q(b).
 
 def _filtered(program, goal):
     """The clauses the engine keeps for `goal`: filtered as a root box."""
-    return Engine(Program(program.clauses, goal)).clauses[ROOT]
+    return Engine(Program(program.clauses, goal)).untried_clauses(ROOT)
 
 
 @pytest.mark.parametrize(
@@ -438,11 +464,11 @@ def test_index_matches_useful_clauses(program, data):
     assert _filtered(program, goal) == tuple(useful_clauses(goal, program, {}))
 
 
-def _heads_tried(monkeypatch):
+def _heads_tried(monkeypatch, names=("unify", "unify_into")):
     """The list of clause heads the engine unifies from now on: the bound
-    ones (`unify_into`) and the trial ones (`unify`)."""
+    ones (`unify_into`) and the trial ones (`unify`), or those of `names`."""
     tried = []
-    for name in ("unify", "unify_into"):
+    for name in names:
 
         def counting(goal, head, *rest, _unify=getattr(engine_module, name)):
             tried.append(head)
@@ -463,10 +489,10 @@ def test_bound_first_argument_tries_only_its_bucket(monkeypatch):
     assert len(tried) == 40  # unbound first argument: every clause is tried
 
 
-def test_a_new_box_unifies_at_most_two_heads(monkeypatch):
+def test_a_new_box_unifies_one_head(monkeypatch):
     # Each box of this runaway recursion has two candidate clauses.  The
-    # first is bound while the box is filtered and its Call binds nothing
-    # again; the second gets only the trial unification.
+    # first is bound while the box is filled and its Call binds nothing
+    # again; nothing fails, so no guard asks for the second.
     tried = _heads_tried(monkeypatch)
     eng = Engine(
         parse_program(
@@ -477,4 +503,22 @@ def test_a_new_box_unifies_at_most_two_heads(monkeypatch):
     for _ in range(1000):
         eng.step()
     assert eng.last_number == 1001  # one new box per step, and the root
-    assert len(tried) <= 2 * eng.last_number
+    assert len(tried) == eng.last_number
+
+
+def test_the_first_answer_of_a_fact_table_tries_no_other_fact(monkeypatch, tmp_path, capsys):
+    # Eager filtering trial-unified all 39,999 later facts before the first
+    # answer; lazily, a later fact is tried only when a guard asks.
+    path = tmp_path / "facts.pl"
+    path.write_text("".join(f"p(c{i}).\n" for i in range(40_000)) + ":- p(X).\n")
+    tried = _heads_tried(monkeypatch, ("unify",))
+    assert cli.main(["trace", str(path), "--max-solutions", "1"]) == 0
+    assert capsys.readouterr().out == "1 1 1 Call p(X)\n2 1 1 Exit p(c0)\n"
+    assert tried == []
+    eng = Engine(parse_program(path.read_text()))
+    for _ in stream_events(eng):
+        if eng.answers:
+            break
+    assert tried == []
+    assert eng.select_rule() is RuleId.REDO1  # a Redo guard asks: one trial finds p(c1)
+    assert len(tried) == 1
