@@ -23,19 +23,22 @@ one read by the trace reader of two traces: the bench's join trace (seed
 deep, where each box's Fail comes thousands of texts after its Call; and
 the trial `unify` calls the engine makes up to the first answer of the 5k
 and 40k fact tables (a later fact is tried only when a guard asks).  All
-are counted under cProfile.  Two more timed lines follow: the first
-answer's time on those tables, with building the clause index
-(`_clause_index`, linear in the program) timed apart; and `rebuild`'s time
-per event on failing chains 250 and 2,000 boxes deep, whose final tree
-lists every box (its printing timed apart).
+are counted under cProfile.  More timed lines follow: `check`'s rate on
+that deep-shaped program at 2.5k and 40k steps, flagged as the depth bands
+are; the trace reader's time per event on the join trace, with the time
+inside `parse_term_text` timed apart; the first answer's time on the fact
+tables, with building the clause index (`_clause_index`, linear in the
+program) timed apart; and `rebuild`'s time per event on failing chains 250
+and 2,000 boxes deep, whose final tree lists every box (its printing timed
+apart).
 
 Each line is the median of RUNS fresh runs, with their min-max: single
 runs on a small shared machine can differ by 2x, so no absolute rate is
-judged.  The advisory check is relative instead: a depth band or a
-fact-table band is flagged when its median is more than 20% off the median
-of its smallest band (depth 1k, or 5k facts).  The script reports, it does
-not fail.  Run from the repository root:
-`python3 scripts/bench_engine.py`.
+judged.  The advisory check is relative instead: a depth band, a
+fact-table band or `check`'s 40k-step rate is flagged when its median is
+more than 20% off the median of its smallest band (depth 1k, 5k facts, or
+2.5k steps).  The script reports, it does not fail.  Run from the
+repository root: `python3 scripts/bench_engine.py`.
 """
 
 import cProfile
@@ -57,6 +60,7 @@ from boxtrace import (
     parse_trace_text,
     render_event,
     stream_events,
+    trace,
 )
 from boxtrace.engine import Engine, _clause_index
 from workloads import join_graph, join_text
@@ -164,6 +168,39 @@ def parse_calls(text: str) -> tuple[int, int]:
     return calls, events
 
 
+def check_rate(text: str, steps: int) -> float:
+    """Steps/s of one `check_faithfulness` run capped at `steps`."""
+    program = parse_program(text)
+    started = time.perf_counter()
+    report = check_faithfulness(program, max_steps=steps)
+    return report.steps_checked / (time.perf_counter() - started)
+
+
+def read_time(lines: list[str]) -> tuple[float, float]:
+    """Microseconds per event of one read of `lines` by the trace reader,
+    and of a second read the microseconds per event in `parse_term_text`."""
+    started = time.perf_counter()
+    events = sum(1 for _ in parse_trace_text(lines))
+    total = time.perf_counter() - started
+    parsing = 0.0
+    parse = trace.parse_term_text
+
+    def timed(*args, **kwargs):
+        nonlocal parsing
+        started = time.perf_counter()
+        try:
+            return parse(*args, **kwargs)
+        finally:
+            parsing += time.perf_counter() - started
+
+    trace.parse_term_text = timed
+    try:
+        sum(1 for _ in parse_trace_text(lines))
+    finally:
+        trace.parse_term_text = parse
+    return total / events * 1e6, parsing / events * 1e6
+
+
 def first_answer(text: str) -> tuple[float, float]:
     """Seconds to build the engine and step to its first answer, and
     seconds to build its clause index alone."""
@@ -252,8 +289,22 @@ def main() -> int:
             f"check calls per step at {steps:>6,} steps :"
             f" unify_into {calls['unify_into']:.3f}, alpha_equal walks {calls['_alpha_walk']:.3f}"
         )
+    low, high = CALL_COUNT_STEPS
+    rates = {steps: [check_rate(DEEP_CHECK, steps) for _ in range(RUNS)] for steps in CALL_COUNT_STEPS}
+    print(
+        f"check rate : {statistics.median(rates[low]):,.0f} steps/s at {low:,} steps,"
+        f" {statistics.median(rates[high]):,.0f} at {high:,}  ({RUNS} runs, medians)"
+        f"  [{band_flag(rates[high], rates[low])}]"
+    )
+    join = join_text(*join_graph(JOIN_SEED))
+    lines = [render_event(event) + "\n" for _, event, _ in stream_events(Engine(parse_program(join)))]
+    runs = [read_time(lines) for _ in range(RUNS)]
+    print(
+        f"join trace (seed {JOIN_SEED}) reader : {statistics.median(us for us, _ in runs):.2f} us/event,"
+        f" parse_term_text {statistics.median(us for _, us in runs):.2f} of it  ({RUNS} runs, medians)"
+    )
     for name, text in [
-        (f"join trace (seed {JOIN_SEED})", join_text(*join_graph(JOIN_SEED))),
+        (f"join trace (seed {JOIN_SEED})", join),
         ("failing chain trace", FAILING_CHAIN),
     ]:
         parsed, events = parse_calls(text)

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import itertools
 import json
 import sys
 from typing import Optional
@@ -101,13 +100,12 @@ def cmd_rebuild(args: argparse.Namespace) -> int:
     # One write per rule line: the line's text after its chrono, made once
     # per rule.
     if as_json:
+        line = '{"chrono": %d%s'
         labels = {rule: f', "rule": {json.dumps(rule.value)}}}\n' for rule in RuleId}
     else:
+        line = "%5d%s"
         labels = {rule: f"  {rule.value}\n" for rule in RuleId}
     write = sys.stdout.write
-
-    def emit(chrono: int, rule: RuleId) -> None:
-        write(f'{{"chrono": {chrono}{labels[rule]}' if as_json else f"{chrono:>5}{labels[rule]}")
 
     with _open_trace(args.trace) as lines:
         events = parse_trace_text(lines, fmt=args.format)
@@ -116,17 +114,13 @@ def cmd_rebuild(args: argparse.Namespace) -> int:
             print("error: empty trace", file=sys.stderr)
             return 1
         reb = Rebuilder(first.goal)
+        push = reb.push
         try:
+            push(first)  # finishes no event: the next one decides its rule
             chrono = 0
-            for event in itertools.chain((first,), events):
-                done = reb.push(event)
-                if done is not None:
-                    chrono += 1
-                    emit(chrono, done[0])
-            done = reb.finish()
-            if done is not None:
-                chrono += 1
-                emit(chrono, done[0])
+            for chrono, event in enumerate(events, start=1):
+                write(line % (chrono, labels[push(event)[0]]))
+            write(line % (chrono + 1, labels[reb.finish()[0]]))
         except TraceTruncatedError:
             pass  # a prefix that ends on a Redo, reported as any other prefix
         except CorruptTraceError as err:

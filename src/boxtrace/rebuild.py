@@ -45,6 +45,7 @@ class TraceTruncatedError(CorruptTraceError):
 _CALL, _EXIT, _FAIL, _REDO = Port.CALL, Port.EXIT, Port.FAIL, Port.REDO
 _CALL1, _CALL2, _EXIT1, _EXIT2 = RuleId.CALL1, RuleId.CALL2, RuleId.EXIT1, RuleId.EXIT2
 _FAIL2, _REDO1, _REDO2 = RuleId.FAIL2, RuleId.REDO1, RuleId.REDO2
+_new = tuple.__new__  # a NamedTuple built in C, without its Python-level __new__
 
 # The box model's port order, as the ports the next event may have after
 # each kind of event, with the reason a message gives: the box the previous
@@ -80,19 +81,14 @@ class Rebuilder:
 
     Replay starts from the root box holding `goal`, and the stream must
     begin with a Call at chrono 1.  push() buffers the newest event and
-    finishes the previous one, returning its (rule, delta); finish() flushes
-    the last event once the stream ends.  Finishing an event is one switch
-    on its port that rejects a corrupt event, picks the port's rule from the
-    next event's node number and applies that rule's visible effect; then
-    the event's port is checked against the order the box model allows.
-    `state` is the live accumulator, of the engine's own tree class; copy()
-    it to keep a snapshot.  After finish(), `truncated` tells whether the
-    stream stopped where a completed run could not have, and status() how
-    the run ended; a stream that ends on a Redo makes finish() raise
-    TraceTruncatedError with `truncated` set and the tree as before the
-    Redo.  The depth attribute plays no part in replay:
-    `depth_mismatches` collects (chrono, expected, actual) for every event
-    whose depth disagrees with the replayed tree.
+    finishes the previous one (`_finish_one`), returning its (rule, delta);
+    finish() flushes the last event once the stream ends.  `state` is the
+    live accumulator; copy() it to keep a snapshot.  After finish(),
+    `truncated` tells whether the stream stopped where a completed run could
+    not have, and status() how the run ended; a stream that ends on a Redo
+    makes finish() raise TraceTruncatedError with `truncated` set and the
+    tree as before the Redo.  `depth_mismatches` collects (chrono, expected,
+    actual) for every event whose depth disagrees with the replayed tree.
     """
 
     def __init__(self, goal: Term):
@@ -100,8 +96,7 @@ class Rebuilder:
         self._pending: Optional[TraceEvent] = None
         self._expected_chrono = 1
         self.truncated = False
-        # The ports the next event may have, and why: the root box is new
-        # before any event.
+        # The ports the next event may have, and why: at first, the root's Call.
         self._next_ports = _NEW_BOX
         # The greatest creation number seen: no run reuses one a Redo freed.
         self._last_number = ROOT
@@ -110,17 +105,15 @@ class Rebuilder:
     # -- incremental API -----------------------------------------------------
 
     def push(self, event: TraceEvent) -> Optional[tuple[RuleId, StepDelta]]:
-        if self._expected_chrono == 1 and (event.chrono != 1 or event.port is not _CALL):
+        chrono = event.chrono
+        expected = self._expected_chrono
+        if expected == 1 and (chrono != 1 or event.port is not _CALL):
+            raise CorruptTraceError("trace must begin with a Call at chrono 1", chrono)
+        if chrono != expected:
             raise CorruptTraceError(
-                "trace must begin with a Call at chrono 1", event.chrono
+                f"chrono {chrono} out of order (expected {expected})", chrono
             )
-        if event.chrono != self._expected_chrono:
-            raise CorruptTraceError(
-                f"chrono {event.chrono} out of order (expected "
-                f"{self._expected_chrono})",
-                event.chrono,
-            )
-        self._expected_chrono += 1
+        self._expected_chrono = expected + 1
         prev, self._pending = self._pending, event
         if prev is None:
             return None
@@ -134,22 +127,20 @@ class Rebuilder:
         self.truncated = prev.node != ROOT or prev.port in (_CALL, _REDO)
         return self._finish_one(prev, None)
 
-    def _finish_one(
-        self, event: TraceEvent, nxt: Optional[TraceEvent]
-    ) -> tuple[RuleId, StepDelta]:
+    def _finish_one(self, event: TraceEvent, nxt: Optional[TraceEvent]) -> tuple[RuleId, StepDelta]:
         """Classify and apply one event, given the next one (None at stream
-        end).  At stream end an Exit at the root and any Fail close a run
-        legally; a final Call or below-root Exit can only come from a cut-off
-        stream and classifies best-effort; a final Redo, once its port order
-        is checked, raises TraceTruncatedError, since only the next event
-        decides its rule.
-
-        A Call, Fail or Redo carries the predication its box holds, and is
-        rejected if its goal differs from it up to renaming.  The trace
-        reader hands a goal text it holds back as the same term, so
-        the identity test almost always decides."""
+        end), then check its port against the order the box model allows.
+        At stream end an Exit at the root and any Fail close a run legally; a
+        final Call or below-root Exit can only come from a cut-off stream and
+        classifies best-effort; a final Redo raises TraceTruncatedError, as
+        only the next event decides its rule.  A Call, Fail or Redo whose
+        goal differs from its box's up to renaming is rejected; the trace
+        reader hands a held goal text back as the same term, so the identity
+        test almost always decides."""
         st = self.state
-        chrono, port, v = event.chrono, event.port, event.node
+        chrono, v, event_depth, port, event_goal = event
+        if nxt is not None:
+            _, new, _, _, new_goal = nxt
         # The subject is live: the current node, or the choice point a Redo
         # jumps back to.
         if port is _REDO:
@@ -163,39 +154,39 @@ class Rebuilder:
             )
         if port in _HOLDS_BOX_GOAL:
             goal = st.goals[v]
-            if not alpha_equal(event.goal, goal):
+            if not alpha_equal(event_goal, goal):
                 raise CorruptTraceError(
                     f"{port.value} event's goal differs from its box's", chrono
                 )
         depth = st.depth[v]
-        if event.depth != depth:
-            self.depth_mismatches.append((chrono, depth, event.depth))
+        if event_depth != depth:
+            self.depth_mismatches.append((chrono, depth, event_depth))
 
         removed: tuple[int, ...] = ()
-        created = updated_goal = None
+        created = created_goal = updated_goal = None
         follows = _NO_NEW_BOX
         if port is _CALL:
-            if nxt is not None and nxt.node < v:
+            if nxt is not None and new < v:
                 raise CorruptTraceError("Call followed by an older node", chrono)
-            if nxt is None or nxt.node == v:
+            if nxt is None or new == v:
                 rule = _CALL1
             else:
-                rule, created = _CALL2, self._add_child(v, nxt, chrono)
+                rule, created = _CALL2, self._add_child(v, new, new_goal, chrono)
         elif port is _EXIT:
             # Every Exit at the root goes up: the next event may be a Redo
             # anywhere below it.
-            if v != ROOT and nxt is not None and nxt.node == v:
+            if v != ROOT and nxt is not None and new == v:
                 raise CorruptTraceError("Exit below the root repeats its node number", chrono)
-            st.goals[v] = event.goal
-            updated_goal = (v, event.goal)
-            if v == ROOT or nxt is None or nxt.node < v:
+            st.goals[v] = event_goal
+            updated_goal = (v, event_goal)
+            if v == ROOT or nxt is None or new < v:
                 rule = _EXIT1
                 st.current = st.parent[v]
                 if v == ROOT:
                     follows = _AFTER_ROOT_EXIT
             else:
                 # v is the last child of its parent: the new sibling follows it.
-                rule, created = _EXIT2, self._add_child(st.parent[v], nxt, chrono)
+                rule, created = _EXIT2, self._add_child(st.parent[v], new, new_goal, chrono)
         elif port is _FAIL:
             rule = _FAIL2
             st.current = st.parent[v]
@@ -203,28 +194,30 @@ class Rebuilder:
         elif nxt is None:  # a final Redo: its rule needs the next event
             rule = None
         else:  # Redo: back to the choice point v, dropping every node after it.
-            if nxt.node < v:
+            if new < v:
                 raise CorruptTraceError("Redo followed by an older node", chrono)
             removed = st.prune_after(v)
-            if nxt.node == v:
+            if new == v:
                 rule = _REDO1
                 st.current = v
             else:
-                rule, created = _REDO2, self._add_child(v, nxt, chrono)
+                rule, created = _REDO2, self._add_child(v, new, new_goal, chrono)
         ports, reason = self._next_ports
         if port not in ports:
             raise CorruptTraceError(f"{port.value} event {reason}", chrono)
         if rule is None:
             raise TraceTruncatedError("stream ends on a Redo event", chrono)
-        self._next_ports = _NEW_BOX if created is not None else follows
-        created_goal = None if created is None else nxt.goal
-        return rule, StepDelta(st.current, removed, created, created_goal, updated_goal)
+        if created is None:
+            self._next_ports = follows
+        else:
+            self._next_ports = _NEW_BOX
+            created_goal = new_goal
+        return rule, _new(StepDelta, (st.current, removed, created, created_goal, updated_goal))
 
-    def _add_child(self, parent: int, nxt: TraceEvent, chrono: int) -> tuple[int, int, int]:
-        """Create the next event's node as the next child of `parent` and make
-        it current; returns the delta's (node, parent, index)."""
+    def _add_child(self, parent: int, v: int, goal: Term, chrono: int) -> tuple[int, int, int]:
+        """Create node `v` holding `goal` as the next child of `parent` and
+        make it current; returns the delta's (node, parent, index)."""
         st = self.state
-        v = nxt.node
         if v in st.goals:
             raise CorruptTraceError(f"creation number {v} assigned twice", chrono)
         if v < st.order[-1]:
@@ -233,7 +226,7 @@ class Rebuilder:
             raise CorruptTraceError(f"creation number {v} was used before", chrono)
         self._last_number = v
         st.current = v
-        return st.add_child(v, parent, nxt.goal)
+        return st.add_child(v, parent, goal)
 
     # -- derived status ------------------------------------------------------
 

@@ -16,6 +16,7 @@ term text).
 from __future__ import annotations
 
 import enum
+import io
 import json
 import re
 from typing import Iterable, Iterator, NamedTuple
@@ -84,14 +85,18 @@ def render_event(e: TraceEvent) -> str:
 _PORTS = {port.value: port for port in Port}
 _MESSAGE_MAX = 120  # the most characters of a bad line's message
 _NUMBERS = re.compile("-?[0-9]+ -?[0-9]+ -?[0-9]+")
+# The most digits of a line's three numbers the reader takes in place; more,
+# up to what `int` refuses (4,300 digits by default), go to `_check_fields`.
+_DIGITS_MAX = 64
 
 
-def _check_fields(
-    line: str, chrono, node, depth, port, goal
-) -> tuple[int, int, int, Port, str]:
+def _check_fields(line: str, fields) -> tuple[int, int, int, Port, str]:
     """An event's five fields, checked: the one validator of both trace
     forms.  Numbers come as text (a JSON value as its repr) and must match
     `-?[0-9]+`.  The goal stays text.  `line` is the raw line, for messages."""
+    if len(fields) != 5:
+        raise ParseError(f"expected 5 fields, found {len(fields)}", 1, 1)
+    chrono, node, depth, port, goal = fields
     try:  # ValueError: no match, or more digits than `int` reads
         numbers = chrono + node + depth  # ASCII digits alone, the common case, skip the pattern
         if not (numbers.isascii() and numbers.isdigit() or _NUMBERS.fullmatch(f"{chrono} {node} {depth}")):
@@ -108,13 +113,6 @@ def _check_fields(
     if not isinstance(goal, str):
         raise ParseError(f"goal is not term text in {line!r}", 1, 1)
     return chrono, node, depth, port, goal
-
-
-def _text_fields(line: str) -> tuple[int, int, int, Port, str]:
-    fields = line.split()
-    if len(fields) != 5:
-        raise ParseError(f"expected 5 fields, found {len(fields)}", 1, 1)
-    return _check_fields(line, *fields)
 
 
 def render_events_pretty(events: Iterable[TraceEvent]) -> list[str]:
@@ -142,15 +140,16 @@ def event_to_json(e: TraceEvent) -> str:
     )
 
 
-def _json_fields(line: str) -> tuple[int, int, int, Port, str]:
+def _json_values(line: str) -> list:
+    """A JSON line's five values, as `_check_fields` takes them."""
     try:
         obj = json.loads(line)
-        fields = [obj[key] for key in ("chrono", "node", "depth", "port", "goal")]
+        values = [obj[key] for key in ("chrono", "node", "depth", "port", "goal")]
     # ValueError: bad JSON, or an integer too long to convert; RecursionError:
     # nesting deeper than the decoder's stack.
     except (ValueError, RecursionError, KeyError, TypeError):
         raise ParseError(f"malformed JSON event {line!r}", 1, 1) from None
-    return _check_fields(line, *map(repr, fields[:3]), *fields[3:])
+    return [*map(repr, values[:3]), *values[3:]]
 
 
 # Bounds of the reader's map of recent goal texts, whatever the trace: at 4,096
@@ -162,32 +161,46 @@ GOAL_TEXT_LONGEST = 256  # characters in the longest text held
 def parse_trace_text(lines: str | Iterable[str], fmt: str = "text") -> Iterator[TraceEvent]:
     """Parse a trace (``text`` or ``jsonl``) lazily, one event per line read;
     blank lines are skipped.  `lines` is the whole text or any iterable of
-    lines, such as an open file, so a trace streams in constant memory.
+    lines, such as an open file, so a trace streams in constant memory.  A
+    text's lines end where a file's do in text mode: at a line feed, a
+    carriage return, or both.
 
-    A goal text is parsed once while the reader holds it: an event with a
-    held text gets that same term (terms are immutable).  Per node number it
-    holds the node's last goal, so a Fail or Redo, which carries its box's
-    goal, is never parsed again; a Redo of node v drops the nodes after v,
-    the last entries, as nodes are numbered in creation order.  A goal
-    called again in a new box, as `e(n23,V2_17)` in a join after a Redo, is
-    found in a second map of recent texts (see GOAL_TEXTS_MAX): a join
-    trace's 12,483 events need 1,449 parses, 7,363 with the per-node map.
+    A text line is split once.  Five fields with positive numbers of ASCII
+    digits, at most _DIGITS_MAX of them together, and a known port are taken
+    in place; every other line, and every JSON line, is read by
+    `_check_fields`, the one validator.
 
-    A flat goal such as `e(n23,V2_17)` is read in one pass; any other goal
-    text, a malformed one included, goes through the one general reader.
+    A goal text is parsed once while the reader holds it (terms are
+    immutable): per node number the node's last goal, so a Fail or Redo is
+    never parsed again (a Redo of node v drops the nodes after v, the last
+    entries), and a bounded map of recent texts (GOAL_TEXTS_MAX) for a goal
+    called again in a new box.
     """
     if isinstance(lines, str):
-        lines = lines.splitlines()
-    read_fields = _json_fields if fmt == "jsonl" else _text_fields
+        lines = io.StringIO(lines, newline=None)
+    jsonl = fmt == "jsonl"
     held: dict[int, tuple[str, Term]] = {}
     goals: dict[str, Term] = {}
+    ports = _PORTS
     redo = Port.REDO
+    new = tuple.__new__
     for lineno, line in enumerate(lines, start=1):
-        line = line.rstrip("\r\n")
-        if not line.strip():
+        fields = line.split()
+        if not fields:
             continue
         try:
-            chrono, node, depth, port, text = read_fields(line)
+            port = None
+            if len(fields) == 5 and not jsonl:
+                chrono, node, depth, name, text = fields
+                numbers = chrono + node + depth
+                if numbers.isascii() and numbers.isdigit() and len(numbers) <= _DIGITS_MAX:
+                    chrono, node, depth = int(chrono), int(node), int(depth)
+                    if chrono and node and depth:  # digits alone are never negative
+                        port = ports.get(name)
+            if port is None:  # every other line, and every JSON line
+                line = line.rstrip("\r\n")
+                values = _json_values(line) if jsonl else fields
+                chrono, node, depth, port, text = _check_fields(line, values)
             if port is redo:
                 while held and next(reversed(held)) > node:
                     held.popitem()
@@ -210,4 +223,4 @@ def parse_trace_text(lines: str | Iterable[str], fmt: str = "text") -> Iterator[
             if len(message) > _MESSAGE_MAX:  # it may quote a line of any length
                 message = message[:_MESSAGE_MAX] + "..."
             raise ParseError(f"bad trace line: {message}", lineno, 1) from None
-        yield TraceEvent(chrono, node, depth, port, goal)
+        yield new(TraceEvent, (chrono, node, depth, port, goal))

@@ -1,3 +1,4 @@
+import io
 import json
 import re
 
@@ -26,6 +27,7 @@ from boxtrace import (
 )
 import boxtrace.trace as trace_module
 from boxtrace.engine import ROOT
+from boxtrace.parser import parse_term_text
 from boxtrace.trace import render_events_pretty
 from tests.conftest import events_of
 from tests.references import events_alpha_equal, is_instance_of, write_trace_text
@@ -48,8 +50,6 @@ CHOICE_EVENTS = [
 
 
 def assert_matches_table(events, table):
-    from boxtrace.parser import parse_term_text
-
     assert len(events) == len(table)
     for event, (chrono, node, depth, port, goal) in zip(events, table):
         assert event.chrono == chrono
@@ -240,6 +240,31 @@ def test_parse_accepts_any_whitespace_runs():
     assert render_event(read_line("  3   2  2   Exit   p(a) ")) == "3 2 2 Exit p(a)"
 
 
+# What `str.splitlines` ends a line at beyond line feeds and carriage returns;
+# a file read in text mode does not, so a text does not either.
+_NOT_LINE_BREAKS = ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+@pytest.mark.parametrize("separator", _NOT_LINE_BREAKS, ids=repr)
+def test_a_text_reads_as_a_file(separator, tmp_path):
+    text = f"1 1 1 Call p{separator}2 1 1 Exit p\n"
+    path = tmp_path / "trace"
+    path.write_text(text, encoding="utf-8", newline="")
+    with path.open(encoding="utf-8") as handle:
+        from_file = _read_streamed(handle, "text")
+    assert _read_streamed(text, "text") == _read_streamed(io.StringIO(text), "text") == from_file
+    assert from_file == ([], ("bad trace line: expected 5 fields, found 10", 1))
+
+
+def test_a_text_ends_lines_where_a_file_does(tmp_path):
+    text = "1 1 1 Call p\r2 1 1 Exit p\r\n\n3 1 1 Redo p\n"
+    path = tmp_path / "trace"
+    path.write_text(text, encoding="utf-8", newline="")
+    with path.open(encoding="utf-8") as handle:
+        assert _read_streamed(text, "text") == _read_streamed(handle, "text")
+    assert [e.chrono for e in parse_trace_text(text)] == [1, 2, 3]
+
+
 def test_trace_text_round_trip(choice_program):
     events = events_of(choice_program)
     text = write_trace_text(events)
@@ -319,16 +344,34 @@ def test_event_json_round_trip_identity(event):
     assert read_line(event_to_json(event), "jsonl") == event
 
 
-# -- the reader that reuses parsed goals, against reading line by line -------------
+# -- the reader, against the validator reading each line alone -------------------
+
+
+def _read_alone(line, fmt):
+    """The event one line makes read by the validator alone: no in-place
+    check, no reused goal."""
+    line = line.rstrip("\r\n")
+    try:
+        fields = trace_module._json_values(line) if fmt == "jsonl" else line.split()
+        chrono, node, depth, port, text = trace_module._check_fields(line, fields)
+        goal = parse_term_text(text, decode_renamed=True)
+        if isinstance(goal, Variable):
+            raise ParseError(f"goal {text!r} is a variable", 1, 1)
+    except ParseError as err:
+        message = err.message
+        if len(message) > trace_module._MESSAGE_MAX:
+            message = message[: trace_module._MESSAGE_MAX] + "..."
+        raise ParseError(f"bad trace line: {message}", 1, 1) from None
+    return TraceEvent(chrono, node, depth, port, goal)
 
 
 def _read_line_by_line(lines, fmt):
-    """The events the reader makes of each line read alone, so that no goal
-    is reused, up to the first bad line, and that line's error."""
+    """The events of each line read alone by the validator, up to the first
+    bad line, and that line's error."""
     out = []
     for lineno, line in enumerate(lines, start=1):
         try:
-            out.append(read_line(line, fmt))
+            out.append(_read_alone(line, fmt))
         except ParseError as err:
             return out, (err.message, lineno)
     return out, None
@@ -345,39 +388,88 @@ def _read_streamed(text, fmt):
 
 
 _CORRUPT_GOALS = ["zzz(q)", "p(X_1", "p(X_2)", "eq(a,b)", "goal", "f(", "?"]
+# Field-level corruptions, each a case the reader's in-place check must hand
+# to the validator or take as the validator would: separators (whitespace
+# runs, tabs, and whitespace that a text form does not end a line at), text
+# around a line (a `\r` only at its end, where it is part of the line break),
+# number texts (leading zeros, digit runs past the in-place bound and past
+# what `int` reads, signs, non-ASCII digits), ports, and field counts.
+_SEPARATORS = [" ", "  ", "\t", " \t ", "\v", "\x1c", "\x85", "\u2028"]
+_FRAMES = [(" ", ""), ("", "\r"), ("\t", " \r"), ("  ", "\t")]
+_NUMBER_TEXTS = ["0", "00", "007", "-3", "+2", "1_0", "\u0661", "\uff11", "\u00b2",
+                 "1" * 70, "9" * 4_301, "1" + "0" * 4_299]
+_PORT_TEXTS = ["call", "CALL", "exit", "Jump", "Redo1", ""]
 
 
+# (where, kind, value): a number text comes with the field it replaces.
 _corruptions = st.lists(
     st.tuples(
         st.integers(min_value=0, max_value=10**6),
-        st.sampled_from(["goal", "node"]),
+        st.sampled_from(["goal", "node", "layout", "fields"]),
         st.integers(min_value=0, max_value=10**6),
-    ),
+    )
+    | st.tuples(
+        st.integers(min_value=0, max_value=10**6),
+        st.just("number"),
+        st.tuples(st.integers(min_value=0, max_value=2), st.sampled_from(_NUMBER_TEXTS)),
+    )
+    | st.tuples(st.integers(min_value=0, max_value=10**6), st.just("port"), st.sampled_from(_PORT_TEXTS)),
     max_size=4,
 )
 
 
+def _corrupted_line(row, fmt, layout, shape):
+    """One line of `row`'s five fields: `layout` picks a separator and the
+    text around the line, `shape` drops or adds a field."""
+    pairs = list(zip(("chrono", "node", "depth", "port", "goal"), row))
+    if shape is not None:
+        if shape % 3 == 2:
+            pairs.append(("extra", "x"))
+        else:
+            del pairs[4 * (shape % 3)]  # the chrono or the goal
+    sep = _SEPARATORS[layout % len(_SEPARATORS)] if layout is not None else " "
+    before, after = _FRAMES[layout % len(_FRAMES)] if layout is not None else ("", "")
+    if fmt == "text":
+        line = sep.join(str(value) for _, value in pairs)
+    else:  # a number text as it stands, so that the decoder reads or rejects it
+        line = "{" + f",{sep}".join(
+            f'"{key}":{sep}' + (value if isinstance(value, str) and re.fullmatch("[-+]?[0-9]+", value)
+                               else json.dumps(value))
+            for key, value in pairs
+        ) + "}"
+    return before + line + after
+
+
 def _assert_corrupted_reads_as_line_by_line(events, fmt, corruptions):
     # Goal texts replaced by another event's text, a corrupt text or a new
-    # one, and node numbers changed: reusing a parsed term never changes
-    # what a line reads as.
+    # one, node numbers changed, and the field-level corruptions above:
+    # reusing a parsed term, or taking a line in place, never changes what a
+    # line reads as.
     rows = [[e.chrono, e.node, e.depth, e.port.value, render_term(e.goal)] for e in events]
+    top = max(e.node for e in events)
+    layouts, shapes = {}, {}
     for where, kind, value in corruptions:
-        row = rows[where % len(rows)]
+        at = where % len(rows)
+        row = rows[at]
         if kind == "goal":
             pool = _CORRUPT_GOALS + [other[4] for other in rows]
             row[4] = pool[value % len(pool)]
+        elif kind == "node":
+            row[1] = 1 + value % (top + 2)
+        elif kind == "number":
+            field, text = value
+            row[field] = text
+        elif kind == "port":
+            row[3] = value
+        elif kind == "layout":
+            layouts[at] = value
         else:
-            row[1] = 1 + value % (max(other[1] for other in rows) + 2)
-    if fmt == "text":
-        lines = [" ".join(map(str, row)) for row in rows]
-    else:
-        keys = ("chrono", "node", "depth", "port", "goal")
-        lines = [json.dumps(dict(zip(keys, row))) for row in rows]
+            shapes[at] = value
+    lines = [_corrupted_line(row, fmt, layouts.get(i), shapes.get(i)) for i, row in enumerate(rows)]
     assert _read_streamed("\n".join(lines), fmt) == _read_line_by_line(lines, fmt)
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=500, deadline=None)
 @given(st.integers(min_value=0, max_value=2_000), st.sampled_from(["text", "jsonl"]), _corruptions)
 def test_reused_goals_read_as_line_by_line(seed, fmt, corruptions):
     program = gen_program(GenParams(seed=seed, recursion_prob=0.1))
