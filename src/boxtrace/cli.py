@@ -129,8 +129,8 @@ def cmd_rebuild(args: argparse.Namespace) -> int:
     if reb.truncated:
         print("note: trace is a prefix of a longer run", file=sys.stderr)
     if reb.depth_mismatches:  # replay never reads depth; a lint, not an error
-        print(f"note: {len(reb.depth_mismatches)} event depth(s) disagree with the replayed "
-              f"tree, first at chrono {reb.depth_mismatches[0][0]}", file=sys.stderr)
+        print(f"note: {reb.depth_mismatches} event depth(s) disagree with the replayed "
+              f"tree, first at chrono {reb.first_depth_mismatch[0]}", file=sys.stderr)
     _print_final_tree(reb.state, reb.status(), as_json)
     return 0
 

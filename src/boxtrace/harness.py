@@ -1,16 +1,14 @@
 """Differential checking: engine -> events -> replay, against each other
 and against an independent resolution oracle.
 
-`check_faithfulness` runs the engine, replays its event stream (or any
-stream handed in) alongside it, and asserts per step that the classified
-rule equals the applied one and that replay changed its tree as the engine
-changed its own.  Whole states are compared against the engine's own
-tables: a copy taken at chrono 1, every FULL_COMPARE_EVERY steps and at a
-capped run's last compared step, and the live engine at the end of a
-completed run.  Answers are additionally compared against
-`reference_solve`, a plain recursive resolution search that shares nothing
-with the engine beyond terms, unification and `functor_key`, by which its
-own loop tries a goal only against its own predicate's clauses.
+`check_faithfulness` runs the engine and replays an event stream beside it,
+the run's own or any stream handed in, on one path: each step is compared
+once replay has classified its event, the stream's length is compared once,
+the last event is classified once, and a stream replay rejects anywhere
+fails.  Answers are additionally compared against `reference_solve`, a
+plain recursive resolution search that shares nothing with the engine
+beyond terms, unification and `functor_key`, by which its own loop tries a
+goal only against its own predicate's clauses.
 
 `gen_program` produces small random programs in the supported subset,
 deterministically from a seed.
@@ -33,7 +31,6 @@ from .engine import (
 from .rebuild import (
     CorruptTraceError,
     Rebuilder,
-    TraceTruncatedError,
     states_match,
 )
 from .terms import (
@@ -88,7 +85,7 @@ def reference_solve(
     body is renamed only once its head has unified.
     """
     answers: list[Term] = []
-    counters = {"steps": 0, "rename": 0}
+    tries = 0  # also the rename number of the clause tried
     # One substitution, bound in place; each clause tried undoes its
     # bindings back to the trail mark it started from.
     s: Subst = {}
@@ -96,6 +93,7 @@ def reference_solve(
     keyed = [(functor_key(clause.head), clause) for clause in program.clauses]
 
     def solve(goals: tuple[Term, ...], depth: int):
+        nonlocal tries
         if not goals:
             answers.append(apply_subst(program.goal, s))
             return
@@ -104,16 +102,14 @@ def reference_solve(
         first, rest = goals[0], goals[1:]
         key = functor_key(first)
         for clause_key, clause in keyed:
-            counters["steps"] += 1
-            if counters["steps"] > max_steps:
+            tries += 1
+            if tries > max_steps:
                 raise _CapExceeded
-            counters["rename"] += 1
             if clause_key != key:
                 continue
-            n = counters["rename"]
             mark = len(trail)
-            if unify_into(first, rename_term(clause.head, n), s, trail):
-                body = tuple(rename_term(b, n) for b in clause.body)
+            if unify_into(first, rename_term(clause.head, tries), s, trail):
+                body = tuple(rename_term(b, tries) for b in clause.body)
                 solve(body + rest, depth + 1)
                 for var in trail[mark:]:
                     del s[var]
@@ -233,7 +229,7 @@ FULL_COMPARE_EVERY = 8192
 class Divergence:
     """Where replay and engine parted.  `engine_state` is the engine's tree
     after `chrono` steps (at the run's end if it is shorter);
-    `rebuilt_state` is replay's, where whole states or deltas were compared.
+    `rebuilt_state` is replay's, where a step or the final state was compared.
     """
 
     chrono: int
@@ -277,12 +273,6 @@ def _deltas_match(a: StepDelta, b: StepDelta) -> bool:
     return x is None or (x[0] == y[0] and alpha_equal(x[1], y[1]))
 
 
-def _length_mismatch(streamed: int, ran: int) -> Divergence:
-    return Divergence(
-        min(streamed, ran) + 1, f"the stream has {streamed} events, the run {ran} steps"
-    )
-
-
 def _engine_state_at(program: Program, chrono: int) -> RestrictedState:
     """The engine's tree after `chrono` steps, from a fresh (deterministic)
     re-run: the engine side of a divergence, built only on failure."""
@@ -302,15 +292,18 @@ def check_faithfulness(
 
     The stream replayed is the run's own, unless `events` is given: then
     that stream is replayed against the run instead (negative controls feed
-    mutated streams this way).  A stream shorter or longer than the run
-    fails, and so does one that replay rejects anywhere.
-
-    Comparison per step: applied vs classified rule, tree sizes, then the
-    step deltas on {tree, current, numbers, predications}.  Whole restricted
-    states are compared against a copy of the engine's taken at chrono 1,
-    every FULL_COMPARE_EVERY steps and at step `max_steps - 1` (a capped
-    run's last compared step), and against the live engine at the end of a
-    completed run.
+    mutated streams this way).  Both take one path:
+    - `compare` checks each step once replay has classified its event:
+      applied vs classified rule, tree sizes, the step deltas on {tree,
+      current, numbers, predications}, and whole states against a copy of
+      the engine's taken at chrono 1, every FULL_COMPARE_EVERY steps and at
+      step `max_steps - 1` (a capped run's last compared step);
+    - a foreign stream is replayed to its end, past a divergence too, and
+      its length is then compared with the run's, both ways;
+    - `finish()` classifies the last event: compared, and the final state
+      against the live engine, when the run completed; replayed only, so
+      that a rejection shows, when a foreign stream has already failed.
+    A stream that replay rejects anywhere fails with that rejection.
     """
     eng = Engine(program)
     run = stream_events(eng, max_steps=max_steps)
@@ -322,41 +315,26 @@ def check_faithfulness(
     # checkpoint) a copy of its state are kept, for its last two steps.
     previous: Optional[tuple] = None
     latest: Optional[tuple] = None
-    steps = 0
+    steps = checked = 0
     divergence: Optional[Divergence] = None
-    checked = 0
     completed = True
 
-    def compare_one(chrono: int, engine_step: tuple, rebuilt) -> Optional[Divergence]:
+    def compare(chrono: int, engine_step: tuple, rebuilt) -> Optional[Divergence]:
+        nonlocal checked
+        checked += 1
         applied, eng_delta, size, checkpoint = engine_step
         classified, reb_delta = rebuilt
         if classified is not applied:
-            return Divergence(
-                chrono,
-                "classified rule differs from applied rule",
-                applied_rule=applied,
-                classified_rule=classified,
-            )
-        if size != len(reb.state.goals):
-            return Divergence(
-                chrono,
-                "replayed tree size differs from the engine's",
-                applied_rule=applied,
-                classified_rule=classified,
-            )
-        if not _deltas_match(eng_delta, reb_delta):
+            note = "classified rule differs from applied rule"
+        elif size != len(reb.state.goals):
+            note = "replayed tree size differs from the engine's"
+        elif not _deltas_match(eng_delta, reb_delta):
             note = "state change differs between engine and replay"
         elif checkpoint is not None and not states_match(checkpoint, reb.state):
             note = "restricted states diverged"
         else:
             return None
-        return Divergence(
-            chrono,
-            note,
-            applied_rule=applied,
-            classified_rule=classified,
-            rebuilt_state=reb.state.copy(),
-        )
+        return Divergence(chrono, note, applied, classified, rebuilt_state=reb.state.copy())
 
     try:
         for rule, event, delta in run:
@@ -367,13 +345,11 @@ def check_faithfulness(
             previous, latest = latest, (rule, delta, len(eng.goals), checkpoint)
             if feed is not None:
                 event = next(feed, None)
-                if event is None:
-                    divergence = _length_mismatch(steps - 1, steps + sum(1 for _ in run))
+                if event is None:  # the stream is shorter than the run
                     break
             done = reb.push(event)
             if done is not None:
-                divergence = compare_one(steps - 1, previous, done)
-                checked += 1
+                divergence = compare(steps - 1, previous, done)
                 if divergence:
                     break
         else:
@@ -381,34 +357,30 @@ def check_faithfulness(
         if feed is not None:
             # Replay what is left of the stream: one that replay rejects is
             # reported as rejected, even where it differed from the run earlier.
-            rest = 0
             for event in feed:
                 reb.push(event)
-                rest += 1
-            if divergence is None and rest:
-                divergence = _length_mismatch(steps + rest, steps)
-            if divergence is not None:
-                reb.finish()
+            if divergence is None:
+                steps += sum(1 for _ in run)  # the run's steps past a short stream
+                streamed = reb.pushed
+                if streamed != steps:
+                    divergence = Divergence(
+                        min(streamed, steps) + 1,
+                        f"the stream has {streamed} events, the run {steps} steps",
+                    )
+        # Capped runs stop comparing one event early, and the run's own
+        # stream is not replayed past a divergence.
+        if (divergence is None and completed) or (divergence is not None and feed is not None):
+            done = reb.finish()
+            if divergence is None:
+                divergence = compare(steps, latest, done)
+                if divergence is None and not states_match(eng, reb.state):
+                    divergence = Divergence(
+                        steps, "final restricted states diverged", rebuilt_state=reb.state.copy()
+                    )
     except EngineError as err:  # DeterminismError included
         return FaithfulnessReport(program, checked, "fail", detail=str(err))
-    except (TraceTruncatedError, CorruptTraceError) as err:
+    except CorruptTraceError as err:  # TraceTruncatedError included
         divergence = Divergence(err.chrono, f"replay rejected the stream: {err}")
-
-    if divergence is None and steps and completed:
-        # The final event only classifies without lookahead on a completed
-        # run; capped runs stop comparing one event early.
-        try:
-            done = reb.finish()
-        except (TraceTruncatedError, CorruptTraceError) as err:
-            done = None
-            divergence = Divergence(err.chrono, f"replay rejected the stream: {err}")
-        if done is not None:
-            divergence = compare_one(steps, latest, done)
-            checked += 1
-            if divergence is None and not states_match(eng, reb.state):
-                divergence = Divergence(
-                    steps, "final restricted states diverged", rebuilt_state=reb.state.copy()
-                )
 
     if divergence is not None:
         divergence.engine_state = _engine_state_at(program, divergence.chrono)

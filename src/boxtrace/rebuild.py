@@ -87,8 +87,9 @@ class Rebuilder:
     `truncated` tells whether the stream stopped where a completed run could
     not have, and status() how the run ended; a stream that ends on a Redo
     makes finish() raise TraceTruncatedError with `truncated` set and the
-    tree as before the Redo.  `depth_mismatches` collects (chrono, expected,
-    actual) for every event whose depth disagrees with the replayed tree.
+    tree as before the Redo.  `depth_mismatches` counts the events whose
+    depth disagrees with the replayed tree; `first_depth_mismatch` is the
+    first one's (chrono, expected, actual).
     """
 
     def __init__(self, goal: Term):
@@ -100,7 +101,8 @@ class Rebuilder:
         self._next_ports = _NEW_BOX
         # The greatest creation number seen: no run reuses one a Redo freed.
         self._last_number = ROOT
-        self.depth_mismatches: list[tuple[int, int, int]] = []
+        self.depth_mismatches = 0
+        self.first_depth_mismatch: Optional[tuple[int, int, int]] = None
 
     # -- incremental API -----------------------------------------------------
 
@@ -118,6 +120,11 @@ class Rebuilder:
         if prev is None:
             return None
         return self._finish_one(prev, event)
+
+    @property
+    def pushed(self) -> int:
+        """The number of events pushed so far."""
+        return self._expected_chrono - 1
 
     def finish(self) -> Optional[tuple[RuleId, StepDelta]]:
         prev, self._pending = self._pending, None
@@ -160,7 +167,9 @@ class Rebuilder:
                 )
         depth = st.depth[v]
         if event_depth != depth:
-            self.depth_mismatches.append((chrono, depth, event_depth))
+            if not self.depth_mismatches:
+                self.first_depth_mismatch = (chrono, depth, event_depth)
+            self.depth_mismatches += 1
 
         removed: tuple[int, ...] = ()
         created = created_goal = updated_goal = None

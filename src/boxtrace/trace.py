@@ -144,12 +144,11 @@ def _json_values(line: str) -> list:
     """A JSON line's five values, as `_check_fields` takes them."""
     try:
         obj = json.loads(line)
-        values = [obj[key] for key in ("chrono", "node", "depth", "port", "goal")]
+        return [repr(obj["chrono"]), repr(obj["node"]), repr(obj["depth"]), obj["port"], obj["goal"]]
     # ValueError: bad JSON, or an integer too long to convert; RecursionError:
     # nesting deeper than the decoder's stack.
     except (ValueError, RecursionError, KeyError, TypeError):
         raise ParseError(f"malformed JSON event {line!r}", 1, 1) from None
-    return [*map(repr, values[:3]), *values[3:]]
 
 
 # Bounds of the reader's map of recent goal texts, whatever the trace: at 4,096
@@ -165,10 +164,11 @@ def parse_trace_text(lines: str | Iterable[str], fmt: str = "text") -> Iterator[
     text's lines end where a file's do in text mode: at a line feed, a
     carriage return, or both.
 
-    A text line is split once.  Five fields with positive numbers of ASCII
-    digits, at most _DIGITS_MAX of them together, and a known port are taken
-    in place; every other line, and every JSON line, is read by
-    `_check_fields`, the one validator.
+    A text line is split once; a JSON line is only stripped, to find a blank
+    one.  Five fields with positive numbers of ASCII digits, at most
+    _DIGITS_MAX of them together, and a known port are taken in place; every
+    other line, and every JSON line, is read by `_check_fields`, the one
+    validator.
 
     A goal text is parsed once while the reader holds it (terms are
     immutable): per node number the node's last goal, so a Fail or Redo is
@@ -179,13 +179,14 @@ def parse_trace_text(lines: str | Iterable[str], fmt: str = "text") -> Iterator[
     if isinstance(lines, str):
         lines = io.StringIO(lines, newline=None)
     jsonl = fmt == "jsonl"
+    split = str.strip if jsonl else str.split
     held: dict[int, tuple[str, Term]] = {}
     goals: dict[str, Term] = {}
     ports = _PORTS
     redo = Port.REDO
     new = tuple.__new__
     for lineno, line in enumerate(lines, start=1):
-        fields = line.split()
+        fields = split(line)
         if not fields:
             continue
         try:

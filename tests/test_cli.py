@@ -399,6 +399,25 @@ def test_rebuild_streams_in_constant_memory(tmp_path):
         assert long <= 1.3 * short, (name, short, long)
 
 
+def test_rebuild_lints_depths_in_constant_memory(tmp_path, capsys):
+    # The flat trace with every depth one too deep: each event is linted,
+    # and the lint keeps only a count and the first mismatch.
+    paths = []
+    for facts in (1000, 2000):
+        program = parse_program("".join(f"p(c{i}).\n" for i in range(facts)) + ":- p(X).\n")
+        path = tmp_path / f"deeper{facts}.trace"
+        with path.open("w") as handle:
+            for _, event, _ in stream_events(Engine(program)):
+                handle.write(render_event(event._replace(depth=event.depth + 1)) + "\n")
+        paths.append(str(path))
+    _rebuild_peak(paths[0])  # warm-up: first-use allocations are not replay's
+    short, long = _rebuild_peak(paths[0]), _rebuild_peak(paths[1])
+    assert long <= 1.3 * short, (short, long)
+    assert capsys.readouterr().err.endswith(
+        "note: 4000 event depth(s) disagree with the replayed tree, first at chrono 1\n"
+    )
+
+
 @pytest.mark.parametrize("command", ["trace", "check", "rebuild"])
 def test_input_not_utf8_exits_2(tmp_path, capsys, command):
     path = tmp_path / "latin1.txt"

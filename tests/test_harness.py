@@ -336,6 +336,99 @@ def test_stream_longer_than_a_capped_run_fails(choice_program):
     assert report.first_divergence.note == "the stream has 10 events, the run 5 steps"
 
 
+def _streams_against(program, cap):
+    """The run's own stream (None) and four foreign ones, for a run of at most
+    `cap` steps: an equal copy, one event short, one event long (the next
+    event of a capped run; an Exit at the root after a completed one), and the
+    swap control, whose events 3 and 4 trade places."""
+    own = events_of(program, cap)
+    longer = events_of(program, cap + 1)
+    if len(longer) == len(own):
+        longer.append(TraceEvent(len(own) + 1, 1, 1, Port.EXIT, own[-1].goal))
+    swapped = list(own)
+    e2, e3 = own[2], own[3]
+    swapped[2] = TraceEvent(3, e3.node, e3.depth, e3.port, e3.goal)
+    swapped[3] = TraceEvent(4, e2.node, e2.depth, e2.port, e2.goal)
+    return {"own": None, "copy": own, "short": own[:-1], "long": longer, "swap": swapped}
+
+
+_SWAP_REJECTED = "replay rejected the stream: Call followed by an older node (chrono 3)"
+
+
+@pytest.mark.parametrize(
+    "cap, stream, verdict, checked, chrono, note",
+    [
+        # The choice program's run is 10 steps long.
+        (10_000, "own", "pass", 10, None, None),
+        (10_000, "copy", "pass", 10, None, None),
+        (10_000, "short", "fail", 8, 10, "the stream has 9 events, the run 10 steps"),
+        (
+            10_000,
+            "long",
+            "fail",
+            9,
+            11,
+            "replay rejected the stream: Exit event after an Exit at the root (chrono 11)",
+        ),
+        # Chrono 2 diverges (Call2 against the run's Call1); the rest of the
+        # stream is still replayed, and its rejection is reported.
+        (10_000, "swap", "fail", 2, 3, _SWAP_REJECTED),
+        # Capped runs compare all but their last step.
+        (5, "own", "limit-hit", 4, None, None),
+        (5, "copy", "limit-hit", 4, None, None),
+        (5, "short", "fail", 3, 5, "the stream has 4 events, the run 5 steps"),
+        # Event 6 is a Redo: the longer stream ends where replay cannot
+        # classify it, and that rejection is reported over the length.
+        (5, "long", "fail", 4, 6, "replay rejected the stream: stream ends on a Redo event (chrono 6)"),
+        (5, "swap", "fail", 2, 3, _SWAP_REJECTED),
+        (4, "own", "limit-hit", 3, None, None),
+        (4, "copy", "limit-hit", 3, None, None),
+        (4, "short", "fail", 2, 4, "the stream has 3 events, the run 4 steps"),
+        (4, "long", "fail", 3, 5, "the stream has 5 events, the run 4 steps"),
+        (4, "swap", "fail", 2, 3, _SWAP_REJECTED),
+    ],
+)
+def test_each_stream_against_a_completed_and_a_capped_run(
+    choice_program, cap, stream, verdict, checked, chrono, note
+):
+    events = _streams_against(choice_program, cap)[stream]
+    report = check_faithfulness(choice_program, max_steps=cap, events=events)
+    divergence = report.first_divergence
+    assert (report.verdict, report.steps_checked) == (verdict, checked)
+    assert (divergence and divergence.chrono, divergence and divergence.note) == (chrono, note)
+    assert report.detail == ("step cap hit; prefix checked only" if verdict == "limit-hit" else "")
+
+
+def test_only_a_foreign_stream_is_finished_after_a_divergence(choice_program, monkeypatch):
+    # An engine that misreports where its Redo at chrono 6 leaves the current
+    # node.  The run's own stream stops replaying at the divergence; a foreign
+    # stream is replayed to its end, so that a later rejection would show.
+    apply_rule = Engine.apply_rule
+    finished = []
+    finish = Rebuilder.finish
+
+    def misreporting(self, rule):
+        delta = apply_rule(self, rule)
+        return delta._replace(current=99) if self.chrono == 6 else delta
+
+    def counted(self):
+        finished.append(self)
+        return finish(self)
+
+    monkeypatch.setattr(Engine, "apply_rule", misreporting)
+    monkeypatch.setattr(Rebuilder, "finish", counted)
+    for events, calls in ((None, 0), (events_of(choice_program), 1)):
+        finished.clear()
+        report = check_faithfulness(choice_program, events=events)
+        assert report.verdict == "fail" and report.steps_checked == 6
+        divergence = report.first_divergence
+        assert (divergence.chrono, divergence.note) == (
+            6,
+            "state change differs between engine and replay",
+        )
+        assert len(finished) == calls
+
+
 # -- answers against the oracle -------------------------------------------------------
 
 

@@ -494,10 +494,11 @@ def test_rebuild_never_reads_depth(choice_program):
 
 def test_depth_mismatches_flag_corruption(choice_program):
     events = choice_events(choice_program)
-    assert replay(events)[1].depth_mismatches == []
-    flagged = replay(corrupt_depths(events))[1].depth_mismatches
-    assert len(flagged) == len(events)
-    chrono, expected, actual = flagged[0]
+    clean = replay(events)[1]
+    assert (clean.depth_mismatches, clean.first_depth_mismatch) == (0, None)
+    flagged = replay(corrupt_depths(events))[1]
+    assert flagged.depth_mismatches == len(events)
+    chrono, expected, actual = flagged.first_depth_mismatch
     assert (chrono, expected, actual) == (1, 1, 8)
 
 
