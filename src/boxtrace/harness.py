@@ -5,10 +5,11 @@ and against an independent resolution oracle.
 the run's own or any stream handed in, on one path: each step is compared
 once replay has classified its event, the stream's length is compared once,
 the last event is classified once, and a stream replay rejects anywhere
-fails.  Answers are additionally compared against `reference_solve`, a
-plain recursive resolution search that shares nothing with the engine
-beyond terms, unification and `functor_key`, by which its own loop tries a
-goal only against its own predicate's clauses.
+fails.  A completed run's answers are additionally compared against
+`reference_solve`, a depth-first resolution search over an explicit stack
+that shares nothing with the engine beyond terms, unification and
+`functor_key`, by which it tries a goal only against its own predicate's
+clauses.
 
 `gen_program` produces small random programs in the supported subset,
 deterministically from a seed.
@@ -31,6 +32,7 @@ from .engine import (
 from .rebuild import (
     CorruptTraceError,
     Rebuilder,
+    TraceTruncatedError,
     states_match,
 )
 from .terms import (
@@ -53,16 +55,6 @@ from .trace import TraceEvent, stream_events
 
 # -- independent resolution oracle -------------------------------------------
 
-# The oracle's recursion depth cap, and the fewest clause tries it may spend.
-# On a completed run the try budget grows with the run: both searches walk
-# the same tree, so the oracle needs at most one try per clause per box.
-ORACLE_MAX_DEPTH = 250
-ORACLE_MIN_TRIES = 200_000
-
-
-class _CapExceeded(Exception):
-    pass
-
 
 @dataclass(frozen=True)
 class RefResult:
@@ -70,55 +62,46 @@ class RefResult:
     capped: bool
 
 
-def reference_solve(
-    program: Program,
-    max_depth: int = ORACLE_MAX_DEPTH,
-    max_steps: int = ORACLE_MIN_TRIES,
-) -> RefResult:
-    """Answers of a direct recursive search: leftmost goal, textual clause
-    order, depth-first.  Deliberately not built on the engine; when a cap
-    is hit the answers found so far are a lower bound only.
-
-    A clause of another predicate (by `functor_key`) is skipped unrenamed,
-    yet counts as one try and uses up its rename number, so caps and
-    variable indexes are as if every clause were tried.  A passing clause's
-    body is renamed only once its head has unified.
+def reference_solve(program: Program, max_tries: int) -> RefResult:
+    """Answers of a direct depth-first search: leftmost goal, textual clause
+    order, one loop over an explicit stack of choice points.  Deliberately
+    not built on the engine.  A goal tries only its own predicate's clauses
+    (by `functor_key`), each renamed with its try number; once `max_tries`
+    are spent it stops capped, and its answers are a lower bound only.
     """
+    by_key: dict[tuple[str, int], list[Clause]] = {}
+    for clause in program.clauses:
+        by_key.setdefault(functor_key(clause.head), []).append(clause)
     answers: list[Term] = []
     tries = 0  # also the rename number of the clause tried
     # One substitution, bound in place; each clause tried undoes its
-    # bindings back to the trail mark it started from.
+    # bindings back to the trail mark its choice point started from.
     s: Subst = {}
     trail: list[Variable] = []
-    keyed = [(functor_key(clause.head), clause) for clause in program.clauses]
-
-    def solve(goals: tuple[Term, ...], depth: int):
-        nonlocal tries
-        if not goals:
-            answers.append(apply_subst(program.goal, s))
-            return
-        if depth > max_depth:
-            raise _CapExceeded
-        first, rest = goals[0], goals[1:]
-        key = functor_key(first)
-        for clause_key, clause in keyed:
-            tries += 1
-            if tries > max_steps:
-                raise _CapExceeded
-            if clause_key != key:
-                continue
-            mark = len(trail)
-            if unify_into(first, rename_term(clause.head, tries), s, trail):
-                body = tuple(rename_term(b, tries) for b in clause.body)
-                solve(body + rest, depth + 1)
-                for var in trail[mark:]:
-                    del s[var]
-                del trail[mark:]
-
-    try:
-        solve((program.goal,), 0)
-    except _CapExceeded:
-        return RefResult(tuple(answers), capped=True)
+    # A choice point: the goals still to solve as (goal, rest) pairs ending
+    # in (), so that every goal list shares its tail; the first goal's
+    # untried clauses; and the trail mark.
+    goal = program.goal
+    stack = [((goal, ()), iter(by_key.get(functor_key(goal), ())), 0)]
+    while stack:
+        (first, rest), clauses, mark = stack[-1]
+        for var in trail[mark:]:
+            del s[var]
+        del trail[mark:]
+        clause = next(clauses, None)
+        if clause is None:
+            stack.pop()
+            continue
+        tries += 1
+        if tries > max_tries:
+            return RefResult(tuple(answers), capped=True)
+        if unify_into(first, rename_term(clause.head, tries), s, trail):
+            for body_goal in reversed(clause.body):
+                rest = (rename_term(body_goal, tries), rest)
+            if rest:
+                stack.append((rest, iter(by_key.get(functor_key(rest[0]), ())), len(trail)))
+            else:
+                answers.append(apply_subst(goal, s))
     return RefResult(tuple(answers), capped=False)
 
 
@@ -303,7 +286,9 @@ def check_faithfulness(
     - `finish()` classifies the last event: compared, and the final state
       against the live engine, when the run completed; replayed only, so
       that a rejection shows, when a foreign stream has already failed.
-    A stream that replay rejects anywhere fails with that rejection.
+    A stream that replay rejects anywhere fails with that rejection, but
+    one that ends on a Redo is a prefix: that never hides a divergence
+    already found.  A completed run's answers must equal the oracle's.
     """
     eng = Engine(program)
     run = stream_events(eng, max_steps=max_steps)
@@ -379,30 +364,27 @@ def check_faithfulness(
                     )
     except EngineError as err:  # DeterminismError included
         return FaithfulnessReport(program, checked, "fail", detail=str(err))
-    except CorruptTraceError as err:  # TraceTruncatedError included
-        divergence = Divergence(err.chrono, f"replay rejected the stream: {err}")
+    except CorruptTraceError as err:
+        if divergence is None or not isinstance(err, TraceTruncatedError):
+            divergence = Divergence(err.chrono, f"replay rejected the stream: {err}")
 
     if divergence is not None:
         divergence.engine_state = _engine_state_at(program, divergence.chrono)
         return FaithfulnessReport(program, checked, "fail", first_divergence=divergence)
 
-    detail = ""
     if completed:
-        tries = max(ORACLE_MIN_TRIES, steps * len(program.clauses))
-        ref = reference_solve(program, ORACLE_MAX_DEPTH, tries)
+        # Both searches walk the same tree, and the oracle tries each clause
+        # at most once per box: this budget only runs out on another tree.
+        tries = steps * len(program.clauses)
+        ref = reference_solve(program, tries)
+        detail = ""
         if ref.capped:
-            detail = "oracle hit its cap; answers not compared"
+            detail = f"oracle spent its budget of {tries} clause tries on a completed run"
         elif not multiset_alpha_equal(eng.answers, ref.answers):
-            return FaithfulnessReport(
-                program,
-                checked,
-                "fail",
-                detail=(
-                    "answer multisets differ: engine "
-                    f"{len(eng.answers)} vs oracle {len(ref.answers)}"
-                ),
+            detail = (
+                f"answer multisets differ: engine {len(eng.answers)} vs oracle {len(ref.answers)}"
             )
-        return FaithfulnessReport(program, checked, "pass", detail=detail)
+        return FaithfulnessReport(program, checked, "fail" if detail else "pass", detail=detail)
     return FaithfulnessReport(
         program, checked, "limit-hit", detail="step cap hit; prefix checked only"
     )

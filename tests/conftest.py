@@ -18,6 +18,12 @@ NO_MATCH = "p(a).\n:- q(a).\n"
 SINGLE_FACT = "a.\n:- a.\n"
 
 
+def nat_chain(depth):
+    """The natural-number program with a goal `depth` successors deep: a
+    completed run of depth + 1 nested boxes and one answer."""
+    return "nat(z).\nnat(s(X)) :- nat(X).\n:- nat(" + "s(" * depth + "z" + ")" * depth + ").\n"
+
+
 def events_of(program, max_steps=None):
     """The event stream of a whole run (or its first max_steps events)."""
     return [event for _, event, _ in stream_events(Engine(program), max_steps)]

@@ -7,10 +7,12 @@ the way the engine filtered before it scanned lazily; `match` and
 `is_instance_of` check that an Exit goal instantiates its Call goal;
 `events_alpha_equal` compares event streams up to variable renaming;
 `write_trace_text` renders a whole trace at once;
-`unguarded_reference_solve` is the oracle that renames and tries every
-clause for every goal, which the head-functor guard of `reference_solve`
-must agree with exactly; `climbing_has_choice_point` is the tree climb that
-the engine's creation-number test `has_choice_point` must agree with;
+`unguarded_reference_solve` is the recursive oracle, with its own depth
+cap, try floor and exception, that renames and tries every clause for every
+goal: the stack search of `reference_solve`, which tries only a goal's own
+predicate's clauses, must give its answers in its order up to renaming;
+`climbing_has_choice_point` is the tree climb that the engine's
+creation-number test `has_choice_point` must agree with;
 `token_list_parse_program` and `token_list_parse_term_text` are the reader
 that builds a list of token tuples, tracking line and column as it goes,
 which the one-pass reader must agree with exactly, errors included (it
@@ -27,7 +29,7 @@ import re
 from typing import Iterable, NamedTuple, Optional, Union
 
 from boxtrace import Clause, Program, Subst, Term, TraceEvent, alpha_equal, apply_subst, unify
-from boxtrace.harness import ORACLE_MAX_DEPTH, ORACLE_MIN_TRIES, RefResult, _CapExceeded
+from boxtrace.harness import RefResult
 from boxtrace.parser import ParseError
 from boxtrace.terms import (
     Atom,
@@ -53,6 +55,15 @@ def rename_apart(clause: Clause, counter: int) -> Clause:
     if head is clause.head and all(a is b for a, b in zip(body, clause.body)):
         return clause
     return Clause(head=head, body=body)
+
+
+# The recursive oracle's depth cap and its default try budget.
+ORACLE_MAX_DEPTH = 250
+ORACLE_MIN_TRIES = 200_000
+
+
+class _CapExceeded(Exception):
+    pass
 
 
 def unguarded_reference_solve(

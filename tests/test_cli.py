@@ -10,7 +10,7 @@ import pytest
 
 from boxtrace import Engine, parse_program, render_event, stream_events
 from boxtrace.cli import main
-from tests.conftest import CHOICE_PROGRAM, NO_MATCH, TWO_FACTS
+from tests.conftest import CHOICE_PROGRAM, NO_MATCH, TWO_FACTS, nat_chain
 
 
 @pytest.fixture
@@ -145,6 +145,15 @@ def test_check_failing_goal_program_still_passes(tmp_path, capsys):
     path = tmp_path / "nomatch.pl"
     path.write_text(NO_MATCH)
     assert main(["check", str(path)]) == 0
+
+
+def test_check_of_a_deep_run_compares_its_answers(tmp_path, capsys):
+    # One line, and no note that the answers went uncompared.
+    path = tmp_path / "nat.pl"
+    path.write_text(nat_chain(2000))
+    assert main(["check", str(path)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert len(out) == 1 and out[0].endswith(": pass, 4002 steps checked"), out
 
 
 def test_check_limit_hit_exits_0(tmp_path, capsys):

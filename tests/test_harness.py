@@ -1,4 +1,5 @@
 import tracemalloc
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -32,8 +33,9 @@ from boxtrace import (
     stream_events,
 )
 from boxtrace.harness import _deltas_match, program_digest
-from boxtrace.terms import rename_term
-from tests.conftest import CHOICE_PROGRAM, events_of
+from boxtrace.terms import functor_key, rename_term
+from tests import references as references_module
+from tests.conftest import CHOICE_PROGRAM, events_of, nat_chain
 from tests.references import unguarded_reference_solve
 
 
@@ -41,48 +43,79 @@ from tests.references import unguarded_reference_solve
 
 
 def test_reference_choice_program(choice_program):
-    ref = reference_solve(choice_program)
+    ref = reference_solve(choice_program, 1000)
     assert not ref.capped
     assert [render_term(t) for t in ref.answers] == ["goal"]
 
 
 def test_reference_two_facts_in_source_order(two_facts):
-    ref = reference_solve(two_facts)
+    ref = reference_solve(two_facts, 1000)
     assert [render_term(t) for t in ref.answers] == ["p(a)", "p(b)"]
 
 
 def test_reference_no_matching_clause(no_match):
-    ref = reference_solve(no_match)
+    ref = reference_solve(no_match, 1000)
     assert ref.answers == () and not ref.capped
 
 
 def test_reference_cap_marker():
     looping = parse_program("loop :- loop.\n:- loop.")
-    ref = reference_solve(looping, max_depth=20, max_steps=1000)
+    ref = reference_solve(looping, 1000)
     assert ref.capped
+
+
+def _same_in_order(xs, ys) -> bool:
+    return len(xs) == len(ys) and all(alpha_equal(x, y) for x, y in zip(xs, ys))
+
+
+def _unguarded_with_own_tries(program, **caps):
+    """The unguarded reference's result, and how many of its tries were of
+    the goal's own predicate: the tries the oracle makes on the same path."""
+    own_tries = 0
+    unify_into = references_module.unify_into
+
+    def counting(goal, head, s, trail):
+        nonlocal own_tries
+        own_tries += functor_key(goal) == functor_key(head)
+        return unify_into(goal, head, s, trail)
+
+    with mock.patch.object(references_module, "unify_into", counting):
+        return unguarded_reference_solve(program, **caps), own_tries
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(min_value=0, max_value=10_000), st.sampled_from([0.0, 0.15]))
 def test_guarded_oracle_equals_unguarded(seed, recursion_prob):
-    # Small caps, so that both capped and completed searches occur (about
-    # one seed in five caps at recursion_prob 0.15).  Exact equality: the
-    # guard must keep every answer's variable indexes, not only its shape.
+    # The recursive reference has small caps, so that both capped and
+    # completed searches occur (about one seed in five caps at
+    # recursion_prob 0.15).  Both search in one order, and the oracle makes
+    # only the reference's tries of a goal's own predicate: given just as
+    # many, it finds the same answers in the same order, so a capped
+    # reference's answers are a prefix of the oracle's, and a completed
+    # reference search is the oracle's whole search.  The budget stops the
+    # oracle where the reference stopped: past the reference's depth cap a
+    # generated goal can double in size at each level.
     program = gen_program(GenParams(seed=seed, recursion_prob=recursion_prob))
-    guarded = reference_solve(program, max_depth=30, max_steps=2000)
-    assert guarded == unguarded_reference_solve(program, max_depth=30, max_steps=2000)
+    unguarded, own_tries = _unguarded_with_own_tries(program, max_depth=30, max_steps=2000)
+    guarded = reference_solve(program, own_tries)
+    assert _same_in_order(unguarded.answers, guarded.answers)
+    if not unguarded.capped:
+        assert not guarded.capped
 
 
-def test_guarded_oracle_counts_a_skipped_clause_as_a_try():
-    # Tries: p(Y) skips q(a) (1) and takes p(X) (2); q(X) takes q(a) (3),
-    # an answer; the 4th try, p(X) against q(X), is of another predicate
-    # and exceeds the budget.  Not counting skipped clauses would finish
-    # with a second answer, p(b).
+def test_guarded_oracle_skips_another_predicates_clause_for_free():
+    # Tries: p(Y) takes p(X) (1); q(X) takes q(a) (2), an answer; p(Y)
+    # takes p(b) (3), an answer.  q(a) is never tried against p(Y), nor
+    # p(X) and p(b) against q(X), so 3 tries finish where the unguarded
+    # reference, which counts them, is capped after the first answer.
     program = parse_program("q(a).\np(X) :- q(X).\np(b).\n:- p(Y).")
-    guarded = reference_solve(program, max_depth=30, max_steps=3)
-    assert guarded.capped
-    assert [render_term(t) for t in guarded.answers] == ["p(a)"]
-    assert guarded == unguarded_reference_solve(program, max_depth=30, max_steps=3)
+    guarded = reference_solve(program, 3)
+    assert not guarded.capped
+    assert [render_term(t) for t in guarded.answers] == ["p(a)", "p(b)"]
+    assert reference_solve(program, 2) == RefResult(guarded.answers[:1], capped=True)
+    unguarded = unguarded_reference_solve(program, max_depth=30, max_steps=3)
+    assert unguarded.capped
+    assert [render_term(t) for t in unguarded.answers] == ["p(a)"]
 
 
 def test_multiset_alpha_equal():
@@ -156,15 +189,15 @@ def test_check_reports_limit_hit():
 
 
 def test_oracle_budget_grows_with_the_run():
-    # A fact-table join whose oracle search needs more than the fixed
-    # 200,000 clause tries: the budget comes from the run, so the answers
-    # are still compared.
+    # A fact-table join whose oracle search needs more than 200,000 clause
+    # tries: the budget comes from the run, so the answers are still
+    # compared.
     edges = [(i, (i + k) % 40) for i in range(40) for k in (1, 3, 7, 12, 20)]
     facts = "".join(f"e(n{a},n{b}).\n" for a, b in edges)
     program = parse_program(
         facts + "path(A,B,C,D) :- e(A,B),e(B,C),e(C,D).\n:- path(A,B,C,D).\n"
     )
-    assert reference_solve(program).capped
+    assert reference_solve(program, 200_000).capped
     report = check_faithfulness(program, max_steps=100_000)
     assert report.verdict == "pass"
     assert report.detail == ""
@@ -377,9 +410,9 @@ _SWAP_REJECTED = "replay rejected the stream: Call followed by an older node (ch
         (5, "own", "limit-hit", 4, None, None),
         (5, "copy", "limit-hit", 4, None, None),
         (5, "short", "fail", 3, 5, "the stream has 4 events, the run 5 steps"),
-        # Event 6 is a Redo: the longer stream ends where replay cannot
-        # classify it, and that rejection is reported over the length.
-        (5, "long", "fail", 4, 6, "replay rejected the stream: stream ends on a Redo event (chrono 6)"),
+        # Event 6 is a Redo: the longer stream is a prefix that ends where
+        # replay cannot classify it, which never hides the length.
+        (5, "long", "fail", 4, 6, "the stream has 6 events, the run 5 steps"),
         (5, "swap", "fail", 2, 3, _SWAP_REJECTED),
         (4, "own", "limit-hit", 3, None, None),
         (4, "copy", "limit-hit", 3, None, None),
@@ -397,6 +430,21 @@ def test_each_stream_against_a_completed_and_a_capped_run(
     assert (report.verdict, report.steps_checked) == (verdict, checked)
     assert (divergence and divergence.chrono, divergence and divergence.note) == (chrono, note)
     assert report.detail == ("step cap hit; prefix checked only" if verdict == "limit-hit" else "")
+
+
+def test_a_stream_cut_on_a_redo_with_no_earlier_divergence_is_rejected(choice_program):
+    # The run's last event, the root's Exit, becomes a Redo of box 2, which
+    # holds p(b): event 9 still classifies as the run's Exit1, and only the
+    # final Redo is left, with no divergence before it.
+    events = events_of(choice_program)
+    events[9] = TraceEvent(10, 2, 2, Port.REDO, events[6].goal)
+    report = check_faithfulness(choice_program, events=events)
+    assert (report.verdict, report.steps_checked) == ("fail", 9)
+    divergence = report.first_divergence
+    assert (divergence.chrono, divergence.note) == (
+        10,
+        "replay rejected the stream: stream ends on a Redo event (chrono 10)",
+    )
 
 
 def test_only_a_foreign_stream_is_finished_after_a_divergence(choice_program, monkeypatch):
@@ -441,10 +489,67 @@ def test_random_programs_agree_with_oracle(seed):
         pass
     if eng.select_rule() is not None:
         return
-    ref = reference_solve(program, max_depth=200, max_steps=100_000)
+    ref = reference_solve(program, 100_000)
     if ref.capped:
         return
     assert multiset_alpha_equal(eng.answers, ref.answers)
+
+
+def test_check_compares_the_answers_of_a_deep_run():
+    # 2,001 nested boxes: no depth cap leaves the answers uncompared.
+    report = check_faithfulness(parse_program(nat_chain(2000)))
+    assert (report.verdict, report.steps_checked, report.detail) == ("pass", 4002, "")
+
+
+def test_engine_answers_altered_on_a_deep_run_fail(monkeypatch):
+    apply_rule = Engine.apply_rule
+    wrong = Compound("nat", (Atom("z"),))
+
+    def altered(self, rule):
+        delta = apply_rule(self, rule)
+        self.answers[:] = [wrong] * len(self.answers)
+        return delta
+
+    monkeypatch.setattr(Engine, "apply_rule", altered)
+    report = check_faithfulness(parse_program(nat_chain(2000)))
+    assert (report.verdict, report.steps_checked) == ("fail", 4002)
+    assert report.first_divergence is None
+    assert report.detail == "answer multisets differ: engine 1 vs oracle 1"
+
+
+def test_an_oracle_out_of_budget_on_a_completed_run_fails(monkeypatch):
+    # The budget is enough for the tree the run walked: an oracle that runs
+    # out on a completed run searched another tree.
+    budgets = []
+
+    def capped(program, max_tries):
+        budgets.append(max_tries)
+        return RefResult((), capped=True)
+
+    monkeypatch.setattr(harness_module, "reference_solve", capped)
+    report = check_faithfulness(parse_program(nat_chain(2000)))
+    assert budgets == [4002 * 2]
+    assert (report.verdict, report.steps_checked) == ("fail", 4002)
+    assert report.first_divergence is None
+    assert report.detail == "oracle spent its budget of 8004 clause tries on a completed run"
+
+
+def _oracle_peak(program) -> int:
+    tracemalloc.start()
+    try:
+        ref = reference_solve(program, 10**6)
+        assert not ref.capped and len(ref.answers) == 1
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_oracle_searches_a_deep_chain_in_linear_memory():
+    # An explicit stack: no depth cap, and goal lists that share their
+    # tails, so double the depth costs about double the memory.
+    short = _oracle_peak(parse_program(nat_chain(10_000)))
+    long = _oracle_peak(parse_program(nat_chain(20_000)))
+    assert long <= 2.5 * short, (short, long)
 
 
 def _check_peak(program, steps: int) -> int:
