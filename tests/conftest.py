@@ -1,6 +1,6 @@
 import pytest
 
-from boxtrace import Engine, parse_program, render_term, stream_events
+from boxtrace import Engine, parse_program, stream_events
 
 # The running example everywhere: one backtrack through a two-clause
 # predicate, with one failing and one succeeding continuation.
@@ -27,30 +27,6 @@ def nat_chain(depth):
 def events_of(program, max_steps=None):
     """The event stream of a whole run (or its first max_steps events)."""
     return [event for _, event, _ in stream_events(Engine(program), max_steps)]
-
-
-# A generated program with recursion can double a goal's size every few
-# steps (seed 2483 at recursion_prob 0.05, every two: `p3(X) :- p2(X,X)` and
-# `p2(X,Z) :- p3(g(Z,X))`: its goal at step 45 is 29 million characters
-# long), and a step takes time in the size of its goal, so a step cap alone
-# does not bound such a run.  Tests that run generated programs also cut a
-# run once a goal's text is longer than this.
-GOAL_TEXT_MAX = 5_000
-
-
-def outgrown(goal) -> bool:
-    return len(render_term(goal)) > GOAL_TEXT_MAX
-
-
-def generated_events(eng, max_steps):
-    """The events of `eng`'s run up to `max_steps`, cut after the first
-    whose goal is `outgrown`: a prefix of the run, as a step cap gives."""
-    events = []
-    for _, event, _ in stream_events(eng, max_steps):
-        events.append(event)
-        if outgrown(event.goal):
-            break
-    return events
 
 
 @pytest.fixture

@@ -26,7 +26,6 @@ from boxtrace import (
 )
 from boxtrace.engine import ROOT
 from boxtrace.terms import functor_key
-from tests.conftest import outgrown
 from tests.references import (
     climbing_has_choice_point,
     eager_untried_clauses,
@@ -309,13 +308,12 @@ PROGRAM_FILES = sorted((Path(__file__).resolve().parents[1] / "programs").glob("
 
 
 def assert_choice_point_test_matches_the_climb(program, max_steps=500):
-    """At every state of a run, cut once a goal is `outgrown`: the
-    creation-number test, forced at the current node and at the root, equals
-    the climb; the current node's subtree holds the greatest live node (what
-    makes the number test sound); every live box's untried clauses equal the
-    eager filter's; and the run, forced tests included, has made no more
-    trial unifications than eager filtering, which tried every candidate
-    after a box's first bound one."""
+    """At every state of a run: the creation-number test, forced at the
+    current node and at the root, equals the climb; the current node's
+    subtree holds the greatest live node (what makes the number test sound);
+    every live box's untried clauses equal the eager filter's; and the run,
+    forced tests included, has made no more trial unifications than eager
+    filtering, which tried every candidate after a box's first bound one."""
     trials = eager = 0
 
     def counting(goal, head, s, _unify=engine_module.unify):
@@ -338,7 +336,7 @@ def assert_choice_point_test_matches_the_climb(program, max_steps=500):
             trials = counted
             current = path_of(eng, eng.current)
             assert path_of(eng, eng.order[-1])[: len(current)] == current
-            if eng.chrono >= max_steps or eng.step() is None or outgrown(eng.goals[eng.current]):
+            if eng.chrono >= max_steps or eng.step() is None:
                 return
 
 

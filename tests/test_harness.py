@@ -30,11 +30,12 @@ from boxtrace import (
     render_event,
     render_program,
     render_term,
+    stream_events,
 )
 from boxtrace.harness import _deltas_match, program_digest
 from boxtrace.terms import functor_key, rename_term
 from tests import references as references_module
-from tests.conftest import CHOICE_PROGRAM, events_of, generated_events, nat_chain
+from tests.conftest import CHOICE_PROGRAM, events_of, nat_chain
 from tests.references import unguarded_reference_solve
 
 
@@ -484,7 +485,8 @@ def test_only_a_foreign_stream_is_finished_after_a_divergence(choice_program, mo
 def test_random_programs_agree_with_oracle(seed):
     program = gen_program(GenParams(seed=seed, recursion_prob=0.05))
     eng = Engine(program)
-    generated_events(eng, 4000)
+    for _ in stream_events(eng, max_steps=4000):
+        pass
     if eng.select_rule() is not None:
         return
     ref = reference_solve(program, 100_000)

@@ -10,7 +10,6 @@ from boxtrace import (
     Atom,
     Compound,
     CorruptTraceError,
-    Engine,
     GenParams,
     Port,
     Rebuilder,
@@ -27,7 +26,7 @@ from boxtrace import (
     states_match,
 )
 from boxtrace.cli import main
-from tests.conftest import events_of, generated_events
+from tests.conftest import events_of
 from tests.snapshots import dewey, record
 
 X = Variable("X")
@@ -562,7 +561,7 @@ def _mutate(events, kind, at, value):
 )
 def test_mutated_streams_raise_only_corrupt_trace_errors(seed, kind, where, value):
     program = gen_program(GenParams(seed=seed, recursion_prob=0.05))
-    events = generated_events(Engine(program), 200)
+    events = events_of(program, max_steps=200)
     events = _mutate(events, kind, where % len(events), value)
     reb = Rebuilder(program.goal)
     try:
