@@ -9,7 +9,6 @@ from .engine import (
     RestrictedState,
     RuleId,
     StepDelta,
-    path_of,
 )
 from .harness import (
     FaithfulnessReport,
@@ -17,7 +16,6 @@ from .harness import (
     RefResult,
     check_faithfulness,
     gen_program,
-    multiset_alpha_equal,
     reference_solve,
 )
 from .parser import ParseError, parse_program, parse_term_text

@@ -53,17 +53,6 @@ from .terms import (
 ROOT = 1
 
 
-def path_of(state, v: int) -> tuple[int, ...]:
-    """Node v's Dewey path (child indices from the root down; the root's is
-    `()`), read off `state.parent` and `state.index`.  O(depth): for display
-    and tests, never for a step."""
-    path = []
-    while v != ROOT:
-        path.append(state.index[v])
-        v = state.parent[v]
-    return tuple(reversed(path))
-
-
 class EngineError(Exception):
     """Internal invariant broken; indicates a bug, not bad input."""
 
@@ -313,14 +302,6 @@ class Engine(RestrictedState):
         if not self.has_choice_point(v):
             raise EngineError(f"no choice point below node {v}")
         return self._cp_order[-1]
-
-    def untried_clauses(self, v: int) -> tuple[Clause, ...]:
-        """v's untried matching clauses, in order, found without changing
-        the engine: for code off the step path."""
-        candidates, position, clause = self._scan[v]
-        goal = self.call_goal[v]
-        rest = tuple(c for _, c, head in candidates[position:] if unify(goal, head, {}) is not None)
-        return rest if clause is None else (clause,) + rest
 
     # -- rule selection -----------------------------------------------------
 

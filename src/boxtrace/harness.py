@@ -5,11 +5,11 @@ and against an independent resolution oracle.
 the run's own or any stream handed in, on one path: each step is compared
 once replay has classified its event, the stream's length is compared once,
 the last event is classified once, and a stream replay rejects anywhere
-fails.  A completed run's answers are additionally compared against
-`reference_solve`, a depth-first resolution search over an explicit stack
-that shares nothing with the engine beyond terms, unification and
-`functor_key`, by which it tries a goal only against its own predicate's
-clauses.
+fails.  A completed run's answers are additionally compared, in the order they
+were found, against `reference_solve`, a depth-first resolution search over
+an explicit stack that shares nothing with the engine beyond terms,
+unification and `functor_key`, by which it tries a goal only against its
+own predicate's clauses.
 
 `gen_program` produces small random programs in the supported subset,
 deterministically from a seed.
@@ -105,21 +105,6 @@ def reference_solve(program: Program, max_tries: int) -> RefResult:
     return RefResult(tuple(answers), capped=False)
 
 
-def multiset_alpha_equal(xs, ys) -> bool:
-    """Multiset equality over terms, each pair compared up to renaming."""
-    pool = list(ys)
-    if len(xs) != len(pool):
-        return False
-    for x in xs:
-        for i, y in enumerate(pool):
-            if alpha_equal(x, y):
-                del pool[i]
-                break
-        else:
-            return False
-    return True
-
-
 # -- random program generation ------------------------------------------------
 
 
@@ -149,7 +134,15 @@ def gen_program(gp: GenParams) -> Program:
     """A syntactically valid random program, deterministic in the seed.
 
     With recursion_prob 0 every body goal calls a strictly later predicate
-    (or one with no clauses), so the call graph is acyclic.
+    (or one with no clauses), so the call graph is acyclic.  A possibly-
+    cyclic call has flat arguments and never passes one variable twice,
+    which beside a wrapping call (`p3(X) :- p2(X,X)` with
+    `p2(X,Z) :- p3(g(Z,X))`) doubles the goal every two steps.  A cycle
+    through a call that wraps its arguments still grows the goal by a
+    constant each round, so a capped run's cost grows faster than its cap.
+    A variable repeated elsewhere on a cycle can still double the goal: in a
+    call (`p1(X) :- p2(g(X,X))` with `p2(Y) :- p1(Y)`) or in a head
+    (`p(g(Y,Y)) :- q(Y)` with `q(T) :- p(T)`).
     """
     rng = random.Random(gp.seed)
     arities = [rng.randint(0, 2) for _ in range(gp.predicate_count)]
@@ -185,11 +178,16 @@ def gen_program(gp: GenParams) -> Program:
                     body.append(Atom(f"missing{rng.randint(0, 1)}"))
                     continue
                 if rng.random() < gp.recursion_prob:
-                    # Possibly-cyclic call.  Arguments stay flat so a
-                    # non-terminating descent cannot also grow its terms
-                    # without bound (capped runs stay desk-affordable).
+                    # Possibly-cyclic call: flat arguments, never one
+                    # variable twice.
                     callee = rng.randint(0, gp.predicate_count - 1)
-                    body.append(predication(callee, 0))
+                    goal = predication(callee, 0)
+                    if goal.__class__ is Compound and len(goal.args) == 2:
+                        x, y = goal.args
+                        if x == y and x.__class__ is Variable:
+                            other = next(name for name in _VAR_NAMES if name != x.name)
+                            goal = Compound(goal.functor, (x, Variable(other)))
+                    body.append(goal)
                 elif idx + 1 < gp.predicate_count:
                     # Acyclic call: structure in the arguments is safe.
                     callee = rng.randint(idx + 1, gp.predicate_count - 1)
@@ -256,6 +254,16 @@ def _deltas_match(a: StepDelta, b: StepDelta) -> bool:
     return x is None or (x[0] == y[0] and alpha_equal(x[1], y[1]))
 
 
+def _first_answer_apart(xs, ys) -> Optional[int]:
+    """The 1-based place of the first answer where two answer lists part, up
+    to renaming (one past the shorter list if it is the longer's prefix), or
+    None if they are equal."""
+    for place, (x, y) in enumerate(zip(xs, ys), start=1):
+        if not alpha_equal(x, y):
+            return place
+    return None if len(xs) == len(ys) else min(len(xs), len(ys)) + 1
+
+
 def _engine_state_at(program: Program, chrono: int) -> RestrictedState:
     """The engine's tree after `chrono` steps, from a fresh (deterministic)
     re-run: the engine side of a divergence, built only on failure."""
@@ -271,7 +279,7 @@ def check_faithfulness(
     events: Optional[Iterable[TraceEvent]] = None,
 ) -> FaithfulnessReport:
     """Run the engine, replay an event stream and compare the two step by
-    step; then cross-check the answer multiset against the oracle.
+    step; then compare the answers with the oracle's, in order.
 
     The stream replayed is the run's own, unless `events` is given: then
     that stream is replayed against the run instead (negative controls feed
@@ -288,7 +296,9 @@ def check_faithfulness(
       that a rejection shows, when a foreign stream has already failed.
     A stream that replay rejects anywhere fails with that rejection, but
     one that ends on a Redo is a prefix: that never hides a divergence
-    already found.  A completed run's answers must equal the oracle's.
+    already found.  A completed run's answers must equal the oracle's, one
+    by one up to renaming: both searches take the leftmost goal and the
+    clauses in source order, so they find the same answers in the same order.
     """
     eng = Engine(program)
     run = stream_events(eng, max_steps=max_steps)
@@ -380,9 +390,10 @@ def check_faithfulness(
         detail = ""
         if ref.capped:
             detail = f"oracle spent its budget of {tries} clause tries on a completed run"
-        elif not multiset_alpha_equal(eng.answers, ref.answers):
+        elif (apart := _first_answer_apart(eng.answers, ref.answers)) is not None:
             detail = (
-                f"answer multisets differ: engine {len(eng.answers)} vs oracle {len(ref.answers)}"
+                f"answers differ at answer {apart}: "
+                f"engine {len(eng.answers)} vs oracle {len(ref.answers)}"
             )
         return FaithfulnessReport(program, checked, "fail" if detail else "pass", detail=detail)
     return FaithfulnessReport(

@@ -3,8 +3,10 @@ because nothing in it uses them.
 
 `useful_clauses` is the plain clause filter the engine's first-argument
 index must agree with, and `eager_untried_clauses` applies it to a live box
-the way the engine filtered before it scanned lazily; `match` and
-`is_instance_of` check that an Exit goal instantiates its Call goal;
+the way the engine filtered before it scanned lazily; `untried_clauses`
+reads the same list off the engine's lazy scan, without changing it;
+`match` and `is_instance_of` check that an Exit goal instantiates its Call
+goal;
 `events_alpha_equal` compares event streams up to variable renaming;
 `write_trace_text` renders a whole trace at once;
 `unguarded_reference_solve` is the recursive oracle, with its own depth
@@ -28,6 +30,7 @@ from __future__ import annotations
 import re
 from typing import Iterable, NamedTuple, Optional, Union
 
+import boxtrace.engine as engine_module
 from boxtrace import Clause, Program, Subst, Term, TraceEvent, alpha_equal, apply_subst, unify
 from boxtrace.harness import RefResult
 from boxtrace.parser import ParseError
@@ -165,6 +168,16 @@ def eager_untried_clauses(eng, program: Program, v: int) -> tuple[Clause, ...]:
     return tuple(useful[running if fresh else running + 1:])
 
 
+def untried_clauses(eng, v: int) -> tuple[Clause, ...]:
+    """Box v's untried matching clauses, in order, read off the engine's
+    `_scan` and `call_goal` by the engine's own trial `unify` (which tests
+    count), changing nothing."""
+    candidates, position, clause = eng._scan[v]
+    goal, trial = eng.call_goal[v], engine_module.unify
+    rest = tuple(c for _, c, head in candidates[position:] if trial(goal, head, {}) is not None)
+    return rest if clause is None else (clause,) + rest
+
+
 def positions(program: Program, clauses: Iterable[Clause]) -> list[int]:
     """Each clause's position in `program.clauses`, found by identity."""
     return [next(i for i, p in enumerate(program.clauses) if p is c) for c in clauses]
@@ -195,7 +208,7 @@ def climbing_has_choice_point(eng, v: int) -> bool:
     subtree, found by climbing its parent chain to v's depth (usually zero
     or a few hops).  The choice point is found by asking every live node
     for its untried clauses, not read off the engine's choice-point list."""
-    points = [y for y in eng.goals if eng.untried_clauses(y)]
+    points = [y for y in eng.goals if untried_clauses(eng, y)]
     if not points:
         return False
     node = max(points)

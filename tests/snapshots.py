@@ -4,9 +4,9 @@ Records the engine's whole visible state after every step and derives each
 event from the two states around it, the way the box model defines events.
 `stream_events` reads the live engine instead; tests compare the two
 derivations.  Snapshots are Dewey-shaped: nodes are keyed by their Dewey
-paths, built from the engine's integer tables with `path_of`.  A snapshot
-per step costs memory in the run length, so this is for small test runs
-only.
+paths, built from the engine's integer tables with `path_of`, which tests
+also use to name a node by its place in the tree.  A snapshot per step
+costs memory in the run length, so this is for small test runs only.
 """
 
 from __future__ import annotations
@@ -14,8 +14,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from boxtrace import Engine, Port, RuleId, TraceEvent, path_of
+from boxtrace import Engine, Port, RuleId, TraceEvent
+from boxtrace.engine import ROOT
 from boxtrace.terms import Clause, Term
+
+from tests.references import untried_clauses
 
 Path = tuple[int, ...]
 
@@ -46,6 +49,16 @@ class Snapshot:
         return best
 
 
+def path_of(state, v: int) -> Path:
+    """Node v's Dewey path (child indices from the root down; the root's is
+    `()`), read off `state.parent` and `state.index`: O(depth)."""
+    path = []
+    while v != ROOT:
+        path.append(state.index[v])
+        v = state.parent[v]
+    return tuple(reversed(path))
+
+
 def node_depth(v: Path) -> int:
     """Nodes on the path from the root to v: the root has depth 1."""
     return len(v) + 1
@@ -63,7 +76,7 @@ def snapshot(eng: Engine) -> Snapshot:
     return Snapshot(
         frozenset(numbers), paths[eng.current], eng.last_number, numbers,
         {paths[v]: g for v, g in eng.goals.items()},
-        {paths[v]: eng.untried_clauses(v) for v in eng.goals},
+        {paths[v]: untried_clauses(eng, v) for v in eng.goals},
         # One first-visit bit: only the current node can be fresh.
         {p: eng.fresh and v == eng.current for v, p in paths.items()},
         eng.done, eng.failing,

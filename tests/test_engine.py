@@ -20,7 +20,6 @@ from boxtrace import (
     gen_program,
     parse_program,
     parse_term_text,
-    path_of,
     render_term,
     stream_events,
 )
@@ -30,9 +29,10 @@ from tests.references import (
     climbing_has_choice_point,
     eager_untried_clauses,
     positions,
+    untried_clauses,
     useful_clauses,
 )
-from tests.snapshots import dewey, record
+from tests.snapshots import dewey, path_of, record
 
 X = Variable("X")
 
@@ -167,7 +167,7 @@ def test_choice_point_tracking_after_failure(choice_program):
     assert eng.current == 1
     assert eng.failing
     assert eng.greatest_choice_point(1) == 2 and path_of(eng, 2) == (1,)
-    assert positions(choice_program, eng.untried_clauses(2)) == [2]
+    assert positions(choice_program, untried_clauses(eng, 2)) == [2]
 
 
 def test_redo_prunes_failed_sibling(choice_program):
@@ -176,7 +176,7 @@ def test_redo_prunes_failed_sibling(choice_program):
         eng.step()
     assert dewey(eng) == {(): 1, (1,): 2}
     assert eng.current == 2
-    assert eng.untried_clauses(2) == ()
+    assert untried_clauses(eng, 2) == ()
     assert not eng.failing
     # the exited value is kept on the node until the next Exit overwrites it
     assert render_term(eng.goals[2]) == "p(a)"
@@ -332,7 +332,7 @@ def assert_choice_point_test_matches_the_climb(program, max_steps=500):
             counted = trials  # the references' trials are not the run's
             assert forced == [climbing_has_choice_point(eng, v) for v in (eng.current, ROOT)]
             for v in eng.goals:
-                assert eng.untried_clauses(v) == eager_untried_clauses(eng, program, v)
+                assert untried_clauses(eng, v) == eager_untried_clauses(eng, program, v)
             trials = counted
             current = path_of(eng, eng.current)
             assert path_of(eng, eng.order[-1])[: len(current)] == current
@@ -407,7 +407,7 @@ r :- q(b).
 
 def _filtered(program, goal):
     """The clauses the engine keeps for `goal`: filtered as a root box."""
-    return Engine(Program(program.clauses, goal)).untried_clauses(ROOT)
+    return untried_clauses(Engine(Program(program.clauses, goal)), ROOT)
 
 
 @pytest.mark.parametrize(

@@ -23,7 +23,6 @@ from boxtrace import (
     check_faithfulness,
     gen_program,
     alpha_equal,
-    multiset_alpha_equal,
     parse_program,
     parse_trace_text,
     reference_solve,
@@ -32,7 +31,7 @@ from boxtrace import (
     render_term,
     stream_events,
 )
-from boxtrace.harness import _deltas_match, program_digest
+from boxtrace.harness import _deltas_match, _first_answer_apart, program_digest
 from boxtrace.terms import functor_key, rename_term
 from tests import references as references_module
 from tests.conftest import CHOICE_PROGRAM, events_of, nat_chain
@@ -118,15 +117,15 @@ def test_guarded_oracle_skips_another_predicates_clause_for_free():
     assert [render_term(t) for t in unguarded.answers] == ["p(a)"]
 
 
-def test_multiset_alpha_equal():
-    from boxtrace import Atom, Compound, Variable
-
+def test_answers_are_compared_in_order():
     pa = Compound("p", (Atom("a"),))
     px = Compound("p", (Variable("X"),))
     py = Compound("p", (Variable("Y"),))
-    assert multiset_alpha_equal([pa, px], [py, pa])
-    assert not multiset_alpha_equal([pa], [px])
-    assert not multiset_alpha_equal([pa, pa], [pa])
+    assert _first_answer_apart([pa, px], [pa, py]) is None  # up to renaming
+    assert _first_answer_apart([pa, px], [py, pa]) == 1  # the same answers, reordered
+    assert _first_answer_apart([pa], [px]) == 1
+    assert _first_answer_apart([pa, pa], [pa]) == 2  # the shorter list ends first
+    assert _first_answer_apart([], []) is None
 
 
 # -- program generation ---------------------------------------------------------
@@ -162,6 +161,43 @@ def test_gen_program_acyclic_when_recursion_off():
                 callee = functor_key(goal)[0]
                 if callee in defined:
                     assert int(callee[1:]) > int(head[1:])
+
+
+def test_gen_program_never_passes_one_variable_twice_in_a_cyclic_call():
+    # At recursion_prob 1 every body goal that calls a defined predicate is
+    # a possibly-cyclic call.
+    for seed in range(200):
+        program = gen_program(GenParams(seed=seed, recursion_prob=1.0))
+        for clause in program.clauses:
+            for goal in clause.body:
+                if isinstance(goal, Compound) and len(goal.args) == 2:
+                    x, y = goal.args
+                    assert not (isinstance(x, Variable) and x == y), render_program(program)
+
+
+def _tree_size_up_to(term, bound):
+    """The node count of a term as a tree, counted only up to bound + 1."""
+    count, todo = 0, [term]
+    while todo and count <= bound:
+        term = todo.pop()
+        count += 1
+        if isinstance(term, Compound):
+            todo.extend(term.args)
+    return count
+
+
+@pytest.mark.parametrize("recursion_prob, max_steps", [(0.05, 200), (0.05, 4000), (0.15, 500)])
+def test_seed_2483_goals_grow_linearly(recursion_prob, max_steps):
+    # The settings of the three properties that can draw seed 2483.  Its
+    # cyclic call drawn as `p3(X) :- p2(X,X)`, with `p2(X,Z) :- p3(g(Z,X))`,
+    # would double the goal every two steps (131,071 nodes at step 32); as
+    # `p3(X) :- p2(X,Y)` the goal grows by one `g` each cycle.
+    program = gen_program(GenParams(seed=2483, recursion_prob=recursion_prob))
+    eng = Engine(program)
+    for _, event, _ in stream_events(eng, max_steps=max_steps):
+        bound = 2 * event.chrono + 2
+        assert _tree_size_up_to(event.goal, bound) <= bound, event.chrono
+    assert event.chrono == max_steps and eng.select_rule() is not None
 
 
 def test_gen_params_validation():
@@ -492,7 +528,7 @@ def test_random_programs_agree_with_oracle(seed):
     ref = reference_solve(program, 100_000)
     if ref.capped:
         return
-    assert multiset_alpha_equal(eng.answers, ref.answers)
+    assert _same_in_order(eng.answers, ref.answers)
 
 
 def test_check_compares_the_answers_of_a_deep_run():
@@ -514,7 +550,7 @@ def test_engine_answers_altered_on_a_deep_run_fail(monkeypatch):
     report = check_faithfulness(parse_program(nat_chain(2000)))
     assert (report.verdict, report.steps_checked) == ("fail", 4002)
     assert report.first_divergence is None
-    assert report.detail == "answer multisets differ: engine 1 vs oracle 1"
+    assert report.detail == "answers differ at answer 1: engine 1 vs oracle 1"
 
 
 def test_an_oracle_out_of_budget_on_a_completed_run_fails(monkeypatch):
@@ -692,7 +728,23 @@ def test_answers_that_differ_from_the_oracles_fail(choice_program, monkeypatch):
     report = check_faithfulness(choice_program)
     assert report.verdict == "fail"
     assert report.steps_checked == 10 and report.first_divergence is None
-    assert report.detail == "answer multisets differ: engine 1 vs oracle 0"
+    assert report.detail == "answers differ at answer 1: engine 1 vs oracle 0"
+
+
+def test_an_oracle_that_finds_the_answers_in_another_order_fails(two_facts, monkeypatch):
+    reference = harness_module.reference_solve
+    found = []
+
+    def reversed_answers(program, max_tries):
+        ref = reference(program, max_tries)
+        found.append(ref.answers)
+        return RefResult(ref.answers[::-1], ref.capped)
+
+    monkeypatch.setattr(harness_module, "reference_solve", reversed_answers)
+    report = check_faithfulness(two_facts)
+    assert [render_term(t) for t in found[0]] == ["p(a)", "p(b)"]
+    assert report.verdict == "fail" and report.first_divergence is None
+    assert report.detail == "answers differ at answer 1: engine 2 vs oracle 2"
 
 
 def test_an_engine_error_fails_the_check(choice_program, monkeypatch):

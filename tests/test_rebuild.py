@@ -20,14 +20,13 @@ from boxtrace import (
     alpha_equal,
     gen_program,
     parse_program,
-    path_of,
     render_event,
     render_term,
     states_match,
 )
 from boxtrace.cli import main
 from tests.conftest import events_of
-from tests.snapshots import dewey, record
+from tests.snapshots import dewey, path_of, record
 
 X = Variable("X")
 

@@ -19,7 +19,6 @@ from boxtrace import (
     event_to_json,
     gen_program,
     parse_program,
-    path_of,
     parse_trace_text,
     render_event,
     render_term,
@@ -31,7 +30,7 @@ from boxtrace.parser import parse_term_text
 from boxtrace.trace import render_events_pretty
 from tests.conftest import events_of
 from tests.references import events_alpha_equal, is_instance_of, write_trace_text
-from tests.snapshots import event_of, node_depth, record, reference_events
+from tests.snapshots import event_of, node_depth, path_of, record, reference_events
 
 # The reference event table for the running example (variables compared up
 # to renaming).
