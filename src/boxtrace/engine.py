@@ -44,7 +44,6 @@ from .terms import (
     functor_key,
     instantiate,
     rename_term,
-    trial_heads,
     unify,
     unify_into,
 )
@@ -79,16 +78,16 @@ REDO_RULES = (RuleId.REDO1, RuleId.REDO2)
 def _clause_index(program: Program):
     """Head functor/arity -> (every, by_first, var_first), each in source order.
 
-    Entries are (source position, clause, trial-renamed head); the position
-    orders a merge.  `every` holds all clauses of the predicate; `by_first`
-    maps the principal functor of the first head argument (`functor_key`, so
-    `a` and `a(...)` differ) to the clauses with that key; `var_first` holds
-    the clauses whose first head argument is a variable.  Arity-0 heads go
-    in `every` only.
+    Entries are (source position, clause); the position orders a merge.
+    `every` holds all clauses of the predicate; `by_first` maps the
+    principal functor of the first head argument (`functor_key`, so `a` and
+    `a(...)` differ) to the clauses with that key; `var_first` holds the
+    clauses whose first head argument is a variable.  Arity-0 heads go in
+    `every` only.
     """
     index: dict[tuple[str, int], tuple[list, dict, list]] = {}
-    for position, (clause, head) in enumerate(zip(program.clauses, trial_heads(program))):
-        entry = (position, clause, head)
+    for entry in enumerate(program.clauses):
+        head = entry[1].head
         every, by_first, var_first = index.setdefault(functor_key(head), ([], {}, []))
         every.append(entry)
         if isinstance(head, Compound):
@@ -232,8 +231,9 @@ class Engine(RestrictedState):
         or a goal of arity 0, takes every clause of the predicate.  Each
         candidate is tried at most once, so the untried clauses equal a filter
         over the whole program: until one binds for real (`_bind`, as v's
-        Call, the next step, would), and after that by the trial `unify` of
-        `has_choice_point`, only when a guard asks.
+        Call, the next step, would), and after that, only when a guard asks,
+        by `has_choice_point`'s trial `unify` of the head renamed as the
+        next `_bind` would rename it.
         """
         candidates, by_first, var_first = self._predicates.get(functor_key(goal), ((), {}, ()))
         # An instantiated goal has no bound variables: a Variable is unbound.
@@ -247,7 +247,7 @@ class Engine(RestrictedState):
                 candidates = sorted(keyed + var_first)
             else:
                 candidates = keyed
-        for position, (_, clause, _) in enumerate(candidates, 1):
+        for position, (_, clause) in enumerate(candidates, 1):
             if self._bind(v, clause):
                 self._scan[v] = [candidates, position, clause]
                 self._cp_order.append(v)
@@ -281,7 +281,9 @@ class Engine(RestrictedState):
         greatest live node and creation order is Dewey order, so the live
         nodes numbered v or more are exactly v's subtree.  The newest
         `_cp_order` entry is resolved on demand: its later candidates are
-        trial-unified until one matches, and an entry with none is dropped."""
+        trial-unified until one matches, and an entry with none is dropped.
+        A trial renames the head with the next instance number, as `_bind`
+        would, so it shares no variable with any live goal."""
         cp_order = self._cp_order
         while cp_order and cp_order[-1] >= v:
             w = cp_order[-1]
@@ -289,9 +291,10 @@ class Engine(RestrictedState):
             if scan[2] is not None:
                 return True
             candidates, goal = scan[0], self.call_goal[w]
+            instance = self.rename_counter + 1
             for position in range(scan[1], len(candidates)):
-                _, clause, head = candidates[position]
-                if unify(goal, head, {}) is not None:
+                clause = candidates[position][1]
+                if unify(goal, rename_term(clause.head, instance), {}) is not None:
                     scan[1], scan[2] = position + 1, clause
                     return True
             scan[1] = len(candidates)

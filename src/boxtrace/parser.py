@@ -12,7 +12,10 @@ Grammar:
     variable    := uppercase- or "_"-initial identifier
 
 `%` starts a comment running to end of line.  No operators, lists, strings
-or numbers.  A program must contain exactly one `:- goal.` directive.
+or numbers.  A program must contain exactly one `:- goal.` directive, and
+no variable whose name ends in `_` and digits (that `int` reads) after a
+non-empty stem, such as `X_1`, `X_007` or `__1`: the trace writes the k-th
+rename of `X` as `X_k`.
 
 One reader serves programs and trace goals.  Tokenizing is one `findall`:
 a token is a plain string, and its kind is read off its first character.
@@ -98,11 +101,15 @@ def _variable(name: str) -> Variable:
     return Variable(name)
 
 
-def _term(text: str, tokens: list[str], i: int, decode_renamed: bool) -> tuple[Term, int]:
+def _term(
+    text: str, tokens: list[str], i: int, decode_renamed: bool, source: bool = False
+) -> tuple[Term, int]:
     """The term at tokens[i], and the index after it.  Iterative: trace
     goals can nest far deeper than the recursion limit (the engine builds
-    them one answer at a time).  Source programs keep variable names as
-    written; trace goals decode the rename index (`decode_renamed`)."""
+    them one answer at a time).  Trace goals decode the rename index
+    (`decode_renamed`); other terms keep variable names as written, and a
+    program (`source`) may not use a name its trace would decode as another
+    variable's, such as `X_1`, the first rename of `X`."""
     # Compounds still reading their arguments: (functor, args).
     open_compounds: list[tuple[str, list[Term]]] = []
     while True:
@@ -110,6 +117,9 @@ def _term(text: str, tokens: list[str], i: int, decode_renamed: bool) -> tuple[T
         i += 1
         if tok[:1] in _VAR_START:
             t: Term = _variable(tok) if decode_renamed else Variable(tok)
+            if source and _variable(tok) != t:
+                message = f"reserved variable name {_found(tok)}: a trace reads _k as rename k"
+                raise _error(text, tokens, i - 1, message)
         elif tok[:1] in _ATOM_START:
             if tokens[i] == "(":
                 i += 1
@@ -139,7 +149,7 @@ def _predication(text: str, tokens: list[str], i: int) -> tuple[Term, int]:
         raise _error(
             text, tokens, i, f"expected a predication (atom-initial), found {_found(tokens[i])}"
         )
-    return _term(text, tokens, i, False)
+    return _term(text, tokens, i, False, source=True)
 
 
 def _expect(text: str, tokens: list[str], i: int, want: str) -> int:

@@ -17,11 +17,11 @@ Substitutions are plain dicts from Variable to Term.  `unify_into` binds
 in place and records each binding on a trail, so callers undo back to a
 mark; `unify` returns an extended copy and leaves its input as it was.
 
-The term kernels (`walk`, `occurs`, `unify_into`, `instantiate`,
-`rename_term`, `render_term`) run on every engine step, so they dispatch on
-exact class (`t.__class__ is Variable`) and read fields by index.  That is
-sound only because the three term classes are final: subclassing one
-raises TypeError.  Two rules spare the kernels redundant work:
+The term kernels (`occurs`, `unify_into`, `instantiate`, `rename_term`,
+`render_term`) run on every engine step, so they dispatch on exact class
+(`t.__class__ is Variable`) and read fields by index.  That is sound only
+because the three term classes are final: subclassing one raises
+TypeError.  Two rules spare the kernels redundant work:
 
 - `unify_into` binds an unbound variable to the other side with an occurs
   check only when that side is a non-ground compound.  An atom, a ground
@@ -115,16 +115,6 @@ class Compound(tuple):
 
 Term = Union[Variable, Atom, Compound]
 Subst = dict[Variable, Term]
-
-
-def walk(t: Term, s: Subst) -> Term:
-    """Follow variable bindings until an unbound variable or non-variable."""
-    while t.__class__ is Variable:
-        bound = s.get(t)
-        if bound is None:
-            return t
-        t = bound
-    return t
 
 
 def occurs(v: Variable, t: Term, s: Subst) -> bool:
@@ -384,17 +374,6 @@ def rename_term(term: Term, index: int) -> Term:
                 return built
             frame = stack[-1]
             frame[2].append(built)
-
-
-# Rename index reserved for throwaway filtering copies; live variables get
-# consecutive small indexes, so this never collides.
-TRIAL_INDEX = 2**61
-
-
-def trial_heads(program: Program) -> list[Term]:
-    """Heads of all clauses renamed into the reserved trial namespace,
-    for reuse across many filtering calls."""
-    return [rename_term(c.head, TRIAL_INDEX) for c in program.clauses]
 
 
 def render_term(t: Term) -> str:

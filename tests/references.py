@@ -19,10 +19,11 @@ creation-number test `has_choice_point` must agree with;
 that builds a list of token tuples, tracking line and column as it goes,
 which the one-pass reader must agree with exactly, errors included (it
 quotes a token whole; the package cuts a quote after 120 characters);
-the `isinstance_*` kernels are `walk`, `occurs`, `unify_into`,
-`instantiate`, `rename_term` and `render_term` before exact-class dispatch,
-which the package's kernels must agree with exactly; `positions` names
-clauses by their place in the program.
+the `isinstance_*` kernels are `occurs`, `unify_into`, `instantiate`,
+`rename_term` and `render_term` before exact-class dispatch, which the
+package's kernels must agree with exactly, and `isinstance_walk`, the
+binding walk they and `match` follow; `positions` names clauses by their
+place in the program.
 """
 
 from __future__ import annotations
@@ -39,9 +40,7 @@ from boxtrace.terms import (
     Compound,
     Variable,
     rename_term,
-    trial_heads,
     unify_into,
-    walk,
 )
 from boxtrace.trace import render_event
 
@@ -118,7 +117,7 @@ def match(pattern: Term, t: Term, s: Optional[Subst] = None) -> Optional[Subst]:
     stack = [(pattern, t)]
     while stack:
         a, b = stack.pop()
-        a = walk(a, out)
+        a = isinstance_walk(a, out)
         if isinstance(a, Variable):
             out[a] = b
         elif isinstance(a, Atom):
@@ -145,13 +144,14 @@ def useful_clauses(goal: Term, program: Program, s: Subst) -> list[Clause]:
 
     Source order is preserved.  The trial renaming and trial substitution
     are throwaway: callers re-unify when they actually consume a clause.
-    An empty result marks a goal no clause can solve.
+    Heads are renamed with index -1, which no variable of a run has.  An
+    empty result marks a goal no clause can solve.
     """
     target = apply_subst(goal, s)
     return [
         clause
-        for clause, head in zip(program.clauses, trial_heads(program))
-        if unify(target, head, {}) is not None
+        for clause in program.clauses
+        if unify(target, rename_term(clause.head, -1), {}) is not None
     ]
 
 
@@ -173,8 +173,12 @@ def untried_clauses(eng, v: int) -> tuple[Clause, ...]:
     `_scan` and `call_goal` by the engine's own trial `unify` (which tests
     count), changing nothing."""
     candidates, position, clause = eng._scan[v]
-    goal, trial = eng.call_goal[v], engine_module.unify
-    rest = tuple(c for _, c, head in candidates[position:] if trial(goal, head, {}) is not None)
+    goal, trial, instance = eng.call_goal[v], engine_module.unify, eng.rename_counter + 1
+    rest = tuple(
+        c
+        for _, c in candidates[position:]
+        if trial(goal, rename_term(c.head, instance), {}) is not None
+    )
     return rest if clause is None else (clause,) + rest
 
 
@@ -446,13 +450,14 @@ def _tokenize(text: str) -> list[_Token]:
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token], decode_renamed: bool = False):
+    def __init__(self, tokens: list[_Token], decode_renamed: bool = False, source: bool = False):
         self.tokens = tokens
         self.pos = 0
         # When reading trace goals, a trailing _k on a variable name is the
-        # rename index the canonical renderer attached; source programs keep
-        # names as written.
+        # rename index the canonical renderer attached; other terms keep
+        # names as written, and a program (`source`) may not use such a name.
         self.decode_renamed = decode_renamed
+        self.source = source
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -470,10 +475,20 @@ class _Parser:
         return tok
 
     def variable(self, tok: _Token) -> Variable:
-        if self.decode_renamed:
-            m = _RENAMED.match(tok.text)
-            if m:
-                return Variable(m.group(1), int(m.group(2)))
+        m = _RENAMED.match(tok.text)
+        if m and self.decode_renamed:
+            return Variable(m.group(1), int(m.group(2)))
+        if m and self.source:
+            try:
+                int(m.group(2))
+            except ValueError:  # a tail longer than int() reads is no index
+                pass
+            else:
+                raise ParseError(
+                    f"reserved variable name {tok.text!r}: a trace reads _k as rename k",
+                    tok.line,
+                    tok.column,
+                )
         return Variable(tok.text)
 
     def term(self) -> Term:
@@ -532,7 +547,7 @@ def token_list_parse_term_text(text: str, decode_renamed: bool = False) -> Term:
 
 def token_list_parse_program(text: str) -> Program:
     """Parse program text into clauses (source order) plus the goal."""
-    parser = _Parser(_tokenize(text))
+    parser = _Parser(_tokenize(text), source=True)
     clauses: list[Clause] = []
     goal: Term | None = None
     if parser.peek().kind == "end":

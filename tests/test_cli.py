@@ -171,6 +171,20 @@ def test_parse_error_exits_2(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["trace", "check"])
+def test_a_variable_named_as_a_rename_exits_2(tmp_path, capsys, command):
+    # The trace would print the source X_1 and the first rename of X alike,
+    # as one variable: `2 2 2 Call q(f(X_1),X_1)`.
+    path = tmp_path / "renamed.pl"
+    path.write_text("p(Y) :- q(Y,X). q(f(Z),Z).\n:- p(f(X_1)).\n")
+    assert main([command, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: reserved variable name 'X_1': a trace reads _k as rename k (line 2, column 8)\n"
+    )
+
+
 def test_parse_error_quotes_a_bounded_part_of_a_long_token(tmp_path, capsys):
     path = tmp_path / "long.pl"
     path.write_text("p(a) " + "a" * 200_000 + ".\n:- p(a).\n")

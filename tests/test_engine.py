@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import boxtrace.engine as engine_module
+import boxtrace.terms as terms_module
 from boxtrace import (
     Atom,
     Compound,
@@ -504,6 +505,22 @@ def test_a_new_box_unifies_one_head(monkeypatch):
         eng.step()
     assert eng.last_number == 1001  # one new box per step, and the root
     assert len(tried) == eng.last_number
+
+
+def test_building_an_engine_renames_one_head(monkeypatch):
+    # Only the head the root binds is renamed; a later fact's head is
+    # renamed when a guard tries it, not when the engine is built.
+    program = parse_program("".join(f"p(c{i}).\n" for i in range(5_000)) + ":- p(X).\n")
+    renamed = []
+
+    def counting(term, index, _rename=terms_module.rename_term):
+        renamed.append(term)
+        return _rename(term, index)
+
+    monkeypatch.setattr(terms_module, "rename_term", counting)
+    monkeypatch.setattr(engine_module, "rename_term", counting)
+    Engine(program)
+    assert renamed == [program.clauses[0].head]
 
 
 def test_the_first_answer_of_a_fact_table_tries_no_other_fact(monkeypatch, tmp_path, capsys):

@@ -120,6 +120,27 @@ def test_render_parse_round_trip(choice_program):
     assert parse_program(CHOICE_PROGRAM) == choice_program
 
 
+@pytest.mark.parametrize("name", ["X_1", "X_0", "X_007", "__1", "Ab_2_3"])
+def test_a_program_variable_may_not_read_as_a_rename(name):
+    # A trace decodes each of these names to another variable, so a program
+    # that used one would print as a run it is not.
+    with pytest.raises(ParseError) as err:
+        parse_program(f"p(a).\nq(Y) :- p({name}).\n:- q(b).")
+    assert (err.value.line, err.value.column) == (2, 11)
+    assert err.value.message.startswith(f"reserved variable name {name!r}")
+    # A goal read outside a program keeps the name as written.
+    assert parse_term_text(f"p({name})") == Compound("p", (Variable(name),))
+
+
+@pytest.mark.parametrize("name", ["_7", "_", "X_", "X_a1", "X_" + "9" * 5_000])
+def test_a_program_variable_that_reads_as_itself_is_kept(name):
+    # No stem, no digit tail, or a tail too long for int(): the trace
+    # reads the name back as the same variable.
+    program = parse_program(f"p({name}).\n:- p(a).")
+    assert program.clauses[0].head == Compound("p", (Variable(name),))
+    assert parser._variable(name) == Variable(name)
+
+
 def test_parse_term_text_decodes_rename_suffix():
     assert parse_term_text("p(X_3)", decode_renamed=True) == Compound(
         "p", (Variable("X", 3),)

@@ -159,6 +159,34 @@ def test_every_call_names_the_box_the_previous_step_created():
             created = None if delta.created is None else delta.created[0]
 
 
+# -- what the trace loses: witness pairs ----------------------------------------
+
+
+def _served(text):
+    """The trace text of a program's run, the program's clauses, and the
+    clause that served the root box at each of its Exits."""
+    program = parse_program(text)
+    eng = Engine(program)
+    events, served = [], []
+    for _, event, _ in stream_events(eng):
+        events.append(event)
+        if event.port is Port.EXIT:
+            served.append(eng.running[ROOT][0])
+    return write_trace_text(events), program.clauses, served
+
+
+def test_the_trace_loses_which_clause_served_an_exit():
+    # Byte-identical traces; yet the first Exit is served by the fact p(a)
+    # in one program and by p(X) in the other.
+    first, (p_a, p_x), served_first = _served("p(a). p(X). :- p(a).")
+    second, (q_x, q_a), served_second = _served("p(X). p(a). :- p(a).")
+    assert first == second == (
+        "1 1 1 Call p(a)\n2 1 1 Exit p(a)\n3 1 1 Redo p(a)\n4 1 1 Exit p(a)\n"
+    )
+    assert served_first == [p_a, p_x]
+    assert served_second == [q_x, q_a]
+
+
 # -- text form ------------------------------------------------------------------
 
 
