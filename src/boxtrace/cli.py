@@ -43,13 +43,14 @@ def cmd_trace(args: argparse.Namespace) -> int:
     program = _load_program(args.program)
     eng = Engine(program)
     events = []
+    write = sys.stdout.write
     for _, event, _ in stream_events(eng, max_steps=args.max_steps):
         if args.pretty and args.format == "text":
             events.append(event)
         elif args.format == "jsonl":
-            print(event_to_json(event))
+            write(event_to_json(event) + "\n")
         else:
-            print(render_event(event))
+            write(render_event(event) + "\n")
         if args.max_solutions is not None and len(eng.answers) >= args.max_solutions:
             break
     if args.pretty and args.format == "text":

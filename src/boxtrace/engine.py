@@ -26,7 +26,12 @@ bound from, so a jump back to a choice point restores its bindings) and
 `_scan` (its candidate clauses, a scan position and the next matching
 clause once found).  A box binds its first matching clause when it is
 filled, at creation; a later one is trial-unified only when a guard asks
-whether a choice point is left, and bound by the Redo that takes it.
+whether a choice point is left, and the Redo that takes it installs the
+bindings the trial made.
+
+Each clause instance is built once: a head is unified as it is read, under
+its instance number (`unify_into`'s `index`), and a body goal is renamed
+and instantiated in one pass (`rename_term` given the store).
 """
 
 from __future__ import annotations
@@ -218,11 +223,13 @@ class Engine(RestrictedState):
         # Creation-ordered live nodes that may have untried clauses (a
         # subsequence of `order`); `has_choice_point` drops those with none.
         self._cp_order: list[int] = []
+        # The last successful trial: (node, instance number, its bindings).
+        self._found: Optional[tuple[int, int, Subst]] = None
         self._fill_box(ROOT, goal)
 
     def _fill_box(self, v: int, goal: Term) -> None:
-        """Give box v its candidate clauses and bind the first whose renamed
-        head unifies with its instantiated goal.
+        """Give box v its candidate clauses and bind the first whose head,
+        read as renamed, unifies with its instantiated goal.
 
         Candidates come from first-argument indexing (the abstract machine's
         `switch_on_term`): a bound first argument selects the clauses whose
@@ -232,8 +239,8 @@ class Engine(RestrictedState):
         candidate is tried at most once, so the untried clauses equal a filter
         over the whole program: until one binds for real (`_bind`, as v's
         Call, the next step, would), and after that, only when a guard asks,
-        by `has_choice_point`'s trial `unify` of the head renamed as the
-        next `_bind` would rename it.
+        by `has_choice_point`'s trial `unify` of the head under the instance
+        number the next `_bind` would use.
         """
         candidates, by_first, var_first = self._predicates.get(functor_key(goal), ((), {}, ()))
         # An instantiated goal has no bound variables: a Variable is unbound.
@@ -254,12 +261,17 @@ class Engine(RestrictedState):
                 return
         self._scan[v] = [candidates, len(candidates), None]
 
-    def _bind(self, v: int, clause: Clause) -> bool:
+    def _bind(self, v: int, clause: Clause, found: Optional[tuple] = None) -> bool:
         """Bind clause's head, renamed with the next instance number, to v's
-        call predication and make it v's running clause; a clash changes nothing."""
+        call predication and make it v's running clause; a clash changes
+        nothing.  `found` is a guard's successful trial (`_found`): if it
+        ran for v and for this instance number, its bindings are installed
+        as they are, in the order the trial made them."""
         instance, mark = self.rename_counter + 1, len(self.trail)
-        head = rename_term(clause.head, instance)
-        if not unify_into(self.call_goal[v], head, self.subst, self.trail):
+        if found is not None and found[0] == v and found[1] == instance:
+            self.subst.update(found[2])
+            self.trail.extend(found[2])
+        elif not unify_into(self.call_goal[v], clause.head, self.subst, self.trail, instance):
             return False
         self.rename_counter = instance
         self.running[v] = (clause, instance, mark)
@@ -282,8 +294,13 @@ class Engine(RestrictedState):
         nodes numbered v or more are exactly v's subtree.  The newest
         `_cp_order` entry is resolved on demand: its later candidates are
         trial-unified until one matches, and an entry with none is dropped.
-        A trial renames the head with the next instance number, as `_bind`
-        would, so it shares no variable with any live goal."""
+        A trial reads the head under the next instance number, as `_bind`
+        would, so it shares no variable with any live goal.  It unifies
+        against an empty store: the box's call goal was instantiated when
+        the box was made, and the Redo that takes the clause first undoes
+        every binding made since.  So the trial's bindings are the ones that
+        Redo would make; the last successful trial keeps them in `_found`
+        with its node and instance number, and the Redo installs them."""
         cp_order = self._cp_order
         while cp_order and cp_order[-1] >= v:
             w = cp_order[-1]
@@ -294,8 +311,10 @@ class Engine(RestrictedState):
             instance = self.rename_counter + 1
             for position in range(scan[1], len(candidates)):
                 clause = candidates[position][1]
-                if unify(goal, rename_term(clause.head, instance), {}) is not None:
+                bindings = unify(goal, clause.head, {}, instance)
+                if bindings is not None:
                     scan[1], scan[2] = position + 1, clause
+                    self._found = (w, instance, bindings)
                     return True
             scan[1] = len(candidates)
             cp_order.pop()
@@ -386,7 +405,7 @@ class Engine(RestrictedState):
         index) and the goal."""
         clause, instance, _ = self.running[parent]
         body_goal = clause.body[self.child_count[parent]]
-        goal = instantiate(rename_term(body_goal, instance), self.subst, self._inst_memo)
+        goal = rename_term(body_goal, instance, self.subst, self._inst_memo)
         self.last_number += 1
         v = self.last_number
         created = self.add_child(v, parent, goal)
@@ -451,8 +470,9 @@ class Engine(RestrictedState):
             # Back to the greatest choice point, which select_rule found.
             v = self._cp_order[-1]
             removed = self._prune_after(v)
-            # The guard's trial unification guarantees the head binds.
-            if not self._bind(v, self._consume_clause(v)):
+            # The guard's trial found the clause and its bindings.  A trial
+            # forced out of turn can be stale; then the head is unified again.
+            if not self._bind(v, self._consume_clause(v), self._found):
                 raise EngineError(f"head of a filtered clause failed to unify at node {v}")
             self.current = v
             self.done = self.failing = False
@@ -460,7 +480,7 @@ class Engine(RestrictedState):
                 created, created_goal = self._create_child(v)
         else:
             raise EngineError(f"unknown rule {rule!r}")
-        return StepDelta(self.current, removed, created, created_goal, updated_goal)
+        return tuple.__new__(StepDelta, (self.current, removed, created, created_goal, updated_goal))
 
     def step(self) -> Optional[tuple[RuleId, StepDelta]]:
         rule = self.select_rule()

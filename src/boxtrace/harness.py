@@ -95,7 +95,7 @@ def reference_solve(program: Program, max_tries: int) -> RefResult:
         tries += 1
         if tries > max_tries:
             return RefResult(tuple(answers), capped=True)
-        if unify_into(first, rename_term(clause.head, tries), s, trail):
+        if unify_into(first, clause.head, s, trail, tries):
             for body_goal in reversed(clause.body):
                 rest = (rename_term(body_goal, tries), rest)
             if rest:

@@ -17,6 +17,10 @@ Substitutions are plain dicts from Variable to Term.  `unify_into` binds
 in place and records each binding on a trail, so callers undo back to a
 mark; `unify` returns an extended copy and leaves its input as it was.
 
+A clause instance is built once: given a rename index, `unify_into` reads
+a head as renamed while it unifies, and given a substitution, `rename_term`
+instantiates a body goal as it renames it.
+
 The term kernels (`occurs`, `unify_into`, `instantiate`, `rename_term`,
 `render_term`) run on every engine step, so they dispatch on exact class
 (`t.__class__ is Variable`) and read fields by index.  That is sound only
@@ -32,7 +36,9 @@ TypeError.  Two rules spare the kernels redundant work:
   compounds or unbound variables: it is rebuilt, or returned as is when no
   argument changed.  `rename_term` copies a compound whose arguments are
   atoms, ground compounds or variables the same way, and `render_term`
-  renders a compound of atoms and variables with one `','.join`.
+  renders a compound of atoms and variables with one `','.join`.  The
+  kernels build a compound with its ground flag worked out as its
+  arguments are, the flag `Compound.__new__` would compute.
 """
 
 from __future__ import annotations
@@ -136,19 +142,31 @@ def occurs(v: Variable, t: Term, s: Subst) -> bool:
     return False
 
 
-def unify(t1: Term, t2: Term, s: Subst) -> Optional[Subst]:
-    """Most general unifier extending s, or None on clash.
+def unify(t1: Term, t2: Term, s: Subst, index: Optional[int] = None) -> Optional[Subst]:
+    """Most general unifier extending s, or None on clash; `index` as in
+    unify_into.
 
     Occurs-check is on: unify(X, f(X)) fails.  The input substitution is
-    never mutated: unify_into works on a copy with a scratch trail.
+    never mutated: unify_into works on a copy with a scratch trail, so the
+    copy holds the new bindings in the order they were made.
     """
     out = dict(s)
-    return out if unify_into(t1, t2, out, []) else None
+    return out if unify_into(t1, t2, out, [], index) else None
 
 
-def unify_into(t1: Term, t2: Term, s: Subst, trail: list[Variable]) -> bool:
+def unify_into(
+    t1: Term, t2: Term, s: Subst, trail: list[Variable], index: Optional[int] = None
+) -> bool:
     """Unify in place: bind into s directly, recording each bound variable
     on the trail so callers can undo back to a mark.
+
+    With `index`, t2 (a clause head) is read as `rename_term(t2, index)`
+    without that copy being built: a head subterm is copied only when a
+    variable of t1 is bound to it.  Pairs are taken and bound exactly as
+    against the copy, so renamed variable names in a trace do not change.
+    A head variable bound earlier in the call leads to a built term; a
+    nested call unifies that pair, finishing it before any pair pushed
+    earlier, as the stack would.
 
     On failure the bindings made so far are already undone.  Occurs-check
     is on: unify_into(X, f(X)) fails.
@@ -164,6 +182,7 @@ def unify_into(t1: Term, t2: Term, s: Subst, trail: list[Variable]) -> bool:
     else:
         stack = [(t1, t2)]
     pop, push = stack.pop, stack.extend
+    new = tuple.__new__
     while stack:
         a, b = pop()
         ca = a.__class__
@@ -174,21 +193,35 @@ def unify_into(t1: Term, t2: Term, s: Subst, trail: list[Variable]) -> bool:
             a = bound
             ca = a.__class__
         cb = b.__class__
-        while cb is Variable:
+        if index is None:
+            while cb is Variable:
+                bound = get(b)
+                if bound is None:
+                    break
+                b = bound
+                cb = b.__class__
+            if a is b:
+                continue
+        elif cb is Variable:
+            # A head variable, renamed; if bound, it leads to a built term.
+            b = new(Variable, (b[0], index))
             bound = get(b)
-            if bound is None:
+            if bound is not None:
+                if unify_into(a, bound, s, trail):
+                    continue
                 break
-            b = bound
-            cb = b.__class__
-        if a is b:
-            continue
-        # Only a non-ground compound can contain an unbound variable.
+        # Only a non-ground compound can contain an unbound variable.  No
+        # `a is b` shortcut on a head: a built term never holds a non-ground
+        # head subterm, and a ground one binds nothing either way.
         if ca is Variable:
             if cb is Variable:
                 if a == b:
                     continue
-            elif cb is Compound and not b[2] and occurs(a, b, s):
-                break
+            elif cb is Compound and not b[2]:
+                if index is not None:
+                    b = rename_term(b, index)
+                if occurs(a, b, s):
+                    break
             s[a] = b
             trail.append(a)
         elif cb is Variable:
@@ -232,18 +265,20 @@ def instantiate(term: Term, s: Subst, memo: dict[Variable, Term]) -> Term:
     if term.__class__ is Compound:
         if term[2]:
             return term
-        frame = [term, iter(term[1]), [], None]
+        frame = [term, iter(term[1]), [], None, True]
     elif term.__class__ is Variable:
-        frame = [None, iter((term,)), [], None]
+        frame = [None, iter((term,)), [], None, True]
     else:
         return term
     # Frames: [compound, iterator over its arguments, their instances so
     # far, the bound variables that walked to it (memoized once it is
-    # built)].  A variable at the top gets a frame with no compound.  A flat
-    # compound is done in one pass of the loop below.
+    # built), whether those instances are all ground].  A variable at the
+    # top gets a frame with no compound.  A flat compound is done in one
+    # pass of the loop below.
+    new = tuple.__new__
     stack = [frame]
     while True:
-        out = frame[2]
+        out, ground = frame[2], frame[4]
         for a in frame[1]:
             chain = None
             while a.__class__ is Variable:
@@ -261,22 +296,24 @@ def instantiate(term: Term, s: Subst, memo: dict[Variable, Term]) -> Term:
                 a = bound
             else:
                 if a.__class__ is Compound and not a[2]:
-                    frame = [a, iter(a[1]), [], chain]
+                    frame[4] = ground
+                    frame = [a, iter(a[1]), [], chain, True]
                     stack.append(frame)
                     break
             if chain is not None:
                 for var in chain:
                     memo[var] = a
+            if a.__class__ is Variable or (a.__class__ is Compound and not a[2]):
+                ground = False
             out.append(a)
         else:
             stack.pop()
             node = frame[0]
             if node is None:
                 return out[0]
-            args = node[1]
-            for x, y in zip(out, args):
+            for x, y in zip(out, node[1]):
                 if x is not y:
-                    node = Compound(node[0], tuple(out))
+                    node = new(Compound, (node[0], tuple(out), ground))
                     break
             chain = frame[3]
             if chain is not None:
@@ -286,6 +323,7 @@ def instantiate(term: Term, s: Subst, memo: dict[Variable, Term]) -> Term:
                 return node
             frame = stack[-1]
             frame[2].append(node)
+            frame[4] = frame[4] and node[2]
 
 
 def alpha_equal(t1: Term, t2: Term) -> bool:
@@ -341,39 +379,59 @@ class Program:
     goal: Term
 
 
-def rename_term(term: Term, index: int) -> Term:
+def rename_term(
+    term: Term, index: int, s: Optional[Subst] = None, memo: Optional[dict[Variable, Term]] = None
+) -> Term:
     """Copy of term with every variable's rename index set to `index`;
     renaming a clause's head and body goals with one index keeps their
     shared variables shared.  Ground subterms are shared.  Iterative: source
-    terms can nest deeper than the recursion limit."""
+    terms can nest deeper than the recursion limit.
+
+    Given s (and instantiate's `memo`), each renamed variable is replaced by
+    its instance under s, so the result equals
+    `instantiate(rename_term(term, index), s, memo)`, built in one pass."""
     new = tuple.__new__
     if term.__class__ is Variable:
-        return new(Variable, (term[0], index))
+        term = new(Variable, (term[0], index))
+        return instantiate(term, s, memo) if s else term
     if term.__class__ is Atom or term[2]:
         return term
-    # Frames: a compound being copied, an iterator over its arguments, and
-    # the arguments copied so far.
-    frame = (term[0], iter(term[1]), [])
+    get = s.get if s else {}.get
+    memo = {} if memo is None else memo
+    # Frames: a compound being copied, an iterator over its arguments, the
+    # arguments copied so far, and whether all of those are ground.
+    frame = [term[0], iter(term[1]), [], True]
     stack = [frame]
     while True:
-        done = frame[2]
+        done, ground = frame[2], frame[3]
         for a in frame[1]:
             if a.__class__ is Variable:
-                done.append(new(Variable, (a[0], index)))
+                a = new(Variable, (a[0], index))
+                bound = get(a)
+                if bound is None:
+                    ground = False
+                elif bound.__class__ is Atom or (bound.__class__ is Compound and bound[2]):
+                    a = bound
+                else:
+                    a = instantiate(a, s, memo)
+                    if a.__class__ is Variable or (a.__class__ is Compound and not a[2]):
+                        ground = False
+                done.append(a)
             elif a.__class__ is Atom or a[2]:
                 done.append(a)
             else:
-                frame = (a[0], iter(a[1]), [])
+                frame[3] = ground
+                frame = [a[0], iter(a[1]), [], True]
                 stack.append(frame)
                 break
         else:
             stack.pop()
-            # A variable renames to a variable: the copy is not ground.
-            built = new(Compound, (frame[0], tuple(done), False))
+            built = new(Compound, (frame[0], tuple(done), ground))
             if not stack:
                 return built
             frame = stack[-1]
             frame[2].append(built)
+            frame[3] = frame[3] and ground
 
 
 def render_term(t: Term) -> str:

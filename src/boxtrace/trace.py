@@ -55,6 +55,7 @@ def stream_events(
     Stops at a terminal state or once the engine has taken `max_steps`
     steps.  Keeps nothing beyond the engine's own state.
     """
+    new = tuple.__new__
     while True:
         rule = eng.select_rule()
         if rule is None:
@@ -72,7 +73,7 @@ def stream_events(
         delta = eng.apply_rule(rule)
         if port is Port.EXIT:
             goal = eng.goals[subject]
-        yield rule, TraceEvent(chrono, subject, depth, port, goal), delta
+        yield rule, new(TraceEvent, (chrono, subject, depth, port, goal)), delta
 
 
 # -- text and JSON-lines forms ----------------------------------------------

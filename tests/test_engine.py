@@ -21,11 +21,12 @@ from boxtrace import (
     gen_program,
     parse_program,
     parse_term_text,
+    render_event,
     render_term,
     stream_events,
 )
 from boxtrace.engine import ROOT
-from boxtrace.terms import functor_key
+from boxtrace.terms import functor_key, unify_into
 from tests.references import (
     climbing_has_choice_point,
     eager_untried_clauses,
@@ -317,10 +318,10 @@ def assert_choice_point_test_matches_the_climb(program, max_steps=500):
     filtering, which tried every candidate after a box's first bound one."""
     trials = eager = 0
 
-    def counting(goal, head, s, _unify=engine_module.unify):
+    def counting(goal, head, s, *rest, _unify=engine_module.unify):
         nonlocal trials
         trials += 1
-        return _unify(goal, head, s)
+        return _unify(goal, head, s, *rest)
 
     eng = Engine(program)
     with mock.patch.object(engine_module, "unify", counting):
@@ -507,20 +508,21 @@ def test_a_new_box_unifies_one_head(monkeypatch):
     assert len(tried) == eng.last_number
 
 
-def test_building_an_engine_renames_one_head(monkeypatch):
-    # Only the head the root binds is renamed; a later fact's head is
-    # renamed when a guard tries it, not when the engine is built.
+def test_building_an_engine_renames_no_head(monkeypatch):
+    # A head is unified as it is read, never renamed into a copy: not the
+    # head the root binds, and no later fact's head while the engine is
+    # built (a guard tries those only when it asks).
     program = parse_program("".join(f"p(c{i}).\n" for i in range(5_000)) + ":- p(X).\n")
     renamed = []
 
-    def counting(term, index, _rename=terms_module.rename_term):
+    def counting(term, *rest, _rename=terms_module.rename_term):
         renamed.append(term)
-        return _rename(term, index)
+        return _rename(term, *rest)
 
     monkeypatch.setattr(terms_module, "rename_term", counting)
     monkeypatch.setattr(engine_module, "rename_term", counting)
     Engine(program)
-    assert renamed == [program.clauses[0].head]
+    assert renamed == []
 
 
 def test_the_first_answer_of_a_fact_table_tries_no_other_fact(monkeypatch, tmp_path, capsys):
@@ -539,3 +541,67 @@ def test_the_first_answer_of_a_fact_table_tries_no_other_fact(monkeypatch, tmp_p
     assert tried == []
     assert eng.select_rule() is RuleId.REDO1  # a Redo guard asks: one trial finds p(c1)
     assert len(tried) == 1
+
+
+# -- a Redo installs the bindings its guard's trial found ---------------------
+
+
+def _watch_redo_binds(monkeypatch):
+    """Counts of the Redo binds that installed a trial's bindings and of
+    those that fell back to unifying the head again.  Each one is checked
+    against a fresh `unify_into` of the box's call goal with its head, on
+    the store as the undo left it: the same bindings in the same order."""
+    counts = {"installed": 0, "fallback": 0}
+    bind, calls = Engine._bind, []
+
+    def counting(*args, _unify_into=engine_module.unify_into):
+        calls.append(args)
+        return _unify_into(*args)
+
+    def checking(self, v, clause, found=None):
+        if found is None:  # a box being filled, not a Redo
+            return bind(self, v, clause)
+        s, trail, instance = dict(self.subst), list(self.trail), self.rename_counter + 1
+        assert unify_into(self.call_goal[v], clause.head, s, trail, instance)
+        del calls[:]
+        assert bind(self, v, clause, found)
+        counts["fallback" if calls else "installed"] += 1
+        assert list(self.subst.items()) == list(s.items()) and self.trail == trail
+        return True
+
+    monkeypatch.setattr(engine_module, "unify_into", counting)
+    monkeypatch.setattr(Engine, "_bind", checking)
+    return counts
+
+
+def test_every_redo_installs_what_binding_its_head_would(monkeypatch):
+    counts = _watch_redo_binds(monkeypatch)
+    for seed in range(150):
+        for recursion_prob in (0.0, 0.15):
+            program = gen_program(GenParams(seed=seed, recursion_prob=recursion_prob))
+            for _ in stream_events(Engine(program), max_steps=500):
+                pass
+    assert counts["installed"] > 500 and counts["fallback"] == 0
+
+
+_FORCED_PROGRAM = "p(a).\np(b).\nq(c).\ntop :- p(X),q(Y),r(X,Y).\n:- top.\n"
+
+
+@pytest.mark.parametrize("seed", [None, *range(20)])
+def test_a_choice_point_forced_early_takes_the_fallback(monkeypatch, seed):
+    # Forced at every state, the test trials a box's next clause before
+    # later boxes bind with the instance numbers the trial used; the Redo
+    # then binds the head again, and the trace is the unforced one.
+    if seed is None:
+        program = parse_program(_FORCED_PROGRAM)
+    else:
+        program = gen_program(GenParams(seed=seed, recursion_prob=0.15))
+    unforced = [event for _, event, _ in stream_events(Engine(program), max_steps=500)]
+    counts = _watch_redo_binds(monkeypatch)
+    eng, forced = Engine(program), []
+    for _, event, _ in stream_events(eng, max_steps=500):
+        forced.append(event)
+        eng.has_choice_point(ROOT)
+    assert [render_event(e) for e in forced] == [render_event(e) for e in unforced]
+    if seed is None:
+        assert counts == {"installed": 0, "fallback": 1}

@@ -436,6 +436,48 @@ def test_rename_and_render_agree_with_the_isinstance_kernels(t, index):
     assert render_term(t) == isinstance_render_term(t)
 
 
+@settings(max_examples=200, deadline=None)
+@given(term_pairs() | st.tuples(terms(), terms()), stores(), st.integers(min_value=0, max_value=3))
+def test_unify_into_reads_a_head_as_its_renamed_copy(pair, store, index):
+    # The same verdict, the same bindings made in the same order, and the
+    # same trail: renamed variable names in a trace follow all three.
+    goal, head = pair
+    before = Variable("W", 9)  # a binding made before the mark
+    s, trail = {**store, before: a}, [before]
+    copy_s, copy_trail = dict(s), list(trail)
+    ok = unify_into(goal, head, s, trail, index)
+    assert ok == unify_into(goal, rename_term(head, index), copy_s, copy_trail)
+    assert list(s.items()) == list(copy_s.items())
+    assert trail == copy_trail
+    found, want = unify(goal, head, store, index), unify(goal, rename_term(head, index), store)
+    assert (found is None) == (want is None)
+    assert found is None or list(found.items()) == list(want.items())
+
+
+@settings(deadline=None)
+@given(terms(), terms(), stores(), st.integers(min_value=0, max_value=3))
+def test_rename_under_a_store_equals_instantiating_the_copy(t, earlier, store, index):
+    # One memo warmed by an earlier instantiation, copied for each side.
+    warm: dict = {}
+    instantiate(earlier, store, warm)
+    one_pass = rename_term(t, index, store, dict(warm))
+    two_passes = instantiate(rename_term(t, index), store, dict(warm))
+    assert tuple(one_pass) == tuple(two_passes)  # ground flags included
+    _ground(one_pass)
+
+
+@settings(deadline=None)
+@given(terms(), stores(), st.dictionaries(variables, atoms))
+def test_instantiate_builds_the_ground_flag_of_compound_new(t, store, to_atoms):
+    # Variables bound to atoms make ground instances of non-ground terms.
+    stack = [instantiate(t, {**store, **to_atoms}, {})]
+    while stack:
+        x = stack.pop()
+        if isinstance(x, Compound):
+            assert x.ground == Compound(x.functor, x.args).ground
+            stack.extend(x.args)
+
+
 def test_kernels_agree_on_a_term_nested_10000_deep():
     # No kernel recurses: a goal can nest far deeper than the recursion
     # limit.  Deep terms are compared by their text, since == recurses.
@@ -451,6 +493,9 @@ def test_kernels_agree_on_a_term_nested_10000_deep():
     s, ref_s = {}, {}
     assert unify_into(deep, renamed, s, []) == isinstance_unify_into(deep, renamed, ref_s, [])
     assert s == ref_s and len(s) == 4  # X and the three Y, each bound to a variable
+    s, trail = {}, []
+    assert unify_into(deep, deep, s, trail, 7)  # the head read as `renamed`
+    assert list(s.items()) == list(ref_s.items()) and trail == list(ref_s)
 
     store = {X: c("h", a), Variable("Y", 1): b}
     memo, ref_memo = {}, {}
@@ -458,6 +503,9 @@ def test_kernels_agree_on_a_term_nested_10000_deep():
     assert render_term(got) == isinstance_render_term(isinstance_instantiate(deep, store, ref_memo))
     assert memo == ref_memo
     assert instantiate(deep, {Z: a}, {}) is deep
+    renamed_store = {Variable("X", 7): c("h", a), Variable("Y", 7): b}
+    got = rename_term(deep, 7, renamed_store, {})
+    assert render_term(got) == render_term(instantiate(renamed, renamed_store, {}))
 
     # The occurs check walks the whole term.
     assert not unify_into(X, deep, {}, []) and not isinstance_unify_into(X, deep, {}, [])
