@@ -80,6 +80,8 @@ def provenance(run: dict) -> dict:
 
 
 def quartiles(values: list[float]) -> list[float]:
+    if len(values) == 1:  # one pair, as a smoke run makes: before 3.13 quantiles raises
+        return values * 3
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return [q1, median, q3]
 

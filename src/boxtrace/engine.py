@@ -77,7 +77,11 @@ class RuleId(enum.Enum):
     __hash__ = object.__hash__  # members compare by identity; hashed in C
 
 
-REDO_RULES = (RuleId.REDO1, RuleId.REDO2)
+# Bound once, as in rebuild.py: on CPython 3.10 and 3.11 reading a member
+# through its enum class goes through a Python-level `__getattr__`.
+_CALL1, _CALL2, _EXIT1, _EXIT2 = RuleId.CALL1, RuleId.CALL2, RuleId.EXIT1, RuleId.EXIT2
+_FAIL2, _REDO1, _REDO2 = RuleId.FAIL2, RuleId.REDO1, RuleId.REDO2
+REDO_RULES = (_REDO1, _REDO2)
 
 
 def _clause_index(program: Program):
@@ -244,8 +248,8 @@ class Engine(RestrictedState):
         """
         candidates, by_first, var_first = self._predicates.get(functor_key(goal), ((), {}, ()))
         # An instantiated goal has no bound variables: a Variable is unbound.
-        if isinstance(goal, Compound) and not isinstance(goal.args[0], Variable):
-            keyed = by_first.get(functor_key(goal.args[0]))
+        if goal.__class__ is Compound and goal[1][0].__class__ is not Variable:
+            keyed = by_first.get(functor_key(goal[1][0]))
             if keyed is None:
                 candidates = var_first
             elif var_first:
@@ -354,21 +358,21 @@ class Engine(RestrictedState):
         # The empty-clause alternative on Call1 is the degenerate call of a
         # box no clause can serve; it is immediately followed by Fail2.
         if fresh and leaf and not done and (fact_next or not untried):
-            applicable.append(RuleId.CALL1)
+            applicable.append(_CALL1)
         if fresh and leaf and not done and untried and not fact_next:
-            applicable.append(RuleId.CALL2)
+            applicable.append(_CALL2)
         if not fresh and not done and not failing and (consumed if leaf else True):
             if self.has_next_body_goal(u):
-                applicable.append(RuleId.EXIT2)
+                applicable.append(_EXIT2)
             else:
-                applicable.append(RuleId.EXIT1)
+                applicable.append(_EXIT1)
         if not fresh and not done and not hcp and (failed_leaf or failing):
-            applicable.append(RuleId.FAIL2)
+            applicable.append(_FAIL2)
         if not fresh and hcp and (failing or done):
             if not self._scan[self._cp_order[-1]][2].body:
-                applicable.append(RuleId.REDO1)
+                applicable.append(_REDO1)
             else:
-                applicable.append(RuleId.REDO2)
+                applicable.append(_REDO2)
         if len(applicable) > 1:
             raise DeterminismError(
                 f"rules {[r.value for r in applicable]} all apply at chrono "
@@ -440,19 +444,19 @@ class Engine(RestrictedState):
         self.chrono += 1
         removed: tuple[int, ...] = ()
         created = created_goal = updated_goal = None
-        if rule is RuleId.CALL1 or rule is RuleId.CALL2:
+        if rule is _CALL1 or rule is _CALL2:
             # The clause was bound when u was filled; Call1 on a box no
             # clause can serve consumes nothing.
             if u in self.running:
                 self._consume_clause(u)
             self.fresh = self.failing = False
-            if rule is RuleId.CALL2:
+            if rule is _CALL2:
                 created, created_goal = self._create_child(u)
-        elif rule is RuleId.EXIT1 or rule is RuleId.EXIT2:
+        elif rule is _EXIT1 or rule is _EXIT2:
             solved = instantiate(self.call_goal[u], self.subst, self._inst_memo)
             self.goals[u] = solved
             updated_goal = (u, solved)
-            if rule is RuleId.EXIT1:
+            if rule is _EXIT1:
                 self.current = self.parent[u]
                 if u == ROOT:
                     self.done = True
@@ -461,12 +465,12 @@ class Engine(RestrictedState):
                 created, created_goal = self._create_child(self.parent[u])
                 if created[2] != self.index[u] + 1:
                     raise EngineError(f"sibling mismatch: {created!r} after node {u}")
-        elif rule is RuleId.FAIL2:
+        elif rule is _FAIL2:
             self.current = self.parent[u]
             if u == ROOT:
                 self.done = True
             self.failing = True
-        elif rule in REDO_RULES:
+        elif rule is _REDO1 or rule is _REDO2:
             # Back to the greatest choice point, which select_rule found.
             v = self._cp_order[-1]
             removed = self._prune_after(v)
@@ -476,7 +480,7 @@ class Engine(RestrictedState):
                 raise EngineError(f"head of a filtered clause failed to unify at node {v}")
             self.current = v
             self.done = self.failing = False
-            if rule is RuleId.REDO2:
+            if rule is _REDO2:
                 created, created_goal = self._create_child(v)
         else:
             raise EngineError(f"unknown rule {rule!r}")

@@ -41,7 +41,9 @@ class TraceTruncatedError(CorruptTraceError):
     run, whose last event's rule only the next event would decide."""
 
 
-# Bound once: reading a member through its enum class costs 0.16 us.
+# Bound once: reading a member through its enum class costs 0.16 us on
+# CPython 3.10 and 3.11, so no function in the package reads one that way
+# (engine.py and trace.py bind theirs too; a test in test_engine.py checks).
 _CALL, _EXIT, _FAIL, _REDO = Port.CALL, Port.EXIT, Port.FAIL, Port.REDO
 _CALL1, _CALL2, _EXIT1, _EXIT2 = RuleId.CALL1, RuleId.CALL2, RuleId.EXIT1, RuleId.EXIT2
 _FAIL2, _REDO1, _REDO2 = RuleId.FAIL2, RuleId.REDO1, RuleId.REDO2

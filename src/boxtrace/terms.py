@@ -22,10 +22,11 @@ a head as renamed while it unifies, and given a substitution, `rename_term`
 instantiates a body goal as it renames it.
 
 The term kernels (`occurs`, `unify_into`, `instantiate`, `rename_term`,
-`render_term`) run on every engine step, so they dispatch on exact class
-(`t.__class__ is Variable`) and read fields by index.  That is sound only
-because the three term classes are final: subclassing one raises
-TypeError.  Two rules spare the kernels redundant work:
+`render_term`, `functor_key`, `alpha_equal`) run on every engine step or
+compared state, so they dispatch on exact class (`t.__class__ is
+Variable`) and read fields by index.  That is sound only because the three
+term classes are final: subclassing one raises TypeError.  Two rules spare
+the kernels redundant work:
 
 - `unify_into` binds an unbound variable to the other side with an occurs
   check only when that side is a non-ground compound.  An atom, a ground
@@ -338,30 +339,28 @@ def _alpha_walk(t1: Term, t2: Term) -> bool:
     stack = [(t1, t2)]
     while stack:
         a, b = stack.pop()
-        if a is b and (isinstance(a, Atom) or (isinstance(a, Compound) and a.ground)):
-            # Ground and identical: no variables to feed the bijection.
-            continue
-        if isinstance(a, Variable) and isinstance(b, Variable):
+        ca = a.__class__
+        if ca is not b.__class__:
+            return False
+        if ca is Variable:
             if fwd.setdefault(a, b) != b or bwd.setdefault(b, a) != a:
                 return False
-        elif isinstance(a, Atom) and isinstance(b, Atom):
-            if a.name != b.name:
-                return False
-        elif isinstance(a, Compound) and isinstance(b, Compound):
-            if a.functor != b.functor or len(a.args) != len(b.args):
-                return False
-            stack.extend(zip(a.args, b.args))
-        else:
+        elif a[0] != b[0]:  # an atom's name or a compound's functor
             return False
+        # Identical and ground: no variables to feed the bijection.
+        elif ca is Compound and not (a is b and a[2]):
+            if len(a[1]) != len(b[1]):
+                return False
+            stack.extend(zip(a[1], b[1]))
     return True
 
 
 def functor_key(t: Term) -> tuple[str, int]:
     """(name, arity) of a predication's outermost functor."""
-    if isinstance(t, Atom):
-        return (t.name, 0)
-    if isinstance(t, Compound):
-        return (t.functor, len(t.args))
+    if t.__class__ is Compound:
+        return (t[0], len(t[1]))
+    if t.__class__ is Atom:
+        return (t[0], 0)
     raise ValueError("a variable has no functor")
 
 

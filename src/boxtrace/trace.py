@@ -35,6 +35,9 @@ class Port(enum.Enum):
     __hash__ = object.__hash__  # as RuleId's; `_value_` skips the `.value` property
 
 
+# Bound once, as in rebuild.py and engine.py.
+_EXIT, _REDO = Port.EXIT, Port.REDO
+
 # A rule is named after the port of its event: Call1 and Call2 show a Call.
 _PORT_OF_RULE = {rule: Port(rule.value[:-1]) for rule in RuleId}
 
@@ -71,7 +74,7 @@ def stream_events(
         port = _PORT_OF_RULE[rule]
         goal = eng.goals[subject]
         delta = eng.apply_rule(rule)
-        if port is Port.EXIT:
+        if port is _EXIT:
             goal = eng.goals[subject]
         yield rule, new(TraceEvent, (chrono, subject, depth, port, goal)), delta
 
@@ -183,8 +186,7 @@ def parse_trace_text(lines: str | Iterable[str], fmt: str = "text") -> Iterator[
     split = str.strip if jsonl else str.split
     held: dict[int, tuple[str, Term]] = {}
     goals: dict[str, Term] = {}
-    ports = _PORTS
-    redo = Port.REDO
+    ports, redo = _PORTS, _REDO
     new = tuple.__new__
     for lineno, line in enumerate(lines, start=1):
         fields = split(line)

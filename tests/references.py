@@ -20,10 +20,10 @@ that builds a list of token tuples, tracking line and column as it goes,
 which the one-pass reader must agree with exactly, errors included (it
 quotes a token whole; the package cuts a quote after 120 characters);
 the `isinstance_*` kernels are `occurs`, `unify_into`, `instantiate`,
-`rename_term` and `render_term` before exact-class dispatch, which the
-package's kernels must agree with exactly, and `isinstance_walk`, the
-binding walk they and `match` follow; `positions` names clauses by their
-place in the program.
+`rename_term`, `render_term`, `functor_key` and `alpha_equal` (its walk)
+before exact-class dispatch, which the package's kernels must agree with
+exactly, and `isinstance_walk`, the binding walk they and `match` follow;
+`positions` names clauses by their place in the program.
 """
 
 from __future__ import annotations
@@ -378,6 +378,41 @@ def isinstance_rename_term(term: Term, index: int) -> Term:
             if not stack:
                 return built
             stack[-1][1].append(built)
+
+
+def isinstance_functor_key(t: Term) -> tuple[str, int]:
+    """(name, arity) of a predication's outermost functor."""
+    if isinstance(t, Atom):
+        return (t.name, 0)
+    if isinstance(t, Compound):
+        return (t.functor, len(t.args))
+    raise ValueError("a variable has no functor")
+
+
+def isinstance_alpha_equal(t1: Term, t2: Term) -> bool:
+    """Structural equality up to a consistent bijective renaming of
+    variables."""
+    fwd: dict[Variable, Variable] = {}
+    bwd: dict[Variable, Variable] = {}
+    stack = [(t1, t2)]
+    while stack:
+        a, b = stack.pop()
+        if a is b and (isinstance(a, Atom) or (isinstance(a, Compound) and a.ground)):
+            # Ground and identical: no variables to feed the bijection.
+            continue
+        if isinstance(a, Variable) and isinstance(b, Variable):
+            if fwd.setdefault(a, b) != b or bwd.setdefault(b, a) != a:
+                return False
+        elif isinstance(a, Atom) and isinstance(b, Atom):
+            if a.name != b.name:
+                return False
+        elif isinstance(a, Compound) and isinstance(b, Compound):
+            if a.functor != b.functor or len(a.args) != len(b.args):
+                return False
+            stack.extend(zip(a.args, b.args))
+        else:
+            return False
+    return True
 
 
 def isinstance_render_term(t: Term) -> str:

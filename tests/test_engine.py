@@ -1,3 +1,4 @@
+import ast
 from pathlib import Path
 from unittest import mock
 
@@ -12,6 +13,7 @@ from boxtrace import (
     Compound,
     Engine,
     GenParams,
+    Port,
     Program,
     Rebuilder,
     RuleId,
@@ -605,3 +607,48 @@ def test_a_choice_point_forced_early_takes_the_fallback(monkeypatch, seed):
     assert [render_event(e) for e in forced] == [render_event(e) for e in unforced]
     if seed is None:
         assert counts == {"installed": 0, "fallback": 1}
+
+
+# -- enum members are read once, at module level --------------------------------
+
+_MEMBERS = {"RuleId": set(RuleId.__members__), "Port": set(Port.__members__)}
+
+
+def member_reads_in_functions(source: str) -> list[str]:
+    """Each `RuleId.<member>` or `Port.<member>` read inside a function body,
+    as "RuleId.CALL2 at line 6".  On CPython 3.10 and 3.11 such a read goes
+    through the enum class's Python-level `__getattr__`; a binding at module
+    level is read once."""
+    found = set()
+    for func in ast.walk(ast.parse(source)):
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            body = func.body if isinstance(func.body, list) else [func.body]
+            for node in (n for stmt in body for n in ast.walk(stmt)):
+                if (
+                    isinstance(node, ast.Attribute)
+                    and isinstance(node.value, ast.Name)
+                    and node.attr in _MEMBERS.get(node.value.id, ())
+                ):
+                    found.add((node.lineno, f"{node.value.id}.{node.attr} at line {node.lineno}"))
+    return [text for _, text in sorted(found)]
+
+
+def test_no_function_reads_a_rule_or_port_through_its_class():
+    modules = sorted(Path(engine_module.__file__).parent.glob("*.py"))
+    assert {"engine.py", "rebuild.py", "trace.py"} <= {m.name for m in modules}
+    found = {m.name: member_reads_in_functions(m.read_text()) for m in modules}
+    assert not any(found.values()), found
+
+
+def test_the_member_read_check_flags_a_read_in_a_function():
+    source = (
+        "_CALL1, _EXIT = RuleId.CALL1, Port.EXIT\n"
+        "NAMES = {rule: Port(rule.value[:-1]) for rule in RuleId}\n"
+        "class Engine:\n"
+        "    def select(self, rule):\n"
+        "        if rule is _CALL1 or rule.value == 'Exit1':\n"
+        "            return [r for r in RuleId], Port('Call')\n"
+        "        return RuleId.CALL2\n"
+    )
+    assert member_reads_in_functions(source) == ["RuleId.CALL2 at line 7"]
+    assert member_reads_in_functions("f = lambda p: p is Port.REDO\n") == ["Port.REDO at line 1"]

@@ -19,9 +19,11 @@ from boxtrace import (
     render_term,
     unify,
 )
-from boxtrace.terms import instantiate, occurs, rename_term, unify_into
+from boxtrace.terms import functor_key, instantiate, occurs, rename_term, unify_into
 from tests.references import (
     is_instance_of,
+    isinstance_alpha_equal,
+    isinstance_functor_key,
     isinstance_instantiate,
     isinstance_occurs,
     isinstance_render_term,
@@ -434,6 +436,28 @@ def test_rename_and_render_agree_with_the_isinstance_kernels(t, index):
     assert (renamed is t) == (want is t)
     assert render_term(renamed) == isinstance_render_term(want)
     assert render_term(t) == isinstance_render_term(t)
+
+
+@settings(max_examples=200)
+@given(term_pairs() | st.tuples(terms(), terms()), st.integers(min_value=0, max_value=3))
+def test_functor_key_and_alpha_equal_agree_with_the_isinstance_kernels(pair, index):
+    t1, t2 = pair
+    for t in pair:
+        if isinstance(t, Variable):
+            with pytest.raises(ValueError) as got:
+                functor_key(t)
+            with pytest.raises(ValueError) as want:
+                isinstance_functor_key(t)
+            assert str(got.value) == str(want.value)
+        else:
+            assert functor_key(t) == isinstance_functor_key(t)
+    # One-to-one renaming makes a variant; `rename_term` may merge two
+    # variables (X and X_1), and then the copy is not one.
+    variant = apply_subst(t1, {v: Variable(f"V{i}") for i, v in enumerate(sorted(_variables(t1)))})
+    cases = [(t1, t2), (t2, t1), (t1, t1), (t1, variant), (t1, rename_term(t1, index))]
+    for x, y in cases:
+        assert alpha_equal(x, y) == isinstance_alpha_equal(x, y)
+    assert alpha_equal(t1, variant)
 
 
 @settings(max_examples=200, deadline=None)
