@@ -82,6 +82,8 @@ class RuleId(enum.Enum):
 _CALL1, _CALL2, _EXIT1, _EXIT2 = RuleId.CALL1, RuleId.CALL2, RuleId.EXIT1, RuleId.EXIT2
 _FAIL2, _REDO1, _REDO2 = RuleId.FAIL2, RuleId.REDO1, RuleId.REDO2
 REDO_RULES = (_REDO1, _REDO2)
+# The index entry of a predicate with no clauses; read, never written.
+_NO_CLAUSES: tuple = ((), {}, ())
 
 
 def _clause_index(program: Program):
@@ -183,8 +185,8 @@ class RestrictedState:
 
     def copy(self) -> "RestrictedState":
         """A detached copy of the tree (an engine's hidden tables stay
-        behind)."""
-        new = RestrictedState(self.goals[ROOT])
+        behind), each table built once: `__init__` is skipped."""
+        new = RestrictedState.__new__(RestrictedState)
         new.current = self.current
         new.goals = dict(self.goals)
         new.parent = dict(self.parent)
@@ -246,7 +248,7 @@ class Engine(RestrictedState):
         by `has_choice_point`'s trial `unify` of the head under the instance
         number the next `_bind` would use.
         """
-        candidates, by_first, var_first = self._predicates.get(functor_key(goal), ((), {}, ()))
+        candidates, by_first, var_first = self._predicates.get(functor_key(goal), _NO_CLAUSES)
         # An instantiated goal has no bound variables: a Variable is unbound.
         if goal.__class__ is Compound and goal[1][0].__class__ is not Variable:
             keyed = by_first.get(functor_key(goal[1][0]))

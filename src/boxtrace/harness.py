@@ -284,6 +284,11 @@ def check_faithfulness(
     The stream replayed is the run's own, unless `events` is given: then
     that stream is replayed against the run instead (negative controls feed
     mutated streams this way).  Both take one path:
+    - a step passes inline when the applied and classified rules are the
+      same object, the tree sizes are equal, no whole-state comparison is
+      due, and the two deltas have equal numbers and the very same goal
+      objects.  The run's own stream always does: replay holds the goal
+      objects the engine made.  Every other step goes to `compare`;
     - `compare` checks each step once replay has classified its event:
       applied vs classified rule, tree sizes, the step deltas on {tree,
       current, numbers, predications}, and whole states against a copy of
@@ -343,10 +348,28 @@ def check_faithfulness(
                 if event is None:  # the stream is shorter than the run
                     break
             done = reb.push(event)
-            if done is not None:
-                divergence = compare(steps - 1, previous, done)
-                if divergence:
-                    break
+            if done is None:
+                continue
+            # The inline path: the same rule object, tree size and goal
+            # objects, with no checkpoint due.  With the goals the same
+            # objects, `==` on the deltas compares only numbers, since a
+            # tuple compares its items by identity first.
+            applied, eng_delta, size, saved = previous
+            reb_delta = done[1]
+            x, y = eng_delta[4], reb_delta[4]  # the updated goals
+            if (
+                done[0] is applied
+                and saved is None
+                and size == len(reb.state.goals)
+                and eng_delta[3] is reb_delta[3]
+                and (x is None or y is not None and x[1] is y[1])
+                and eng_delta == reb_delta
+            ):
+                checked += 1
+                continue
+            divergence = compare(steps - 1, previous, done)
+            if divergence:
+                break
         else:
             completed = eng.select_rule() is None
         if feed is not None:

@@ -31,15 +31,19 @@ the kernels redundant work:
 - `unify_into` binds an unbound variable to the other side with an occurs
   check only when that side is a non-ground compound.  An atom, a ground
   compound or a distinct unbound variable cannot contain the variable.
-- A flat compound is done in one pass over its arguments; only a
-  non-ground compound argument opens a frame on the kernel's stack.  For
-  `instantiate` that is a compound whose arguments walk to atoms, ground
-  compounds or unbound variables: it is rebuilt, or returned as is when no
-  argument changed.  `rename_term` copies a compound whose arguments are
-  atoms, ground compounds or variables the same way, and `render_term`
-  renders a compound of atoms and variables with one `','.join`.  The
-  kernels build a compound with its ground flag worked out as its
-  arguments are, the flag `Compound.__new__` would compute.
+- A flat compound, one whose arguments are atoms, ground compounds or
+  variables, is done in one pass over its arguments with no frame stack:
+  the kernel holds the compound in hand in locals, and only an argument it
+  must enter (a non-ground compound, or for `unify_into` a pair of
+  compounds) suspends that on a stack, made then.  `rename_term` copies a
+  flat compound so, and looks nothing up without a store; `unify_into`
+  takes the argument pairs of a goal and a flat head straight from their
+  tuples; `instantiate` rebuilds a compound whose arguments walk to atoms,
+  ground compounds or unbound variables, or returns it as is when no
+  argument changed.  `render_term` renders a compound of atoms and
+  variables with one `','.join`.  The kernels build a compound with its
+  ground flag worked out as its arguments are, the flag `Compound.__new__`
+  would compute.
 """
 
 from __future__ import annotations
@@ -166,79 +170,94 @@ def unify_into(
     variable of t1 is bound to it.  Pairs are taken and bound exactly as
     against the copy, so renamed variable names in a trace do not change.
     A head variable bound earlier in the call leads to a built term; a
-    nested call unifies that pair, finishing it before any pair pushed
-    earlier, as the stack would.
+    nested call unifies that pair, finishing it before the next pair is
+    taken, as a stack of pairs would.
 
     On failure the bindings made so far are already undone.  Occurs-check
     is on: unify_into(X, f(X)) fails.
     """
     get = s.get
     mark = len(trail)
-    # Pairs still to unify, taken last first.  Two compounds (a goal and a
-    # head, as the engine calls it) put their argument pairs on directly.
+    # Pairs still to unify come from an iterator, last pair first.  Two
+    # compounds (a goal and a head, as the engine calls it) give their
+    # argument pairs directly.  A pair of compounds suspends the iterator on
+    # `stack`, made then, and gives its argument pairs first, as a stack of
+    # pairs would.
     if t1.__class__ is Compound and t2.__class__ is Compound:
         if t1[0] != t2[0] or len(t1[1]) != len(t2[1]):
             return False
-        stack = list(zip(t1[1], t2[1]))
+        pairs = zip(reversed(t1[1]), reversed(t2[1]))
     else:
-        stack = [(t1, t2)]
-    pop, push = stack.pop, stack.extend
+        pairs = iter(((t1, t2),))
+    stack = None
+    down = False  # set when the loop below breaks to take a pair's arguments
     new = tuple.__new__
-    while stack:
-        a, b = pop()
-        ca = a.__class__
-        while ca is Variable:
-            bound = get(a)
-            if bound is None:
-                break
-            a = bound
+    while True:
+        for a, b in pairs:
             ca = a.__class__
-        cb = b.__class__
-        if index is None:
-            while cb is Variable:
-                bound = get(b)
+            while ca is Variable:
+                bound = get(a)
                 if bound is None:
                     break
-                b = bound
-                cb = b.__class__
-            if a is b:
-                continue
-        elif cb is Variable:
-            # A head variable, renamed; if bound, it leads to a built term.
-            b = new(Variable, (b[0], index))
-            bound = get(b)
-            if bound is not None:
-                if unify_into(a, bound, s, trail):
+                a = bound
+                ca = a.__class__
+            cb = b.__class__
+            if index is None:
+                while cb is Variable:
+                    bound = get(b)
+                    if bound is None:
+                        break
+                    b = bound
+                    cb = b.__class__
+                if a is b:
                     continue
-                break
-        # Only a non-ground compound can contain an unbound variable.  No
-        # `a is b` shortcut on a head: a built term never holds a non-ground
-        # head subterm, and a ground one binds nothing either way.
-        if ca is Variable:
-            if cb is Variable:
-                if a == b:
-                    continue
-            elif cb is Compound and not b[2]:
-                if index is not None:
-                    b = rename_term(b, index)
-                if occurs(a, b, s):
+            elif cb is Variable:
+                # A head variable, renamed; if bound, it leads to a built term.
+                b = new(Variable, (b[0], index))
+                bound = get(b)
+                if bound is not None:
+                    if unify_into(a, bound, s, trail):
+                        continue
                     break
-            s[a] = b
-            trail.append(a)
-        elif cb is Variable:
-            if ca is Compound and not a[2] and occurs(b, a, s):
+            # Only a non-ground compound can contain an unbound variable.  No
+            # `a is b` shortcut on a head: a built term never holds a
+            # non-ground head subterm, and a ground one binds nothing either way.
+            if ca is Variable:
+                if cb is Variable:
+                    if a == b:
+                        continue
+                elif cb is Compound and not b[2]:
+                    if index is not None:
+                        b = rename_term(b, index)
+                    if occurs(a, b, s):
+                        break
+                s[a] = b
+                trail.append(a)
+            elif cb is Variable:
+                if ca is Compound and not a[2] and occurs(b, a, s):
+                    break
+                s[b] = a
+                trail.append(b)
+            elif ca is not cb or a[0] != b[0]:
                 break
-            s[b] = a
-            trail.append(b)
-        elif ca is not cb or a[0] != b[0]:
+            elif ca is Compound:
+                xs, ys = a[1], b[1]
+                if len(xs) != len(ys):
+                    break
+                if stack is None:
+                    stack = []
+                stack.append(pairs)
+                pairs = zip(reversed(xs), reversed(ys))
+                down = True
+                break
+        else:
+            if not stack:
+                return True
+            pairs = stack.pop()
+            continue
+        if not down:
             break
-        elif ca is Compound:
-            xs, ys = a[1], b[1]
-            if len(xs) != len(ys):
-                break
-            push(zip(xs, ys))
-    else:
-        return True
+        down = False
     for var in trail[mark:]:
         del s[var]
     del trail[mark:]
@@ -266,21 +285,21 @@ def instantiate(term: Term, s: Subst, memo: dict[Variable, Term]) -> Term:
     if term.__class__ is Compound:
         if term[2]:
             return term
-        frame = [term, iter(term[1]), [], None, True]
+        node, args = term, iter(term[1])
     elif term.__class__ is Variable:
-        frame = [None, iter((term,)), [], None, True]
+        node, args = None, iter((term,))
     else:
         return term
-    # Frames: [compound, iterator over its arguments, their instances so
-    # far, the bound variables that walked to it (memoized once it is
-    # built), whether those instances are all ground].  A variable at the
-    # top gets a frame with no compound.  A flat compound is done in one
-    # pass of the loop below.
+    # The compound being rebuilt is held in locals: it (None for a variable
+    # at the top), an iterator over its arguments, their instances so far,
+    # the bound variables that walked to it (memoized once it is built) and
+    # whether those instances are all ground.  A non-ground compound
+    # argument suspends them on `stack`; a flat compound makes no stack.
+    out, walked, ground = [], None, True
+    stack = None
     new = tuple.__new__
-    stack = [frame]
     while True:
-        out, ground = frame[2], frame[4]
-        for a in frame[1]:
+        for a in args:
             chain = None
             while a.__class__ is Variable:
                 hit = mget(a)
@@ -297,9 +316,10 @@ def instantiate(term: Term, s: Subst, memo: dict[Variable, Term]) -> Term:
                 a = bound
             else:
                 if a.__class__ is Compound and not a[2]:
-                    frame[4] = ground
-                    frame = [a, iter(a[1]), [], chain, True]
-                    stack.append(frame)
+                    if stack is None:
+                        stack = []
+                    stack.append((node, args, out, walked, ground))
+                    node, args, out, walked, ground = a, iter(a[1]), [], chain, True
                     break
             if chain is not None:
                 for var in chain:
@@ -308,23 +328,21 @@ def instantiate(term: Term, s: Subst, memo: dict[Variable, Term]) -> Term:
                 ground = False
             out.append(a)
         else:
-            stack.pop()
-            node = frame[0]
             if node is None:
                 return out[0]
             for x, y in zip(out, node[1]):
                 if x is not y:
                     node = new(Compound, (node[0], tuple(out), ground))
                     break
-            chain = frame[3]
-            if chain is not None:
-                for var in chain:
+            if walked is not None:
+                for var in walked:
                     memo[var] = node
             if not stack:
                 return node
-            frame = stack[-1]
-            frame[2].append(node)
-            frame[4] = frame[4] and node[2]
+            built = node
+            node, args, out, walked, ground = stack.pop()
+            out.append(built)
+            ground = ground and built[2]
 
 
 def alpha_equal(t1: Term, t2: Term) -> bool:
@@ -395,23 +413,25 @@ def rename_term(
         return instantiate(term, s, memo) if s else term
     if term.__class__ is Atom or term[2]:
         return term
-    get = s.get if s else {}.get
-    memo = {} if memo is None else memo
-    # Frames: a compound being copied, an iterator over its arguments, the
-    # arguments copied so far, and whether all of those are ground.
-    frame = [term[0], iter(term[1]), [], True]
-    stack = [frame]
+    get = s.get if s else None
+    # The compound being copied is held in locals: its functor, an iterator
+    # over its arguments, the arguments copied so far, and whether all of
+    # those are ground.  A non-ground compound argument suspends them on
+    # `stack`; a flat compound makes no stack.
+    functor, args, done, ground = term[0], iter(term[1]), [], True
+    stack = None
     while True:
-        done, ground = frame[2], frame[3]
-        for a in frame[1]:
+        for a in args:
             if a.__class__ is Variable:
                 a = new(Variable, (a[0], index))
-                bound = get(a)
+                bound = None if get is None else get(a)
                 if bound is None:
                     ground = False
                 elif bound.__class__ is Atom or (bound.__class__ is Compound and bound[2]):
                     a = bound
                 else:
+                    if memo is None:
+                        memo = {}
                     a = instantiate(a, s, memo)
                     if a.__class__ is Variable or (a.__class__ is Compound and not a[2]):
                         ground = False
@@ -419,18 +439,18 @@ def rename_term(
             elif a.__class__ is Atom or a[2]:
                 done.append(a)
             else:
-                frame[3] = ground
-                frame = [a[0], iter(a[1]), [], True]
-                stack.append(frame)
+                if stack is None:
+                    stack = []
+                stack.append((functor, args, done, ground))
+                functor, args, done, ground = a[0], iter(a[1]), [], True
                 break
         else:
-            stack.pop()
-            built = new(Compound, (frame[0], tuple(done), ground))
+            built = new(Compound, (functor, tuple(done), ground))
             if not stack:
                 return built
-            frame = stack[-1]
-            frame[2].append(built)
-            frame[3] = frame[3] and ground
+            functor, args, done, outer = stack.pop()
+            done.append(built)
+            ground = outer and ground
 
 
 def render_term(t: Term) -> str:

@@ -2,7 +2,7 @@ import copy
 import pickle
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from boxtrace import (
@@ -347,6 +347,11 @@ def test_term_classes_are_final(cls):
 
 # -- the kernels against the isinstance kernels -------------------------------
 
+# Flat arguments before a nested non-ground one: a kernel's one pass over the
+# arguments hands its partial result to the stack loop at `g(Y, Z)`.
+W = Variable("W", 2)
+FLAT_THEN_NESTED = c("f", X, a, c("g", Y, Z))
+
 @st.composite
 def term_pairs(draw):
     """A term and one on its skeleton, where any subterm may be swapped for
@@ -415,6 +420,9 @@ def test_occurs_agrees_with_the_isinstance_kernel(t, store):
 
 @settings(deadline=None)
 @given(terms(), terms(), stores())
+@example(FLAT_THEN_NESTED, a, {})
+@example(FLAT_THEN_NESTED, a, {X: b, Y: c("h", W)})
+@example(FLAT_THEN_NESTED, c("k", Y), {X: Y, Y: a, Z: W})
 def test_instantiate_agrees_with_the_isinstance_kernel(t, earlier, store):
     # A memo warmed by an earlier instantiation against the same store.
     ref_memo: dict = {}
@@ -429,6 +437,7 @@ def test_instantiate_agrees_with_the_isinstance_kernel(t, earlier, store):
 
 
 @given(terms(), st.integers(min_value=0, max_value=3))
+@example(FLAT_THEN_NESTED, 1)
 def test_rename_and_render_agree_with_the_isinstance_kernels(t, index):
     renamed = rename_term(t, index)
     want = isinstance_rename_term(t, index)
@@ -462,6 +471,11 @@ def test_functor_key_and_alpha_equal_agree_with_the_isinstance_kernels(pair, ind
 
 @settings(max_examples=200, deadline=None)
 @given(term_pairs() | st.tuples(terms(), terms()), stores(), st.integers(min_value=0, max_value=3))
+# A head variable met again inside a compound, after or before it: the
+# occurs check fails both.  Then a nested head argument taken first.
+@example((c("p", Variable("A"), Variable("A")), c("p", X, c("f", X))), {}, 1)
+@example((c("p", Variable("A"), Variable("A")), c("p", c("f", X), X)), {}, 1)
+@example((c("p", a, Variable("B")), c("p", X, c("g", X, Y))), {}, 1)
 def test_unify_into_reads_a_head_as_its_renamed_copy(pair, store, index):
     # The same verdict, the same bindings made in the same order, and the
     # same trail: renamed variable names in a trace follow all three.
@@ -473,6 +487,8 @@ def test_unify_into_reads_a_head_as_its_renamed_copy(pair, store, index):
     assert ok == unify_into(goal, rename_term(head, index), copy_s, copy_trail)
     assert list(s.items()) == list(copy_s.items())
     assert trail == copy_trail
+    if not ok:
+        assert s == {**store, before: a} and trail == [before]
     found, want = unify(goal, head, store, index), unify(goal, rename_term(head, index), store)
     assert (found is None) == (want is None)
     assert found is None or list(found.items()) == list(want.items())
@@ -480,6 +496,8 @@ def test_unify_into_reads_a_head_as_its_renamed_copy(pair, store, index):
 
 @settings(deadline=None)
 @given(terms(), terms(), stores(), st.integers(min_value=0, max_value=3))
+@example(FLAT_THEN_NESTED, a, {Variable("X", 1): b, Variable("Y", 1): c("h", W)}, 1)
+@example(FLAT_THEN_NESTED, c("k", Variable("Y", 1)), {Variable("Y", 1): W, W: a}, 1)
 def test_rename_under_a_store_equals_instantiating_the_copy(t, earlier, store, index):
     # One memo warmed by an earlier instantiation, copied for each side.
     warm: dict = {}
